@@ -1,4 +1,4 @@
-"""End-to-end pipeline benchmark: the fast paths vs the slow paths.
+"""End-to-end pipeline benchmark: the product vs the test oracle.
 
 The committed regression gate for the profile-guided fast-path work
 (``docs/PERFORMANCE.md``): one fig12-style workload — the bench
@@ -6,14 +6,13 @@ scenario, an :class:`~repro.wireless.relay.AnalogRelay` FM chain, and
 seeded white noise — is run end to end through
 :meth:`MuteSystem.run <repro.core.system.MuteSystem.run>` twice:
 
-* **baseline** — the ``loop`` kernel backend with
-  :mod:`repro.utils.fastpath` disabled: every call site falls back to
-  the pre-fast-path arithmetic (``fftconvolve`` / uncached
-  ``resample_poly`` / general-form updates), preserved verbatim at
-  each site precisely so this bench has an honest denominator;
-* **fast** — the ``vector`` backend with the fast paths on: cached-FFT
-  overlap-save convolution, cached polyphase resampling, in-place
-  mod/demod, BLAS kernels.
+* **baseline** — inside :func:`tests.oracle.reference_paths`: the
+  per-sample kernel walks and the straightforward signal arithmetic
+  (``fftconvolve`` / uncached ``resample_poly`` / allocating mod-demod),
+  kept verbatim in the test oracle so this bench has an honest
+  denominator;
+* **fast** — the product: cached-FFT overlap-save convolution, cached
+  polyphase resampling, in-place mod/demod, BLAS kernels.
 
 The bench asserts both the **speedup floor** (fast must beat baseline
 by ≥ :data:`PIPELINE_SPEEDUP_FLOOR`) and the **correctness contract**
@@ -26,14 +25,16 @@ Run with::
     pytest benchmarks/bench_pipeline.py -s
 """
 
+import contextlib
+
 import numpy as np
 
 from _bench_utils import time_call, write_bench_json
 from repro.core.system import MuteSystem
 from repro.eval.experiments.common import bench_scenario, default_config
 from repro.signals import WhiteNoise
-from repro.utils import fastpath
 from repro.wireless.relay import AnalogRelay
+from tests import oracle
 
 #: The fast configuration must beat the slow baseline end to end by at
 #: least this much (measured ~5x on the reference container; committed
@@ -41,7 +42,7 @@ from repro.wireless.relay import AnalogRelay
 PIPELINE_SPEEDUP_FLOOR = 2.0
 
 #: Max abs deviation allowed between fast and baseline residuals — the
-#: loop-vs-vector kernel contract; every conv/resample fast path is
+#: kernel-vs-oracle contract; every conv/resample fast path is
 #: individually bit-identical or ≤ 1e-12 (tests/test_fastconv.py).
 RESIDUAL_TOLERANCE = 1e-10
 
@@ -52,18 +53,16 @@ DURATION_S = 4.0
 SEED = 7
 
 
-def _build_system(backend):
+#: The two legs: the oracle's reference arithmetic and the product.
+PATHS = {"baseline": oracle.reference_paths,
+         "fast": contextlib.nullcontext}
+
+
+def _build_system():
     scenario = bench_scenario()
     relay = AnalogRelay(audio_rate=scenario.sample_rate, seed=SEED)
-    config = default_config(relay=relay, seed=SEED, kernel_backend=backend)
-    return MuteSystem(scenario, config), scenario.sample_rate
-
-
-def _run_once(backend, fast, noise):
-    """One end-to-end MuteSystem.run under (backend, fastpath) settings."""
-    with fastpath.scope(fast):
-        system, __ = _build_system(backend)
-        return system.run(noise)
+    config = default_config(relay=relay, seed=SEED)
+    return MuteSystem(scenario, config)
 
 
 def test_pipeline_fast_vs_slow(report):
@@ -79,19 +78,14 @@ def test_pipeline_fast_vs_slow(report):
     noise = WhiteNoise(sample_rate=8000.0, level_rms=0.1,
                        seed=SEED).generate(DURATION_S)
 
-    variants = {
-        "baseline": {"backend": "loop", "fast": False},
-        "fast": {"backend": "vector", "fast": True},
-    }
     rows = {}
-    for name, v in variants.items():
-        with fastpath.scope(v["fast"]):
-            system, __ = _build_system(v["backend"])
+    for name, path in PATHS.items():
+        with path():
+            system = _build_system()
             timing = time_call(lambda: system.run(noise),
                                repeats=3, warmup=1)
         rows[name] = {
-            "kernel_backend": v["backend"],
-            "fastpath": v["fast"],
+            "paths": "tests/oracle.py" if name == "baseline" else "product",
             **timing.to_dict(),
         }
         rows[name]["result"] = timing.result
@@ -125,8 +119,8 @@ def test_pipeline_fast_vs_slow(report):
 
     report(
         f"end-to-end MuteSystem.run, {DURATION_S:.0f} s fig12 workload\n"
-        f"  baseline (loop, slow paths)  {base['median_s']:.3f} s\n"
-        f"  fast (vector, fast paths)    {fast['median_s']:.3f} s\n"
+        f"  baseline (oracle paths)      {base['median_s']:.3f} s\n"
+        f"  fast (product)               {fast['median_s']:.3f} s\n"
         f"  speedup {speedup:.2f}x (floor {PIPELINE_SPEEDUP_FLOOR}x), "
         f"max residual dev {max_dev:.2e}\n"
         f"[written to {path}]"
@@ -137,18 +131,3 @@ def test_pipeline_fast_vs_slow(report):
     assert speedup >= PIPELINE_SPEEDUP_FLOOR, \
         f"pipeline speedup {speedup:.2f}x < {PIPELINE_SPEEDUP_FLOOR}x"
 
-
-def test_fastpath_alone_is_transparent(report):
-    """Same backend, fastpath on vs off: tiny numeric envelope.
-
-    Isolates the conv/resample/mod-demod fast paths from the kernel
-    backend change — on the same ``loop`` backend the only deviations
-    left are the FFT-plan reuse effects (≤ ~1e-12 end to end).
-    """
-    noise = WhiteNoise(sample_rate=8000.0, level_rms=0.1,
-                       seed=SEED).generate(1.0)
-    slow = _run_once("loop", False, noise)
-    fast = _run_once("loop", True, noise)
-    max_dev = float(np.max(np.abs(fast.residual - slow.residual)))
-    report(f"fastpath-only max residual dev: {max_dev:.2e}")
-    assert max_dev <= RESIDUAL_TOLERANCE

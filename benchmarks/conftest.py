@@ -12,13 +12,21 @@ Runtime benches (``runtime_bench`` marker) measure the
 ``REPRO_RUNTIME_BENCH=1``, e.g.::
 
     pytest benchmarks/bench_runtime_cache.py --runtime-bench -s
+
+The repository root goes on ``sys.path`` so the kernel and pipeline
+benches can import the test oracle (``tests/oracle.py``) for their
+"before" legs.
 """
 
 from __future__ import annotations
 
 import os
+import sys
+from pathlib import Path
 
 import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 
 def pytest_addoption(parser):

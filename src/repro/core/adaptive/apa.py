@@ -17,7 +17,6 @@ from __future__ import annotations
 import time
 
 import numpy as np
-from scipy import linalg
 
 from ... import obs
 from ...errors import ConfigurationError
@@ -28,12 +27,7 @@ from ...utils.validation import (
     check_waveform,
 )
 from . import kernels
-from .base import (
-    AdaptationResult,
-    guard_divergence,
-    mse_curve,
-    record_run_metrics,
-)
+from .base import AdaptationResult, mse_curve, record_run_metrics
 
 __all__ = ["ApaFilter"]
 
@@ -51,21 +45,15 @@ class ApaFilter:
         Relative step, stable in (0, 2) like NLMS.
     epsilon:
         Regularizer for the P×P Gram inverse.
-    kernel_backend:
-        Kernel backend for :meth:`run` (``None`` = env var / default).
     """
 
-    def __init__(self, n_taps, order=4, mu=0.5, epsilon=1e-6,
-                 kernel_backend=None):
+    def __init__(self, n_taps, order=4, mu=0.5, epsilon=1e-6):
         self.n_taps = check_positive_int("n_taps", n_taps)
         self.order = check_positive_int("order", order)
         if self.order > self.n_taps:
             raise ConfigurationError("order cannot exceed n_taps")
         self.mu = check_positive("mu", mu)
         self.epsilon = check_positive("epsilon", epsilon)
-        if kernel_backend is not None:
-            kernels.resolve_backend_name(kernel_backend)
-        self.kernel_backend = kernel_backend
         self.taps = np.zeros(self.n_taps)
         # Ring of the last `order` input windows (rows, newest first).
         self._U = np.zeros((self.order, self.n_taps))
@@ -79,29 +67,6 @@ class ApaFilter:
         self._d[:] = 0.0
         self._window[:] = 0.0
 
-    def step(self, x_sample, d_sample):
-        """One predict-then-project iteration; returns (prediction, error)."""
-        self._window[1:] = self._window[:-1]
-        self._window[0] = x_sample
-        self._U[1:] = self._U[:-1]
-        self._U[0] = self._window
-        self._d[1:] = self._d[:-1]
-        self._d[0] = d_sample
-
-        prediction = float(np.dot(self.taps, self._window))
-        error = float(d_sample) - prediction
-        guard_divergence(error, "ApaFilter")
-
-        # Error vector over the projection window.
-        e_vec = self._d - self._U @ self.taps
-        gram = self._U @ self._U.T + self.epsilon * np.eye(self.order)
-        try:
-            solved = linalg.solve(gram, e_vec, assume_a="pos")
-        except linalg.LinAlgError:   # pragma: no cover - eps prevents this
-            solved = linalg.lstsq(gram, e_vec)[0]
-        self.taps += self.mu * (self._U.T @ solved)
-        return prediction, error
-
     def run(self, x, d):
         """Adapt over whole waveforms (LmsFilter-compatible contract)."""
         x = check_waveform("x", x)
@@ -109,15 +74,13 @@ class ApaFilter:
         check_same_length("x", x, "d", d)
         enabled = obs.enabled()
         t_start = time.perf_counter() if enabled else None
-        backend = kernels.resolve_backend_name(self.kernel_backend)
         predictions, errors = kernels.apa_run(
             x, d, self.taps, self._window, self._U, self._d, self.mu,
-            self.epsilon, backend=backend, context="ApaFilter",
+            self.epsilon, context="ApaFilter",
         )
         if enabled:
             record_run_metrics("apafilter", errors, d,
-                               time.perf_counter() - t_start,
-                               backend=backend)
+                               time.perf_counter() - t_start)
         return AdaptationResult(
             error=errors,
             output=predictions,

@@ -48,6 +48,15 @@ class BlockLancFilter:
     are stored future-first exactly like :class:`LancFilter`, so tap
     vectors can be moved between the two (the profile cache does not
     care which engine produced them).
+
+    Why this engine stays outside :mod:`repro.core.adaptive.kernels`:
+    it is a different algorithm, not a second copy of the per-sample
+    recursion.  The taps are frozen for a whole block and one
+    accumulated, block-power-normalized gradient is applied per block,
+    whereas :func:`~repro.core.adaptive.kernels.fxlms_block` updates the
+    taps after every sample.  Routing this class through
+    ``fxlms_block`` would change its outputs (and its convergence
+    trajectory), so it keeps its own convolution-based loop.
     """
 
     def __init__(self, n_future, n_past, secondary_path, mu=0.2,

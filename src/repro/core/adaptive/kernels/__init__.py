@@ -1,4 +1,4 @@
-"""Pluggable adaptive-filter kernels: one API, interchangeable backends.
+"""Adaptive-filter kernels: the inner loops every engine runs.
 
 The engines in :mod:`repro.core.adaptive` own configuration, validation
 and observability; the *inner loops* all live here, behind a small API:
@@ -9,48 +9,38 @@ and observability; the *inner loops* all live here, behind a small API:
 * :func:`fxlms_run` / :func:`fxlms_block` — two-sided FxLMS over a
   batch state / one streaming block, with ``adapt`` and ``active``
   flags;
+* :func:`fxlms_block_batch` — one lock-step block across a batch of
+  streaming states (the serving runtime's kernel);
 * :func:`lms_run` / :func:`rls_run` / :func:`apa_run` /
   :func:`multiref_run` — the causal-baseline and multi-reference
   walks.
 
-Two backends implement the API:
+There is one implementation of each, in :mod:`.vector` (sliding-window
+views, precomputed recursions, raw BLAS in the sequential loops).  The
+per-sample reference formulations it replaced live in the test oracle
+(``tests/oracle.py``), which the equivalence contracts and the
+``bench_kernels`` / ``bench_pipeline`` "before" legs run against.  See
+``docs/KERNELS.md`` for the full contract.
 
-``loop``
-    The audited per-sample reference implementation, extracted verbatim
-    from the seed engines — bit-identical to the historical outputs.
-    The default.
-``vector``
-    Sliding-window views + precomputed recursions; ≥3x faster on the
-    LANC loop and matches ``loop`` to ≤ 1e-10 on every engine
-    (property-tested in ``tests/test_kernels.py``).
-
-Backend selection, first match wins:
-
-1. an explicit ``backend=`` argument (engines expose this, plumbed from
-   ``MuteConfig.kernel_backend`` and the CLI ``--kernel-backend`` flag);
-2. the ``REPRO_KERNEL_BACKEND`` environment variable;
-3. the default, ``loop``.
-
-See ``docs/KERNELS.md`` for the full contract.
+Engines (and :class:`repro.serving.SessionServer`) call the kernels
+through this module's attributes — ``kernels.fxlms_run(...)`` — so a
+profiler or the test oracle can wrap or replace one entry point in one
+place.
 """
 
 from __future__ import annotations
 
-import os
+import numpy as np
 
 from ....errors import ConfigurationError
-from . import loop, vector
+from . import vector
 from .state import KernelState
+from .vector import apa_run, fxlms_run, lms_run, multiref_run, rls_run
 from .workspace import BatchWorkspace
 
 __all__ = [
     "KernelState",
     "BatchWorkspace",
-    "DEFAULT_BACKEND",
-    "ENV_VAR",
-    "available_backends",
-    "resolve_backend_name",
-    "get_backend",
     "fxlms_run",
     "fxlms_block",
     "fxlms_block_batch",
@@ -60,59 +50,25 @@ __all__ = [
     "multiref_run",
 ]
 
-#: Environment variable consulted when no explicit backend is given.
-ENV_VAR = "REPRO_KERNEL_BACKEND"
 
-#: Fallback backend — the bit-identical reference implementation.
-DEFAULT_BACKEND = "loop"
-
-_BACKENDS = {"loop": loop, "vector": vector}
-
-
-def available_backends():
-    """Names of the registered kernel backends, sorted."""
-    return tuple(sorted(_BACKENDS))
-
-
-def resolve_backend_name(name=None):
-    """Resolve a backend name: explicit → ``REPRO_KERNEL_BACKEND`` → loop."""
-    if name is None:
-        name = os.environ.get(ENV_VAR, "").strip() or DEFAULT_BACKEND
-    name = str(name).strip().lower()
-    if name not in _BACKENDS:
-        raise ConfigurationError(
-            f"unknown kernel backend {name!r}; "
-            f"available: {', '.join(available_backends())}"
-        )
-    return name
-
-
-def get_backend(name=None):
-    """The backend module for ``name`` (resolved per the selection order)."""
-    return _BACKENDS[resolve_backend_name(name)]
-
-
-# ----------------------------------------------------------------------
-# Dispatching entry points — what the engines call.
-# ----------------------------------------------------------------------
-def fxlms_run(state, taps, d, mu, backend=None, **kwargs):
-    """Batch two-sided FxLMS; returns ``(errors, outputs)``."""
-    return get_backend(backend).fxlms_run(state, taps, d, mu, **kwargs)
-
-
-def fxlms_block(state, taps, d, mu, backend=None, **kwargs):
-    """One streaming FxLMS block; returns the error block.
-
-    The reference-underrun check is shared across backends: processing
-    sample ``t`` needs the aligned reference up to ``t + n_future``.
-    """
-    needed = state.time + d.size + state.n_future
+def _check_underrun(state, block):
+    """Processing sample ``t`` needs the aligned reference to ``t + N``."""
+    needed = state.time + block + state.n_future
     if state.x.size < needed:
         raise ConfigurationError(
             f"reference underrun: need {needed} fed samples, "
             f"have {state.x.size}"
         )
-    return get_backend(backend).fxlms_block(state, taps, d, mu, **kwargs)
+
+
+def fxlms_block(state, taps, d, mu, **kwargs):
+    """One streaming FxLMS block; returns the error block.
+
+    Checks for a reference underrun before any state is touched, then
+    runs :func:`vector.fxlms_block`.
+    """
+    _check_underrun(state, d.size)
+    return vector.fxlms_block(state, taps, d, mu, **kwargs)
 
 
 def fxlms_block_batch(states, taps, d, mu, **kwargs):
@@ -120,14 +76,11 @@ def fxlms_block_batch(states, taps, d, mu, **kwargs):
 
     The cross-session kernel behind :mod:`repro.serving`; returns
     ``(errors, diverged)`` — see :func:`vector.fxlms_block_batch`.
-    There is no per-backend choice here: the batch path *is* the
-    vectorized implementation, and serial serving calls the same
-    kernel with singleton batches (that is what makes serial == batched
-    bit-identical).  Homogeneity and underrun validation is shared
-    here so the hot kernel can assume clean inputs.
+    Serial serving calls the same kernel with singleton batches (that
+    is what makes serial == batched bit-identical).  Homogeneity, shape
+    and underrun validation happens here so the hot kernel can assume
+    clean inputs.
     """
-    import numpy as np
-
     if not states:
         raise ConfigurationError("fxlms_block_batch needs >= 1 state")
     st0 = states[0]
@@ -155,34 +108,5 @@ def fxlms_block_batch(states, taps, d, mu, **kwargs):
             f"got {taps.shape}"
         )
     for st in states:
-        needed = st.time + d.shape[1] + st.n_future
-        if st.x.size < needed:
-            raise ConfigurationError(
-                f"reference underrun: need {needed} fed samples, "
-                f"have {st.x.size}"
-            )
+        _check_underrun(st, d.shape[1])
     return vector.fxlms_block_batch(states, taps, d, mu, **kwargs)
-
-
-def lms_run(x, d, taps, window, mu, backend=None, **kwargs):
-    """Causal (N)LMS walk; returns ``(predictions, errors)``."""
-    return get_backend(backend).lms_run(x, d, taps, window, mu, **kwargs)
-
-
-def rls_run(x, d, taps, window, P, forgetting, backend=None, **kwargs):
-    """RLS walk; returns ``(predictions, errors)``."""
-    return get_backend(backend).rls_run(x, d, taps, window, P, forgetting,
-                                        **kwargs)
-
-
-def apa_run(x, d, taps, window, U, d_ring, mu, epsilon, backend=None,
-            **kwargs):
-    """Affine-projection walk; returns ``(predictions, errors)``."""
-    return get_backend(backend).apa_run(x, d, taps, window, U, d_ring, mu,
-                                        epsilon, **kwargs)
-
-
-def multiref_run(states, taps_list, d, mu, backend=None, **kwargs):
-    """Multi-reference FxLMS walk; returns ``(errors, outputs)``."""
-    return get_backend(backend).multiref_run(states, taps_list, d, mu,
-                                             **kwargs)

@@ -5,17 +5,16 @@ aligned reference, its filtered-x companion ``x' = ŝ * x``, the true
 secondary path the anti-noise rings through, and the two-sided tap
 geometry in the paper's convention ``k ∈ [-n_future, n_past - 1]``
 (``k = -n_future`` multiplies the most futuristic sample
-``x(t + n_future)``).  The *algorithm* half — which backend walks that
-state and how — lives in :mod:`.loop` and :mod:`.vector`.
+``x(t + n_future)``).  The *algorithm* half — how that state is walked
+— lives in :mod:`.vector`.
 
 Two construction modes mirror the two ways the engines consume signals:
 
 * :meth:`KernelState.batch` — the whole aligned reference is known up
   front (``LancFilter.run`` and friends).  The filtered reference is one
   ``np.convolve`` and both arrays are pre-padded so every window
-  ``x[t - n_past + 1 .. t + n_future]`` exists (exactly the seed
-  :func:`repro.core.adaptive.base.padded_reference` layout — the loop
-  backend stays bit-identical to the historical engines).
+  ``x[t - n_past + 1 .. t + n_future]`` exists (the
+  :func:`repro.core.adaptive.base.padded_reference` layout).
 * :meth:`KernelState.streaming` — samples arrive in blocks
   (``StreamingLanc``).  :meth:`extend` maintains the filtered reference
   incrementally with :func:`scipy.signal.lfilter` state, and
@@ -23,7 +22,7 @@ Two construction modes mirror the two ways the engines consume signals:
   the anti-noise still ringing through the secondary path between
   blocks.
 
-Both modes expose the same window accessors, so backends are written
+Both modes expose the same window accessors, so kernels are written
 once against the ``k``-convention and do not care which mode fed them.
 """
 
@@ -108,9 +107,8 @@ class KernelState:
         """State over a fully-known aligned reference.
 
         Precomputes the filtered reference (``np.convolve``, truncated
-        to the signal length) and the padded layouts the historical
-        per-sample loop indexed — the loop backend reproduces the seed
-        engines bit for bit.
+        to the signal length) and the padded layouts the kernels'
+        sliding-window views read.
         """
         state = cls(n_future, n_past, secondary_estimate, secondary_true,
                     mode="batch")
@@ -176,8 +174,8 @@ class KernelState:
         mapping with :meth:`restore` on an identically constructed
         state resumes processing **bit-identically** — the contract the
         serving checkpoint layer (``repro.serving.checkpoint``) builds
-        on, property-tested in ``tests/test_checkpoint.py`` across
-        both kernel backends.
+        on, property-tested in ``tests/test_checkpoint.py`` on the
+        kernels and on the oracle's reference walk.
         """
         return {
             "x": self.x.copy(),
@@ -233,7 +231,7 @@ class KernelState:
         ``window[i] = x(t + n_future - i)`` so ``y(t) = taps · window``
         with taps stored future-first (``taps[i] ↔ k = i - n_future``).
         Valid in batch mode for any ``t`` in range; primarily a
-        documentation/testing helper — backends use faster layouts.
+        documentation/testing helper — the kernels use faster layouts.
         """
         return self._window_from(self.xp, self.off, t)
 

@@ -1,6 +1,8 @@
-"""The ``vector`` backend: sliding-window views + precomputed recursions.
+"""The kernels: sliding-window views + precomputed recursions.
 
-Same math as :mod:`.loop`, restructured for throughput:
+The per-sample FxLMS / LMS / RLS / APA recursions (the reference
+formulations are kept in the test oracle, ``tests/oracle.py``),
+restructured for throughput:
 
 * windows come from :func:`numpy.lib.stride_tricks.sliding_window_view`
   over the padded reference — zero copies, zero per-sample slicing
@@ -25,9 +27,10 @@ per sample: the same :class:`repro.errors.ConvergenceError` is raised
 for the same first offending sample, just a few hundred samples of
 (ignored) arithmetic later.
 
-Contract: every entry point matches :mod:`.loop` to ≤ 1e-10 absolute on
-errors/outputs/taps (property-tested in ``tests/test_kernels.py``); it
-is *not* bit-identical — summation orders differ.
+Contract: every entry point matches the oracle's per-sample walk to
+≤ 1e-10 absolute on errors/outputs/taps (property-tested in
+``tests/test_kernels.py``); it is *not* bit-identical — summation
+orders differ.
 """
 
 from __future__ import annotations
@@ -73,7 +76,13 @@ def _ringing(opad, s_rev):
 
 def fxlms_run(state, taps, d, mu, normalized=True, leak=0.0, adapt=True,
               active=True, adapt_mask=None, context="LancFilter"):
-    """Batch two-sided FxLMS (vectorized); see :func:`loop.fxlms_run`."""
+    """Batch two-sided FxLMS over a :meth:`KernelState.batch` state.
+
+    Returns ``(errors, outputs)``; ``taps`` (future-first) is updated in
+    place.  ``adapt=False`` freezes the taps, ``adapt_mask`` adapts
+    only where true, and ``active=False`` mutes the speaker (zero
+    output; batch states start from silence, so nothing rings).
+    """
     T = d.size
     n_taps = state.n_taps
     s_true = state.secondary_true
@@ -128,7 +137,13 @@ def fxlms_run(state, taps, d, mu, normalized=True, leak=0.0, adapt=True,
 
 def fxlms_block(state, taps, d, mu, normalized=True, leak=0.0, adapt=True,
                 active=True, context="StreamingLanc"):
-    """One streaming block (vectorized); see :func:`loop.fxlms_block`."""
+    """One streaming block over a :meth:`KernelState.streaming` state.
+
+    Advances ``state.time`` and ``state.y_recent``; returns the error
+    block.  ``active=False`` mutes the speaker for the block while
+    anti-noise already in flight keeps ringing through the secondary
+    path.
+    """
     B = d.size
     n_future, n_past, n_taps = state.n_future, state.n_past, state.n_taps
     s_true = state.secondary_true
@@ -150,7 +165,7 @@ def fxlms_block(state, taps, d, mu, normalized=True, leak=0.0, adapt=True,
         return errors
 
     # Reference segment covering every window of the block, zero-padded
-    # on the left exactly like the loop backend's early-sample windows.
+    # on the left for the early-sample windows.
     lo0 = time - (n_past - 1)
     seg = state.x[max(lo0, 0): time + B + n_future]
     segf = state.xf[max(lo0, 0): time + B + n_future]
@@ -254,8 +269,8 @@ def fxlms_block_batch(states, taps, d, mu, normalized=True, leak=0.0,
     batched serving is *bit-identical* to serial serving that calls
     this kernel with singleton batches (property-tested in
     ``tests/test_serving.py``).  Against the per-session
-    :func:`fxlms_block` the usual vector-backend contract applies:
-    ≤ 1e-10, not bit-identity (summation orders differ).
+    :func:`fxlms_block` the usual kernel contract applies: ≤ 1e-10,
+    not bit-identity (summation orders differ).
     """
     from .workspace import BatchWorkspace
 
@@ -362,7 +377,12 @@ def fxlms_block_batch(states, taps, d, mu, normalized=True, leak=0.0,
 
 def lms_run(x, d, taps, window, mu, normalized=True, leak=0.0,
             context="LmsFilter"):
-    """Causal (N)LMS (vectorized); see :func:`loop.lms_run`."""
+    """Causal (N)LMS predict-then-adapt over whole waveforms.
+
+    ``window`` is the engine's newest-first shift register; both it and
+    ``taps`` are updated in place so a later run resumes where this one
+    left off.  Returns ``(predictions, errors)``.
+    """
     T = x.size
     n = taps.size
     # Extend with the shift-register history so mid-stream runs resume
@@ -401,7 +421,7 @@ def rls_run(x, d, taps, window, P, forgetting, context="RlsFilter"):
     """Exponentially-weighted RLS with BLAS symmetric rank-1 updates.
 
     The O(M²) inverse-correlation recursion is inherently sequential;
-    the vector backend removes the per-sample shift register by working
+    this walk removes the per-sample shift register by working
     in forward order (``P`` conjugated by the flip permutation, which
     leaves its identity initialization invariant) and keeps ``P`` as a
     **lower-triangular Fortran-ordered** operand for raw BLAS:
@@ -412,7 +432,8 @@ def rls_run(x, d, taps, window, P, forgetting, context="RlsFilter"):
       explicit re-symmetrization the general-form loop needs per sample
       collapses to one triangle mirror after the walk.
 
-    Contract vs :func:`loop.rls_run` unchanged: ≤ 1e-10 on
+    ``taps``, ``window`` (newest-first) and ``P`` are updated in place.
+    Contract vs the oracle's general-form walk: ≤ 1e-10 on
     predictions/errors/taps/``P``.
     """
     T = x.size
@@ -512,7 +533,13 @@ def apa_run(x, d, taps, window, U, d_ring, mu, epsilon,
 
 def multiref_run(states, taps_list, d, mu, normalized=True, leak=0.0,
                  adapt=True, context="MultiRefLancFilter"):
-    """Multi-reference two-sided FxLMS; see :func:`loop.multiref_run`."""
+    """Multi-reference two-sided FxLMS: one batch state per branch.
+
+    All branches share the error signal and the (true) secondary path
+    of ``states[0]``; the NLMS step is normalized by the *total*
+    filtered-window power across branches.  Each branch's taps are
+    updated in place.  Returns ``(errors, outputs)``.
+    """
     T = d.size
     s_true = states[0].secondary_true
     s_len = s_true.size

@@ -20,13 +20,7 @@ from ...utils.validation import (
     check_waveform,
 )
 from . import kernels
-from .base import (
-    AdaptationResult,
-    effective_step,
-    guard_divergence,
-    mse_curve,
-    record_run_metrics,
-)
+from .base import AdaptationResult, mse_curve, record_run_metrics
 
 __all__ = ["LmsFilter", "identify_system"]
 
@@ -50,23 +44,15 @@ class LmsFilter:
         non-stationary inputs like speech.
     leak:
         Leaky-LMS coefficient decay per update (0 = none).
-    kernel_backend:
-        Kernel backend for :meth:`run` (``None`` = env var / default;
-        see :mod:`repro.core.adaptive.kernels`).  :meth:`step` is always
-        the per-sample reference path.
     """
 
-    def __init__(self, n_taps, mu=0.5, normalized=True, leak=0.0,
-                 kernel_backend=None):
+    def __init__(self, n_taps, mu=0.5, normalized=True, leak=0.0):
         self.n_taps = check_positive_int("n_taps", n_taps)
         self.mu = check_positive("mu", mu)
         self.normalized = bool(normalized)
         if not 0.0 <= leak < 1.0:
             raise ValueError(f"leak must be in [0, 1), got {leak}")
         self.leak = float(leak)
-        if kernel_backend is not None:
-            kernels.resolve_backend_name(kernel_backend)
-        self.kernel_backend = kernel_backend
         self.taps = np.zeros(self.n_taps)
         self._window = np.zeros(self.n_taps)  # newest first
 
@@ -74,24 +60,6 @@ class LmsFilter:
         """Zero the taps and the input window."""
         self.taps[:] = 0.0
         self._window[:] = 0.0
-
-    def step(self, x_sample, d_sample):
-        """One sample of predict-then-adapt.
-
-        Returns
-        -------
-        (prediction, error)
-        """
-        self._window[1:] = self._window[:-1]
-        self._window[0] = x_sample
-        prediction = float(np.dot(self.taps, self._window))
-        error = float(d_sample) - prediction
-        guard_divergence(error, "LmsFilter")
-        step = effective_step(self.mu, self._window, self.normalized)
-        if self.leak:
-            self.taps *= (1.0 - self.leak)
-        self.taps += step * error * self._window
-        return prediction, error
 
     def run(self, x, d):
         """Adapt over whole waveforms; returns an :class:`AdaptationResult`.
@@ -104,16 +72,14 @@ class LmsFilter:
         check_same_length("x", x, "d", d)
         enabled = obs.enabled()
         t_start = time.perf_counter() if enabled else None
-        backend = kernels.resolve_backend_name(self.kernel_backend)
         predictions, errors = kernels.lms_run(
-            x, d, self.taps, self._window, self.mu, backend=backend,
+            x, d, self.taps, self._window, self.mu,
             normalized=self.normalized, leak=self.leak,
             context="LmsFilter",
         )
         if enabled:
             record_run_metrics("lmsfilter", errors, d,
-                               time.perf_counter() - t_start,
-                               backend=backend)
+                               time.perf_counter() - t_start)
         return AdaptationResult(
             error=errors,
             output=predictions,

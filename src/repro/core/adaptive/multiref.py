@@ -60,12 +60,10 @@ class MultiRefLancFilter:
         power across branches (keeps the coupled update stable).
     leak:
         Leaky-LMS decay.
-    kernel_backend:
-        Kernel backend for :meth:`run` (``None`` = env var / default).
     """
 
     def __init__(self, n_futures, n_past, secondary_path, mu=0.2,
-                 normalized=True, leak=0.0, kernel_backend=None):
+                 normalized=True, leak=0.0):
         if not n_futures:
             raise ConfigurationError("need at least one reference branch")
         self.n_futures = [check_non_negative_int("n_future", n)
@@ -79,9 +77,6 @@ class MultiRefLancFilter:
         if not 0.0 <= leak < 1.0:
             raise ConfigurationError(f"leak must be in [0, 1), got {leak}")
         self.leak = float(leak)
-        if kernel_backend is not None:
-            kernels.resolve_backend_name(kernel_backend)
-        self.kernel_backend = kernel_backend
         #: Per-branch tap vectors, each stored future-first.
         self.taps = [np.zeros(n + self.n_past) for n in self.n_futures]
 
@@ -159,22 +154,20 @@ class MultiRefLancFilter:
         enabled = obs.enabled()
         t_start = time.perf_counter() if enabled else None
 
-        backend = kernels.resolve_backend_name(self.kernel_backend)
         states = [
             kernels.KernelState.batch(x, n_future, self.n_past,
                                       self.secondary_path, s_true)
             for x, n_future in zip(xs, self.n_futures)
         ]
         errors, outputs = kernels.multiref_run(
-            states, self.taps, d, self.mu, backend=backend,
+            states, self.taps, d, self.mu,
             normalized=self.normalized, leak=self.leak, adapt=adapt,
             context="MultiRefLancFilter",
         )
 
         if enabled:
             record_run_metrics("multireflancfilter", errors, d,
-                               time.perf_counter() - t_start,
-                               backend=backend)
+                               time.perf_counter() - t_start)
         return AdaptationResult(
             error=errors,
             output=outputs,

@@ -28,12 +28,7 @@ from ...utils.validation import (
     check_waveform,
 )
 from . import kernels
-from .base import (
-    AdaptationResult,
-    guard_divergence,
-    mse_curve,
-    record_run_metrics,
-)
+from .base import AdaptationResult, mse_curve, record_run_metrics
 
 __all__ = ["RlsFilter"]
 
@@ -50,18 +45,12 @@ class RlsFilter:
     delta:
         Initial inverse-correlation scale (``P(0) = I/delta``); small
         values start aggressive, large values start cautious.
-    kernel_backend:
-        Kernel backend for :meth:`run` (``None`` = env var / default).
     """
 
-    def __init__(self, n_taps, forgetting=0.999, delta=1e-2,
-                 kernel_backend=None):
+    def __init__(self, n_taps, forgetting=0.999, delta=1e-2):
         self.n_taps = check_positive_int("n_taps", n_taps)
         self.forgetting = check_in_range("forgetting", forgetting, 0.5, 1.0)
         self.delta = check_positive("delta", delta)
-        if kernel_backend is not None:
-            kernels.resolve_backend_name(kernel_backend)
-        self.kernel_backend = kernel_backend
         self.taps = np.zeros(self.n_taps)
         self._window = np.zeros(self.n_taps)   # newest first
         self._P = np.eye(self.n_taps) / self.delta
@@ -72,29 +61,6 @@ class RlsFilter:
         self._window[:] = 0.0
         self._P = np.eye(self.n_taps) / self.delta
 
-    def step(self, x_sample, d_sample):
-        """One predict-then-update iteration.
-
-        Returns
-        -------
-        (prediction, error)
-        """
-        self._window[1:] = self._window[:-1]
-        self._window[0] = x_sample
-        u = self._window
-        prediction = float(np.dot(self.taps, u))
-        error = float(d_sample) - prediction
-        guard_divergence(error, "RlsFilter")
-
-        Pu = self._P @ u
-        denom = self.forgetting + float(np.dot(u, Pu))
-        gain = Pu / denom
-        self.taps += gain * error
-        # Joseph-free rank-1 downdate; re-symmetrize to fight drift.
-        self._P = (self._P - np.outer(gain, Pu)) / self.forgetting
-        self._P = 0.5 * (self._P + self._P.T)
-        return prediction, error
-
     def run(self, x, d):
         """Adapt over whole waveforms (same contract as LmsFilter.run)."""
         x = check_waveform("x", x)
@@ -102,15 +68,13 @@ class RlsFilter:
         check_same_length("x", x, "d", d)
         enabled = obs.enabled()
         t_start = time.perf_counter() if enabled else None
-        backend = kernels.resolve_backend_name(self.kernel_backend)
         predictions, errors = kernels.rls_run(
             x, d, self.taps, self._window, self._P, self.forgetting,
-            backend=backend, context="RlsFilter",
+            context="RlsFilter",
         )
         if enabled:
             record_run_metrics("rlsfilter", errors, d,
-                               time.perf_counter() - t_start,
-                               backend=backend)
+                               time.perf_counter() - t_start)
         return AdaptationResult(
             error=errors,
             output=predictions,

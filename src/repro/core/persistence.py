@@ -4,13 +4,16 @@ A deployed ear-device re-enters the same office every day; its learned
 sound profiles and converged tap vectors should survive a power cycle.
 This module serializes a :class:`ProfileClassifier`'s signatures and a
 :class:`FilterCache`'s taps to a single JSON document (human-readable,
-no pickle, no code execution on load).
+no pickle, no code execution on load).  Saves are atomic: a crash or a
+full disk mid-write leaves the previous file intact.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import pathlib
+import tempfile
 
 import numpy as np
 
@@ -24,7 +27,11 @@ STATE_FORMAT_VERSION = 1
 
 
 def save_learned_state(path, classifier=None, cache=None, metadata=None):
-    """Write profiles and/or cached taps to ``path`` (JSON).
+    """Write profiles and/or cached taps to ``path`` (JSON), atomically.
+
+    The document goes to a temporary file in the destination directory
+    first and is then renamed over ``path`` (``os.replace``), so a
+    failed save never leaves a truncated file behind.
 
     Parameters
     ----------
@@ -71,7 +78,15 @@ def save_learned_state(path, classifier=None, cache=None, metadata=None):
             label: cache.load(label).tolist() for label in cache.labels()
         }
     path = pathlib.Path(path)
-    path.write_text(json.dumps(document, indent=1))
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".",
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(document, fh, indent=1)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
     return path
 
 

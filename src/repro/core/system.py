@@ -28,7 +28,6 @@ from ..utils import fastconv
 from ..utils.spectral import cancellation_spectrum_db
 from ..utils.validation import check_waveform
 from ..wireless.relay import IdealRelay
-from .adaptive import kernels
 from .adaptive.lanc import LancFilter
 from .lookahead import LookaheadBudget
 from .scenario import Scenario
@@ -70,11 +69,6 @@ class MuteConfig:
         Ambient noise level during the secondary-path probe.
     seed:
         Randomness seed (probe noise etc.).
-    kernel_backend:
-        Adaptive-kernel backend for the LANC filter (``"loop"`` /
-        ``"vector"``); ``None`` defers to the ``REPRO_KERNEL_BACKEND``
-        environment variable, then the default ``loop`` — see
-        :mod:`repro.core.adaptive.kernels` and ``docs/KERNELS.md``.
     """
 
     n_future: int = 64
@@ -91,13 +85,10 @@ class MuteConfig:
     probe_secondary: bool = True
     probe_noise_rms: float = 0.01
     seed: int = 0
-    kernel_backend: str | None = None
 
     def __post_init__(self):
         if self.relay is None:
             self.relay = IdealRelay(mic_noise_rms=1e-3, seed=self.seed)
-        if self.kernel_backend is not None:
-            kernels.resolve_backend_name(self.kernel_backend)
         if self.n_future < 0 or self.n_past <= 0:
             raise ConfigurationError(
                 "need n_future >= 0 and n_past > 0, got "
@@ -371,7 +362,6 @@ class MuteSystem:
             secondary_path=self._secondary_estimate,
             mu=cfg.mu,
             leak=cfg.leak,
-            kernel_backend=cfg.kernel_backend,
         )
 
     def run(self, noise):

@@ -243,8 +243,7 @@ class Experiment:
             ``seed`` / ``duration_s`` / ``fault_plan`` / extra params
             are applied *where the runner accepts them* (a broadcast
             context must compose with runners of differing
-            signatures), and its kernel backend is scoped around the
-            run.
+            signatures).
         overrides:
             Per-run parameters, laid over the request's.  Unknown
             names raise :class:`~repro.errors.UnknownParameterError`
@@ -267,11 +266,7 @@ class Experiment:
                           if k in self.defaults)
         kwargs.update(overrides)
         kwargs = {k: v for k, v in kwargs.items() if v is not None}
-        if request is not None:
-            with request.kernel_backend_scope():
-                result = self.runner(**kwargs)
-        else:
-            result = self.runner(**kwargs)
+        result = self.runner(**kwargs)
         if not isinstance(result, ExperimentResult):
             result = ExperimentResult(self.name, kwargs, result)
         return result

@@ -19,8 +19,8 @@ makes heavy multi-scenario traffic cheap:
   into parallel runs; :func:`lookahead_sweep` / :func:`relay_map_sweep`
   re-express Figures 16 and 19 as grids.
 * :mod:`~repro.runtime.request` — :class:`RunRequest`, the one frozen
-  context object (seed, duration, kernel backend, fault plan, obs
-  switch, worker count) accepted by ``Experiment.run``,
+  context object (seed, duration, fault plan, obs switch, worker
+  count) accepted by ``Experiment.run``,
   :func:`run_experiments`, and ``repro.serving``.
 
 Quick tour::

@@ -24,9 +24,10 @@ This module centralizes all of it:
   per IR" the profiling harness showed the acoustics stage re-paying.
 
 Contract: ``fir_apply(x, h)`` matches ``np.convolve(x, h)`` to
-≤ 1e-10 absolute (hypothesis-tested in ``tests/test_fastconv.py``),
-and with :mod:`repro.utils.fastpath` disabled it *is* the historical
-``fftconvolve`` call.
+≤ 1e-10 absolute, and :class:`StreamingFir` matches ``lfilter`` with
+carried state (hypothesis-tested in ``tests/test_fastconv.py`` against
+the ``fftconvolve`` / ``lfilter`` formulations kept in the test
+oracle).
 """
 
 from __future__ import annotations
@@ -35,10 +36,8 @@ from collections import OrderedDict
 
 import numpy as np
 from scipy import fft as sp_fft
-from scipy import signal as sps
 
 from ..errors import ConfigurationError
-from . import fastpath
 
 __all__ = ["fir_apply", "StreamingFir", "cache_info", "clear_cache"]
 
@@ -124,9 +123,6 @@ def fir_apply(signal, ir, mode="same"):
         ``"same"`` returns the first ``len(signal)`` samples (the
         library's usual ``np.convolve(x, h)[:n]`` truncation); ``"full"``
         returns all ``n + m - 1``.
-
-    With :mod:`repro.utils.fastpath` disabled this is plain
-    ``scipy.signal.fftconvolve`` — the pre-overhaul arithmetic.
     """
     if mode not in ("same", "full"):
         raise ConfigurationError(f"mode must be 'same' or 'full', not {mode!r}")
@@ -137,9 +133,6 @@ def fir_apply(signal, ir, mode="same"):
     n, m = signal.size, ir.size
     n_out = n + m - 1
 
-    if not fastpath.enabled():
-        full = sps.fftconvolve(signal, ir)
-        return full if mode == "full" else full[:n]
     if (m <= DIRECT_TAP_LIMIT or n < 2 * m
             or np.iscomplexobj(signal) or np.iscomplexobj(ir)):
         full = np.convolve(signal, ir)
@@ -197,11 +190,6 @@ class StreamingFir:
         m = self.ir.size
         if m == 1:
             return self.ir[0] * block
-        if not fastpath.enabled():
-            out, zf = sps.lfilter(self.ir, [1.0], block,
-                                  zi=self.state[: m - 1])
-            self.state[: m - 1] = zf
-            return out
         n = block.size
         full = fir_apply(block, self.ir, mode="full")
         out = full[:n]

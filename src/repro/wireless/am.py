@@ -12,7 +12,6 @@ import numpy as np
 from scipy import signal as sps
 
 from ..errors import ConfigurationError
-from ..utils import fastpath
 from ..utils.validation import check_in_range, check_positive, check_waveform
 from .fm import resample
 
@@ -43,10 +42,6 @@ class AmModulator:
         peak = np.max(np.abs(audio))
         normalized = audio / peak if peak > 0 else audio
         rf_audio = resample(normalized, self.audio_rate, self.rf_rate)
-        if not fastpath.enabled():
-            rf_audio = np.clip(rf_audio, -1.0, 1.0)
-            envelope = 1.0 + self.modulation_index * rf_audio
-            return (self.amplitude * envelope).astype(np.complex128)
         # Envelope built in place on the full-rate buffer we own; the
         # complex cast is the only remaining full-rate copy (the output
         # itself).
@@ -79,11 +74,6 @@ class AmDemodulator:
         baseband = check_waveform("baseband", baseband, min_length=2,
                                   allow_complex=True)
         envelope = np.abs(baseband)
-        if not fastpath.enabled():
-            envelope = envelope - np.mean(envelope)
-            envelope = sps.sosfiltfilt(self._sos, envelope)
-            audio = resample(envelope, self.rf_rate, self.audio_rate)
-            return audio / self.modulation_index
         envelope -= np.mean(envelope)
         envelope = sps.sosfiltfilt(self._sos, envelope)
         audio = resample(envelope, self.rf_rate, self.audio_rate)

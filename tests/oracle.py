@@ -1,0 +1,491 @@
+"""Test oracle: the reference formulations the product code replaced.
+
+The library ships one implementation of each algorithm — the vectorized
+kernels in :mod:`repro.core.adaptive.kernels` and the cached-FFT /
+cached-polyphase / in-place signal paths.  The straightforward
+formulations they were derived from live here, verbatim, for two jobs:
+
+* **equivalence contracts** — ``tests/test_kernels.py``,
+  ``test_fastconv.py``, ``test_fm.py``, ``test_checkpoint.py`` and
+  ``test_serving.py`` compare the product against these (≤ 1e-10 on the
+  adaptive engines, bit-identical or ≤ 1e-12 on the signal paths);
+* **honest "before" legs** — ``benchmarks/bench_kernels.py`` and
+  ``benchmarks/bench_pipeline.py`` time the product against them.
+
+Three groups:
+
+* the per-sample adaptive walks (:func:`fxlms_run`, :func:`fxlms_block`,
+  :func:`lms_run`, :func:`rls_run`, :func:`apa_run`,
+  :func:`multiref_run`) — one sample at a time, in the operation order
+  the original engines used;
+* the stepped recursions (:func:`lms_step`, :func:`rls_step`,
+  :func:`apa_step`) — one sample of an engine's state, the oracle's own
+  self-check (the walks must equal them bit for bit);
+* the slow signal paths (:func:`fir_apply` = ``fftconvolve``,
+  :func:`streaming_fir_process` = ``lfilter`` with carried state,
+  :func:`resample` = ``resample_poly`` with its default window, and the
+  allocating FM/AM modulator and demodulator arithmetic).
+
+:func:`reference_paths` swaps all of them in over the product
+attributes for the duration of a ``with`` block — a test double, so
+whole engines and whole pipelines can run on the reference arithmetic.
+
+Every walk mutates the caller's tap (and auxiliary) arrays in place,
+exactly like the product kernels.
+"""
+
+from __future__ import annotations
+
+import contextlib
+
+import numpy as np
+from scipy import linalg
+from scipy import signal as sps
+
+from repro.core.adaptive.base import (
+    effective_step,
+    guard_divergence,
+    tap_window,
+)
+from repro.errors import ConfigurationError
+from repro.utils.validation import check_positive, check_waveform
+from repro.wireless.fm import rational_ratio
+
+__all__ = [
+    "fxlms_run", "fxlms_block", "lms_run", "rls_run", "apa_run",
+    "multiref_run", "lms_step", "rls_step", "apa_step", "fir_apply",
+    "streaming_fir_process", "resample", "fm_modulate", "fm_demodulate",
+    "am_modulate", "am_demodulate", "reference_paths",
+]
+
+
+# ----------------------------------------------------------------------
+# Per-sample adaptive walks
+# ----------------------------------------------------------------------
+def fxlms_run(state, taps, d, mu, normalized=True, leak=0.0, adapt=True,
+              active=True, adapt_mask=None, context="LancFilter"):
+    """Batch two-sided FxLMS over a :meth:`KernelState.batch` state.
+
+    Returns ``(errors, outputs)``; ``taps`` is updated in place.
+    """
+    xp, off = state.xp, state.off
+    xfp, offf = state.xfp, state.offf
+    s_true = state.secondary_true
+    n_future, n_past = state.n_future, state.n_past
+
+    T = d.size
+    s_len = s_true.size
+    y_recent = np.zeros(s_len)  # y(t), y(t-1), ... newest first
+    errors = np.empty(T)
+    outputs = np.empty(T)
+
+    if not active:
+        # Speaker not driven: zero output, disturbance passes through
+        # (batch states start from silence, so no residual ringing).
+        outputs[:] = 0.0
+        errors[:] = d
+        return errors, outputs
+
+    for t in range(T):
+        win = tap_window(xp, off, t, n_future, n_past)
+        y = float(np.dot(taps, win))
+        outputs[t] = y
+        y_recent[1:] = y_recent[:-1]
+        y_recent[0] = y
+        e = d[t] + float(np.dot(s_true, y_recent))
+        errors[t] = e
+        guard_divergence(e, context)
+        if adapt and (adapt_mask is None or adapt_mask[t]):
+            winf = tap_window(xfp, offf, t, n_future, n_past)
+            step = effective_step(mu, winf, normalized)
+            if leak:
+                taps *= (1.0 - leak)
+            taps -= step * e * winf
+    return errors, outputs
+
+
+def fxlms_block(state, taps, d, mu, normalized=True, leak=0.0, adapt=True,
+                active=True, context="StreamingLanc"):
+    """One streaming block over a :meth:`KernelState.streaming` state.
+
+    Advances ``state.time`` and ``state.y_recent``; returns the error
+    block.  ``active=False`` mutes the speaker for the block while
+    anti-noise already in flight keeps ringing through the secondary
+    path.
+    """
+    n_future, n_past = state.n_future, state.n_past
+    s_true = state.secondary_true
+    y_recent = state.y_recent
+    x, xf = state.x, state.xf
+    errors = np.empty(d.size)
+
+    if not active:
+        # Speaker muted: output is zero, but anti-noise already in
+        # flight keeps ringing through the secondary path.
+        for i in range(d.size):
+            y_recent[1:] = y_recent[:-1]
+            y_recent[0] = 0.0
+            e = d[i] + float(np.dot(s_true, y_recent))
+            errors[i] = e
+        state.time += d.size
+        return errors
+
+    for i in range(d.size):
+        t = state.time + i
+        lo = t - (n_past - 1)
+        hi = t + n_future + 1
+        if lo >= 0:
+            win = x[lo:hi][::-1]
+            winf = xf[lo:hi][::-1]
+        else:
+            pad = -lo
+            win = np.concatenate([x[0:hi][::-1], np.zeros(pad)])
+            winf = np.concatenate([xf[0:hi][::-1], np.zeros(pad)])
+        y = float(np.dot(taps, win))
+        y_recent[1:] = y_recent[:-1]
+        y_recent[0] = y
+        e = d[i] + float(np.dot(s_true, y_recent))
+        errors[i] = e
+        guard_divergence(e, context)
+        if adapt:
+            step = effective_step(mu, winf, normalized)
+            if leak:
+                taps *= (1.0 - leak)
+            taps -= step * e * winf
+    state.time += d.size
+    return errors
+
+
+def lms_run(x, d, taps, window, mu, normalized=True, leak=0.0,
+            context="LmsFilter"):
+    """Causal (N)LMS predict-then-adapt over whole waveforms.
+
+    ``window`` is the engine's newest-first shift register; both it and
+    ``taps`` are updated in place.  Returns ``(predictions, errors)``.
+    """
+    predictions = np.empty(x.size)
+    errors = np.empty(x.size)
+    for t in range(x.size):
+        window[1:] = window[:-1]
+        window[0] = x[t]
+        prediction = float(np.dot(taps, window))
+        error = float(d[t]) - prediction
+        guard_divergence(error, context)
+        step = effective_step(mu, window, normalized)
+        if leak:
+            taps *= (1.0 - leak)
+        taps += step * error * window
+        predictions[t] = prediction
+        errors[t] = error
+    return predictions, errors
+
+
+def rls_run(x, d, taps, window, P, forgetting, context="RlsFilter"):
+    """Exponentially-weighted RLS over whole waveforms.
+
+    ``taps``, ``window`` (newest-first) and the inverse-correlation
+    matrix ``P`` are updated in place.  Returns
+    ``(predictions, errors)``.
+    """
+    predictions = np.empty(x.size)
+    errors = np.empty(x.size)
+    P_local = P
+    for t in range(x.size):
+        window[1:] = window[:-1]
+        window[0] = x[t]
+        u = window
+        prediction = float(np.dot(taps, u))
+        error = float(d[t]) - prediction
+        guard_divergence(error, context)
+
+        Pu = P_local @ u
+        denom = forgetting + float(np.dot(u, Pu))
+        gain = Pu / denom
+        taps += gain * error
+        # Joseph-free rank-1 downdate; re-symmetrize to fight drift.
+        P_local = (P_local - np.outer(gain, Pu)) / forgetting
+        P_local = 0.5 * (P_local + P_local.T)
+        predictions[t] = prediction
+        errors[t] = error
+    P[:] = P_local
+    return predictions, errors
+
+
+def apa_run(x, d, taps, window, U, d_ring, mu, epsilon,
+            context="ApaFilter"):
+    """Affine-projection adaptation over whole waveforms.
+
+    ``taps``, ``window``, the input-window ring ``U`` (rows, newest
+    first) and the desired-sample ring ``d_ring`` are updated in place.
+    Returns ``(predictions, errors)``.
+    """
+    order = U.shape[0]
+    predictions = np.empty(x.size)
+    errors = np.empty(x.size)
+    eye = np.eye(order)
+    for t in range(x.size):
+        window[1:] = window[:-1]
+        window[0] = x[t]
+        U[1:] = U[:-1]
+        U[0] = window
+        d_ring[1:] = d_ring[:-1]
+        d_ring[0] = d[t]
+
+        prediction = float(np.dot(taps, window))
+        error = float(d[t]) - prediction
+        guard_divergence(error, context)
+
+        # Error vector over the projection window.
+        e_vec = d_ring - U @ taps
+        gram = U @ U.T + epsilon * eye
+        try:
+            solved = linalg.solve(gram, e_vec, assume_a="pos")
+        except linalg.LinAlgError:   # pragma: no cover - eps prevents this
+            solved = linalg.lstsq(gram, e_vec)[0]
+        taps += mu * (U.T @ solved)
+        predictions[t] = prediction
+        errors[t] = error
+    return predictions, errors
+
+
+def multiref_run(states, taps_list, d, mu, normalized=True, leak=0.0,
+                 adapt=True, context="MultiRefLancFilter"):
+    """Multi-reference two-sided FxLMS: one batch state per branch.
+
+    All branches share the error signal and the (true) secondary path
+    of ``states[0]``; the NLMS step is normalized by the *total*
+    filtered-window power across branches.  Returns
+    ``(errors, outputs)``.
+    """
+    s_true = states[0].secondary_true
+    n_past = states[0].n_past
+    T = d.size
+    branches = [(st.xp, st.off, st.xfp, st.offf, st.n_future)
+                for st in states]
+
+    y_recent = np.zeros(s_true.size)
+    errors = np.empty(T)
+    outputs = np.empty(T)
+
+    for t in range(T):
+        y = 0.0
+        windows_f = []
+        for taps, (xp, off, xfp, offf, n_future) in zip(taps_list,
+                                                        branches):
+            win = tap_window(xp, off, t, n_future, n_past)
+            y += float(np.dot(taps, win))
+            if adapt:
+                windows_f.append(
+                    tap_window(xfp, offf, t, n_future, n_past)
+                )
+        outputs[t] = y
+        y_recent[1:] = y_recent[:-1]
+        y_recent[0] = y
+        e = d[t] + float(np.dot(s_true, y_recent))
+        errors[t] = e
+        guard_divergence(e, context)
+        if adapt:
+            total_power = sum(float(np.dot(w, w)) for w in windows_f)
+            step = (mu / (total_power + 1e-8) if normalized else mu)
+            for taps, winf in zip(taps_list, windows_f):
+                if leak:
+                    taps *= (1.0 - leak)
+                taps -= step * e * winf
+    return errors, outputs
+
+
+# ----------------------------------------------------------------------
+# Stepped recursions: one sample of an engine's own state
+# ----------------------------------------------------------------------
+def lms_step(f, x_sample, d_sample):
+    """One sample of :class:`LmsFilter` predict-then-adapt.
+
+    Returns ``(prediction, error)``.
+    """
+    f._window[1:] = f._window[:-1]
+    f._window[0] = x_sample
+    prediction = float(np.dot(f.taps, f._window))
+    error = float(d_sample) - prediction
+    guard_divergence(error, "LmsFilter")
+    step = effective_step(f.mu, f._window, f.normalized)
+    if f.leak:
+        f.taps *= (1.0 - f.leak)
+    f.taps += step * error * f._window
+    return prediction, error
+
+
+def rls_step(f, x_sample, d_sample):
+    """One :class:`RlsFilter` predict-then-update iteration."""
+    f._window[1:] = f._window[:-1]
+    f._window[0] = x_sample
+    u = f._window
+    prediction = float(np.dot(f.taps, u))
+    error = float(d_sample) - prediction
+    guard_divergence(error, "RlsFilter")
+
+    Pu = f._P @ u
+    denom = f.forgetting + float(np.dot(u, Pu))
+    gain = Pu / denom
+    f.taps += gain * error
+    # Joseph-free rank-1 downdate; re-symmetrize to fight drift.
+    f._P = (f._P - np.outer(gain, Pu)) / f.forgetting
+    f._P = 0.5 * (f._P + f._P.T)
+    return prediction, error
+
+
+def apa_step(f, x_sample, d_sample):
+    """One :class:`ApaFilter` predict-then-project iteration."""
+    f._window[1:] = f._window[:-1]
+    f._window[0] = x_sample
+    f._U[1:] = f._U[:-1]
+    f._U[0] = f._window
+    f._d[1:] = f._d[:-1]
+    f._d[0] = d_sample
+
+    prediction = float(np.dot(f.taps, f._window))
+    error = float(d_sample) - prediction
+    guard_divergence(error, "ApaFilter")
+
+    # Error vector over the projection window.
+    e_vec = f._d - f._U @ f.taps
+    gram = f._U @ f._U.T + f.epsilon * np.eye(f.order)
+    try:
+        solved = linalg.solve(gram, e_vec, assume_a="pos")
+    except linalg.LinAlgError:   # pragma: no cover - eps prevents this
+        solved = linalg.lstsq(gram, e_vec)[0]
+    f.taps += f.mu * (f._U.T @ solved)
+    return prediction, error
+
+
+# ----------------------------------------------------------------------
+# Slow signal paths
+# ----------------------------------------------------------------------
+def fir_apply(signal, ir, mode="same"):
+    """``scipy.signal.fftconvolve`` behind ``fastconv.fir_apply``'s API."""
+    if mode not in ("same", "full"):
+        raise ConfigurationError(f"mode must be 'same' or 'full', not {mode!r}")
+    signal = np.asarray(signal)
+    ir = np.asarray(ir)
+    if signal.ndim != 1 or ir.ndim != 1 or signal.size == 0 or ir.size == 0:
+        raise ConfigurationError("fir_apply needs non-empty 1-D arrays")
+    full = sps.fftconvolve(signal, ir)
+    return full if mode == "full" else full[:signal.size]
+
+
+def streaming_fir_process(self, block):
+    """``StreamingFir.process`` as ``lfilter`` with carried ``zi``."""
+    block = np.asarray(block)
+    m = self.ir.size
+    if m == 1:
+        return self.ir[0] * block
+    out, zf = sps.lfilter(self.ir, [1.0], block, zi=self.state[: m - 1])
+    self.state[: m - 1] = zf
+    return out
+
+
+def resample(signal, rate_in, rate_out):
+    """Polyphase resampling, redesigning scipy's default window per call."""
+    rate_in = check_positive("rate_in", rate_in)
+    rate_out = check_positive("rate_out", rate_out)
+    if rate_in == rate_out:
+        return np.asarray(signal, dtype=np.float64).copy()
+    up, down = rational_ratio(rate_in, rate_out)
+    return sps.resample_poly(signal, up, down)
+
+
+def fm_modulate(self, audio):
+    """``FmModulator.modulate`` with allocating intermediates."""
+    audio = check_waveform("audio", audio)
+    rf_audio = resample(audio, self.audio_rate, self.rf_rate)
+    phase = (
+        2.0 * np.pi * self.deviation_hz
+        * np.cumsum(rf_audio) / self.rf_rate
+    )
+    return self.amplitude * np.exp(1j * phase)
+
+
+def fm_demodulate(self, baseband):
+    """``FmDemodulator.demodulate`` via ``np.angle`` of the product."""
+    baseband = check_waveform("baseband", baseband, min_length=2,
+                              allow_complex=True)
+    product = baseband[1:] * np.conj(baseband[:-1])
+    inst_freq = np.angle(product) * self.rf_rate / (2.0 * np.pi)
+    inst_freq = np.concatenate([[inst_freq[0]], inst_freq])
+    audio_rf = inst_freq / self.deviation_hz
+    audio_rf = sps.sosfiltfilt(self._sos, audio_rf)
+    audio = resample(audio_rf, self.rf_rate, self.audio_rate)
+    if self.remove_dc:
+        audio = audio - np.mean(audio)
+    return audio
+
+
+def am_modulate(self, audio):
+    """``AmModulator.modulate`` with allocating intermediates."""
+    audio = check_waveform("audio", audio)
+    peak = np.max(np.abs(audio))
+    normalized = audio / peak if peak > 0 else audio
+    rf_audio = resample(normalized, self.audio_rate, self.rf_rate)
+    rf_audio = np.clip(rf_audio, -1.0, 1.0)
+    envelope = 1.0 + self.modulation_index * rf_audio
+    return (self.amplitude * envelope).astype(np.complex128)
+
+
+def am_demodulate(self, baseband):
+    """``AmDemodulator.demodulate`` with allocating intermediates."""
+    baseband = check_waveform("baseband", baseband, min_length=2,
+                              allow_complex=True)
+    envelope = np.abs(baseband)
+    envelope = envelope - np.mean(envelope)
+    envelope = sps.sosfiltfilt(self._sos, envelope)
+    audio = resample(envelope, self.rf_rate, self.audio_rate)
+    return audio / self.modulation_index
+
+
+# ----------------------------------------------------------------------
+# The test double
+# ----------------------------------------------------------------------
+def _swaps():
+    """``(owner, attribute, reference)`` for every product hot path."""
+    from repro.core.adaptive import kernels
+    from repro.core.adaptive.kernels import vector
+    from repro.utils import fastconv
+    from repro.wireless import am, fm
+
+    return [
+        (kernels, "fxlms_run", fxlms_run),
+        # Swapped behind kernels.fxlms_block, so the kernel layer's
+        # shared reference-underrun check still runs first.
+        (vector, "fxlms_block", fxlms_block),
+        (kernels, "lms_run", lms_run),
+        (kernels, "rls_run", rls_run),
+        (kernels, "apa_run", apa_run),
+        (kernels, "multiref_run", multiref_run),
+        (fastconv, "fir_apply", fir_apply),
+        (fastconv.StreamingFir, "process", streaming_fir_process),
+        (fm, "resample", resample),
+        (am, "resample", resample),
+        (fm.FmModulator, "modulate", fm_modulate),
+        (fm.FmDemodulator, "demodulate", fm_demodulate),
+        (am.AmModulator, "modulate", am_modulate),
+        (am.AmDemodulator, "demodulate", am_demodulate),
+    ]
+
+
+@contextlib.contextmanager
+def reference_paths():
+    """Run the enclosed code on the reference formulations.
+
+    Every engine, relay and channel keeps its public API; only the
+    arithmetic underneath is swapped.  The product attributes are
+    restored on exit, also when the block raises.
+    """
+    swaps = _swaps()
+    saved = [(owner, name, owner.__dict__[name])
+             for owner, name, __ in swaps]
+    for owner, name, reference in swaps:
+        setattr(owner, name, reference)
+    try:
+        yield
+    finally:
+        for owner, name, product in saved:
+            setattr(owner, name, product)

@@ -3,8 +3,10 @@
 The crash-safety contract under test: a snapshot taken mid-convergence
 and applied to a fresh session must resume **bit-identically** — the
 replayed blocks produce exactly the residual an uncrashed run would
-have produced, across both kernel backends.
+have produced, on the product kernel and on the oracle's reference walk.
 """
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -25,8 +27,13 @@ from repro.serving.session import (
     SessionConfig,
     SessionWorkload,
 )
+from tests import oracle
 
 BLOCK = 64
+
+#: The arithmetic a snapshot must survive: the oracle's per-sample
+#: ``loop`` walk and the product (``vector``) kernel.
+PATHS = {"loop": oracle.reference_paths, "vector": contextlib.nullcontext}
 DURATION_S = 0.2        # 1600 samples -> 25 blocks of 64
 
 
@@ -85,9 +92,9 @@ class TestRestoreBitIdentity:
         assert resumed.digest() == baseline.digest()
         assert np.array_equal(resumed.residual, baseline.residual)
 
-    @pytest.mark.parametrize("backend", sorted(kernels.available_backends()))
+    @pytest.mark.parametrize("backend", sorted(PATHS))
     def test_kernel_state_snapshot_round_trip(self, backend):
-        """KernelState.snapshot/restore is exact on every backend."""
+        """KernelState.snapshot/restore is exact on both arithmetics."""
         config = SessionConfig()
         rng = np.random.default_rng(42)
         x = rng.normal(size=6 * BLOCK + config.n_future)
@@ -101,23 +108,20 @@ class TestRestoreBitIdentity:
             state.extend(x)
             return state
 
-        uninterrupted = fresh_state()
-        outputs_a = [kernels.fxlms_block(
-            uninterrupted, taps_a, d[i * BLOCK:(i + 1) * BLOCK],
-            config.mu, backend=backend, normalized=config.normalized,
-        ) for i in range(6)]
+        def blocks(state, taps, indices):
+            with PATHS[backend]():
+                return [kernels.fxlms_block(
+                    state, taps, d[i * BLOCK:(i + 1) * BLOCK], config.mu,
+                    normalized=config.normalized,
+                ) for i in indices]
+
+        outputs_a = blocks(fresh_state(), taps_a, range(6))
 
         split = fresh_state()
-        outputs_b = [kernels.fxlms_block(
-            split, taps_b, d[i * BLOCK:(i + 1) * BLOCK],
-            config.mu, backend=backend, normalized=config.normalized,
-        ) for i in range(3)]
+        outputs_b = blocks(split, taps_b, range(3))
         handoff = fresh_state()
         handoff.restore(split.snapshot())
-        outputs_b += [kernels.fxlms_block(
-            handoff, taps_b, d[i * BLOCK:(i + 1) * BLOCK],
-            config.mu, backend=backend, normalized=config.normalized,
-        ) for i in range(3, 6)]
+        outputs_b += blocks(handoff, taps_b, range(3, 6))
 
         assert np.array_equal(taps_a, taps_b)
         for block_a, block_b in zip(outputs_a, outputs_b):

@@ -1,9 +1,9 @@
-"""The shared FIR engine (repro.utils.fastconv) and fastpath toggle.
+"""The shared FIR engine (repro.utils.fastconv).
 
 Property-based bit-identity suite for the conv fast paths: every
 regime of :func:`fir_apply` (direct, single-block FFT, overlap-save)
 against the ``np.convolve`` reference, and :class:`StreamingFir`
-against ``lfilter``-with-state — the contract every fast-path call
+against the oracle's ``lfilter``-with-state — the contract every call
 site in acoustics/hardware/core leans on (docs/PERFORMANCE.md).
 """
 
@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 from scipy import signal as sps
 
 from repro.errors import ConfigurationError
-from repro.utils import fastconv, fastpath
+from repro.utils import fastconv
 from repro.utils.fastconv import DIRECT_TAP_LIMIT, StreamingFir, fir_apply
+from tests import oracle
 
 TOL = 1e-10
 
@@ -82,10 +83,13 @@ class TestFirApply:
                                       np.convolve(x, h))
 
     def test_slow_path_is_fftconvolve(self):
+        """The oracle swap reroutes every fastconv.fir_apply caller."""
         x, h = _signal(5, 300), _ir(5, 32)
-        with fastpath.scope(False):
-            np.testing.assert_array_equal(fir_apply(x, h, mode="full"),
-                                          sps.fftconvolve(x, h))
+        with oracle.reference_paths():
+            np.testing.assert_array_equal(
+                fastconv.fir_apply(x, h, mode="full"),
+                sps.fftconvolve(x, h))
+        assert fastconv.fir_apply is fir_apply
 
     def test_complex_input_falls_back_to_direct(self):
         x = _signal(9, 200) + 1j * _signal(10, 200)
@@ -124,13 +128,10 @@ class TestSpectrumCache:
 
 class TestStreamingFir:
     def _reference(self, ir, blocks):
-        """lfilter with carried zi — the pre-overhaul streaming path."""
-        zi = np.zeros(ir.size - 1)
-        out = []
-        for block in blocks:
-            y, zi = sps.lfilter(ir, [1.0], block, zi=zi)
-            out.append(y)
-        return np.concatenate(out)
+        """lfilter with carried zi — the oracle's streaming path."""
+        fir = StreamingFir(ir)
+        return np.concatenate([oracle.streaming_fir_process(fir, b)
+                               for b in blocks])
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=1000),
@@ -152,10 +153,9 @@ class TestStreamingFir:
     def test_fast_and_slow_paths_agree(self, seed, m):
         ir = _ir(seed, m)
         blocks = [_signal(seed + i, 160) for i in range(4)]
-        with fastpath.scope(True):
-            fir = StreamingFir(ir)
-            fast = np.concatenate([fir.process(b) for b in blocks])
-        with fastpath.scope(False):
+        fir = StreamingFir(ir)
+        fast = np.concatenate([fir.process(b) for b in blocks])
+        with oracle.reference_paths():
             fir = StreamingFir(ir)
             slow = np.concatenate([fir.process(b) for b in blocks])
         np.testing.assert_allclose(fast, slow, atol=TOL, rtol=0)
@@ -192,21 +192,15 @@ class TestStreamingFir:
             StreamingFir(np.empty(0))
 
 
-class TestFastpathToggle:
-    def test_scope_restores_ambient(self):
-        ambient = fastpath.enabled()
-        with fastpath.scope(not ambient):
-            assert fastpath.enabled() is (not ambient)
-            with fastpath.scope(None):      # None keeps the setting
-                assert fastpath.enabled() is (not ambient)
-        assert fastpath.enabled() is ambient
 
-    def test_set_enabled_round_trip(self):
-        ambient = fastpath.enabled()
-        try:
-            fastpath.set_enabled(False)
-            assert not fastpath.enabled()
-            fastpath.set_enabled(True)
-            assert fastpath.enabled()
-        finally:
-            fastpath.set_enabled(ambient)
+class TestFastpathToggle:
+    """The only fast/slow toggle left is the test oracle's swap."""
+
+    def test_scope_restores_ambient(self):
+        product = (fastconv.fir_apply, StreamingFir.process)
+        with pytest.raises(RuntimeError):
+            with oracle.reference_paths():
+                assert fastconv.fir_apply is oracle.fir_apply
+                assert StreamingFir.process is oracle.streaming_fir_process
+                raise RuntimeError("boom")
+        assert (fastconv.fir_apply, StreamingFir.process) == product

@@ -8,8 +8,15 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError
 from repro.signals import Tone, WhiteNoise
 from repro.utils.units import snr_db
-from repro.wireless import FmDemodulator, FmModulator, resample
+from repro.wireless import (
+    AmDemodulator,
+    AmModulator,
+    FmDemodulator,
+    FmModulator,
+    resample,
+)
 from repro.wireless.fm import rational_ratio
+from tests import oracle
 
 
 def _roundtrip_snr(audio, **kwargs):
@@ -56,11 +63,8 @@ class TestResample:
 
     def test_cached_window_bit_identical_to_default(self):
         x = WhiteNoise(seed=3, level_rms=0.3).generate(0.25)
-        from repro.utils import fastpath
-        with fastpath.scope(False):
-            slow = resample(x, 8000, 96000)
-        with fastpath.scope(True):
-            fast = resample(x, 8000, 96000)
+        slow = oracle.resample(x, 8000, 96000)
+        fast = resample(x, 8000, 96000)
         np.testing.assert_array_equal(slow, fast)
 
 
@@ -118,11 +122,12 @@ class TestRoundTrip:
 
 
 class TestFastSlowEquivalence:
-    """The in-place mod/demod fast paths vs the verbatim slow paths.
+    """The in-place mod/demod paths vs the oracle's allocating ones.
 
-    Each modulator/demodulator keeps its pre-overhaul arithmetic behind
-    ``fastpath.scope(False)`` (docs/PERFORMANCE.md); the in-place
-    formulations must agree to the library-wide 1e-10 envelope.
+    The test oracle (``tests/oracle.py``) keeps the straightforward
+    modulator/demodulator arithmetic (docs/PERFORMANCE.md); the
+    in-place formulations must agree to the library-wide 1e-10
+    envelope.
     """
 
     TOL = 1e-10
@@ -131,12 +136,9 @@ class TestFastSlowEquivalence:
         return WhiteNoise(seed=seed, level_rms=0.2).generate(0.25)
 
     def _both(self, fn):
-        from repro.utils import fastpath
-        with fastpath.scope(False):
+        with oracle.reference_paths():
             slow = fn()
-        with fastpath.scope(True):
-            fast = fn()
-        return slow, fast
+        return slow, fn()
 
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=1000))
@@ -156,7 +158,6 @@ class TestFastSlowEquivalence:
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=1000))
     def test_am_roundtrip(self, seed):
-        from repro.wireless import AmDemodulator, AmModulator
         audio = self._noise(seed)
         mod, dem = AmModulator(), AmDemodulator()
         slow, fast = self._both(lambda: dem.demodulate(mod.modulate(audio)))

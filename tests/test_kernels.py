@@ -1,24 +1,22 @@
-"""The kernel layer's contract: backends agree, selection resolves.
+"""The kernel layer's contract: the product kernels match the oracle.
 
-Three families of guarantees (see ``docs/KERNELS.md``):
+Two families of guarantees (see ``docs/KERNELS.md``):
 
-* **loop is the reference** — for the engines that still expose a
-  per-sample ``step()`` (LMS/RLS/APA), a ``run()`` through the loop
-  backend is *bit-identical* to stepping sample by sample;
-* **vector matches loop to ≤ 1e-10** on every engine, property-tested
-  over random scenes, tap geometries and block schedules;
-* **selection** — explicit argument beats ``REPRO_KERNEL_BACKEND``
-  beats the ``loop`` default, and unknown names fail loudly everywhere
-  a backend can be named.
+* **the oracle is self-consistent** — its per-sample walks
+  (``tests/oracle.py``) are *bit-identical* to stepping the LMS/RLS/APA
+  recursions sample by sample;
+* **the kernels match the oracle to ≤ 1e-10** on every engine,
+  property-tested over random scenes, tap geometries and block
+  schedules (including frozen/masked runs and inactive ringing).
 """
+
+import contextlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import MuteConfig
-from repro.core.adaptive import kernels
 from repro.core.adaptive.apa import ApaFilter
 from repro.core.adaptive.kernels import KernelState
 from repro.core.adaptive.lanc import LancFilter, StreamingLanc
@@ -26,10 +24,14 @@ from repro.core.adaptive.lms import LmsFilter
 from repro.core.adaptive.multiref import MultiRefLancFilter
 from repro.core.adaptive.rls import RlsFilter
 from repro.errors import ConfigurationError, ConvergenceError
+from tests import oracle
 
 TOL = 1e-10
 S_HAT = np.array([0.7, 0.25, -0.1])
 S_TRUE = np.array([0.65, 0.3, -0.12])
+
+#: Context per arithmetic: the oracle's reference walks, the product.
+PATHS = {"oracle": oracle.reference_paths, "product": contextlib.nullcontext}
 
 
 def _scene(seed, T=1500):
@@ -39,14 +41,22 @@ def _scene(seed, T=1500):
     return x, d
 
 
-def _pair(engine_cls, *args, **kwargs):
-    """The same engine twice, pinned to each backend."""
-    return (engine_cls(*args, kernel_backend="loop", **kwargs),
-            engine_cls(*args, kernel_backend="vector", **kwargs))
+def _on_both(build, run):
+    """``run(engine)`` on a fresh engine per path: ``(oracle, product)``.
+
+    Each entry is ``(engine, result)`` so tests can compare the engines'
+    final state as well as the returned waveforms.
+    """
+    pairs = []
+    for path in ("oracle", "product"):
+        engine = build()
+        with PATHS[path]():
+            pairs.append((engine, run(engine)))
+    return pairs
 
 
 class TestBackendEquivalence:
-    """vector matches loop to ≤ 1e-10 on every engine."""
+    """The product kernels match the oracle to ≤ 1e-10 on every engine."""
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(min_value=0, max_value=1000),
@@ -54,9 +64,9 @@ class TestBackendEquivalence:
            st.integers(min_value=1, max_value=48))
     def test_lanc_batch(self, seed, n_future, n_past):
         x, d = _scene(seed)
-        lo, ve = _pair(LancFilter, n_future, n_past, S_HAT, mu=0.3)
-        ra = lo.run(x, d, secondary_path_true=S_TRUE)
-        rb = ve.run(x, d, secondary_path_true=S_TRUE)
+        (__, ra), (___, rb) = _on_both(
+            lambda: LancFilter(n_future, n_past, S_HAT, mu=0.3),
+            lambda f: f.run(x, d, secondary_path_true=S_TRUE))
         np.testing.assert_allclose(rb.error, ra.error, atol=TOL, rtol=0)
         np.testing.assert_allclose(rb.output, ra.output, atol=TOL, rtol=0)
         np.testing.assert_allclose(rb.taps, ra.taps, atol=TOL, rtol=0)
@@ -68,12 +78,16 @@ class TestBackendEquivalence:
         rng = np.random.default_rng(seed + 1)
         mask = rng.random(x.size) > 0.4
         warm = rng.standard_normal(4 + 24) * 0.01
+
+        def build():
+            f = LancFilter(4, 24, S_HAT, mu=0.3)
+            f.set_taps(warm)
+            return f
+
         for kwargs in ({"adapt": False}, {"adapt_mask": mask}):
-            lo, ve = _pair(LancFilter, 4, 24, S_HAT, mu=0.3)
-            lo.set_taps(warm)
-            ve.set_taps(warm)
-            ra = lo.run(x, d, secondary_path_true=S_TRUE, **kwargs)
-            rb = ve.run(x, d, secondary_path_true=S_TRUE, **kwargs)
+            (__, ra), (___, rb) = _on_both(
+                build, lambda f: f.run(x, d, secondary_path_true=S_TRUE,
+                                       **kwargs))
             np.testing.assert_allclose(rb.error, ra.error, atol=TOL,
                                        rtol=0)
             np.testing.assert_allclose(rb.taps, ra.taps, atol=TOL, rtol=0)
@@ -84,20 +98,21 @@ class TestBackendEquivalence:
     def test_streaming_blocks(self, seed, block):
         x, d = _scene(seed)
         n_future = 6
-        streams = []
-        for backend in ("loop", "vector"):
-            f = LancFilter(n_future, 32, S_HAT, mu=0.3,
-                           kernel_backend=backend)
+
+        def build():
+            f = LancFilter(n_future, 32, S_HAT, mu=0.3)
             stream = StreamingLanc(f, secondary_path_true=S_TRUE)
             stream.feed(np.concatenate([x, np.zeros(n_future)]))
+            return stream
+
+        def run(stream):
             for t0 in range(0, x.size, block):
                 stream.process(d[t0: t0 + block])
-            streams.append(stream)
-        np.testing.assert_allclose(streams[1].error_signal(),
-                                   streams[0].error_signal(),
+
+        (ref, __), (fast, ___) = _on_both(build, run)
+        np.testing.assert_allclose(fast.error_signal(), ref.error_signal(),
                                    atol=TOL, rtol=0)
-        np.testing.assert_allclose(streams[1].filter.taps,
-                                   streams[0].filter.taps,
+        np.testing.assert_allclose(fast.filter.taps, ref.filter.taps,
                                    atol=TOL, rtol=0)
 
     @settings(max_examples=10, deadline=None)
@@ -106,9 +121,10 @@ class TestBackendEquivalence:
            st.booleans())
     def test_lms(self, seed, n_taps, normalized):
         x, d = _scene(seed, T=800)
-        lo, ve = _pair(LmsFilter, n_taps, mu=0.2 if normalized else 0.01,
-                       normalized=normalized)
-        ra, rb = lo.run(x, d), ve.run(x, d)
+        (__, ra), (___, rb) = _on_both(
+            lambda: LmsFilter(n_taps, mu=0.2 if normalized else 0.01,
+                              normalized=normalized),
+            lambda f: f.run(x, d))
         np.testing.assert_allclose(rb.error, ra.error, atol=TOL, rtol=0)
         np.testing.assert_allclose(rb.taps, ra.taps, atol=TOL, rtol=0)
 
@@ -117,8 +133,9 @@ class TestBackendEquivalence:
            st.integers(min_value=1, max_value=24))
     def test_rls(self, seed, n_taps):
         x, d = _scene(seed, T=600)
-        lo, ve = _pair(RlsFilter, n_taps, forgetting=0.995)
-        ra, rb = lo.run(x, d), ve.run(x, d)
+        (lo, ra), (ve, rb) = _on_both(
+            lambda: RlsFilter(n_taps, forgetting=0.995),
+            lambda f: f.run(x, d))
         np.testing.assert_allclose(rb.error, ra.error, atol=TOL, rtol=0)
         np.testing.assert_allclose(rb.taps, ra.taps, atol=TOL, rtol=0)
         np.testing.assert_allclose(ve._P, lo._P, atol=TOL, rtol=0)
@@ -128,8 +145,9 @@ class TestBackendEquivalence:
            st.integers(min_value=1, max_value=6))
     def test_apa(self, seed, order):
         x, d = _scene(seed, T=600)
-        lo, ve = _pair(ApaFilter, 16, order=order, mu=0.4)
-        ra, rb = lo.run(x, d), ve.run(x, d)
+        (lo, ra), (ve, rb) = _on_both(
+            lambda: ApaFilter(16, order=order, mu=0.4),
+            lambda f: f.run(x, d))
         np.testing.assert_allclose(rb.error, ra.error, atol=TOL, rtol=0)
         np.testing.assert_allclose(rb.taps, ra.taps, atol=TOL, rtol=0)
         np.testing.assert_allclose(ve._U, lo._U, atol=TOL, rtol=0)
@@ -142,72 +160,76 @@ class TestBackendEquivalence:
     def test_multiref(self, seed, nf_a, nf_b):
         x1, d = _scene(seed, T=900)
         x2, __ = _scene(seed + 7, T=900)
-        lo, ve = _pair(MultiRefLancFilter, [nf_a, nf_b], 20, S_HAT,
-                       mu=0.2)
-        ra = lo.run([x1, x2], d, secondary_path_true=S_TRUE)
-        rb = ve.run([x1, x2], d, secondary_path_true=S_TRUE)
+        (__, ra), (___, rb) = _on_both(
+            lambda: MultiRefLancFilter([nf_a, nf_b], 20, S_HAT, mu=0.2),
+            lambda f: f.run([x1, x2], d, secondary_path_true=S_TRUE))
         np.testing.assert_allclose(rb.error, ra.error, atol=TOL, rtol=0)
         np.testing.assert_allclose(rb.taps, ra.taps, atol=TOL, rtol=0)
 
     def test_vector_also_diverges(self):
         x, d = _scene(0, T=2000)
-        for backend in ("loop", "vector"):
-            f = LmsFilter(8, mu=5.0, normalized=False,
-                          kernel_backend=backend)
-            with pytest.raises(ConvergenceError):
+        for path in PATHS.values():
+            f = LmsFilter(8, mu=5.0, normalized=False)
+            with path(), pytest.raises(ConvergenceError):
                 f.run(x, 10.0 * d)
 
 
 class TestLoopIsReference:
-    """run() through the loop backend ≡ the engines' per-sample step()."""
+    """The oracle's walks ≡ stepping its recursions sample by sample."""
 
     def test_lms_run_matches_step(self):
         x, d = _scene(3, T=500)
-        a = LmsFilter(12, mu=0.3, kernel_backend="loop")
-        ra = a.run(x, d)
+        a = LmsFilter(12, mu=0.3)
+        with oracle.reference_paths():
+            ra = a.run(x, d)
         b = LmsFilter(12, mu=0.3)
-        stepped = np.array([b.step(x[t], d[t])[1] for t in range(x.size)])
+        stepped = np.array([oracle.lms_step(b, x[t], d[t])[1]
+                            for t in range(x.size)])
         np.testing.assert_array_equal(ra.error, stepped)
         np.testing.assert_array_equal(a.taps, b.taps)
 
     def test_rls_run_matches_step(self):
         x, d = _scene(4, T=400)
-        a = RlsFilter(10, kernel_backend="loop")
-        ra = a.run(x, d)
+        a = RlsFilter(10)
+        with oracle.reference_paths():
+            ra = a.run(x, d)
         b = RlsFilter(10)
-        stepped = np.array([b.step(x[t], d[t])[1] for t in range(x.size)])
+        stepped = np.array([oracle.rls_step(b, x[t], d[t])[1]
+                            for t in range(x.size)])
         np.testing.assert_array_equal(ra.error, stepped)
         np.testing.assert_array_equal(a.taps, b.taps)
         np.testing.assert_array_equal(a._P, b._P)
 
     def test_apa_run_matches_step(self):
         x, d = _scene(5, T=400)
-        a = ApaFilter(10, order=3, kernel_backend="loop")
-        ra = a.run(x, d)
+        a = ApaFilter(10, order=3)
+        with oracle.reference_paths():
+            ra = a.run(x, d)
         b = ApaFilter(10, order=3)
-        stepped = np.array([b.step(x[t], d[t])[1] for t in range(x.size)])
+        stepped = np.array([oracle.apa_step(b, x[t], d[t])[1]
+                            for t in range(x.size)])
         np.testing.assert_array_equal(ra.error, stepped)
         np.testing.assert_array_equal(a.taps, b.taps)
 
 
 class TestStreamingEdgeCases:
-    def _stream(self, backend="loop", n_future=4, n_past=16):
-        f = LancFilter(n_future, n_past, S_HAT, mu=0.2,
-                       kernel_backend=backend)
+    def _stream(self, n_future=4, n_past=16):
+        f = LancFilter(n_future, n_past, S_HAT, mu=0.2)
         return StreamingLanc(f, secondary_path_true=S_TRUE)
 
     def test_underrun_error_message(self):
         x, d = _scene(0, T=200)
-        for backend in ("loop", "vector"):
-            stream = self._stream(backend)
+        for path in PATHS.values():
+            stream = self._stream()
             stream.feed(x[:100])
-            with pytest.raises(ConfigurationError,
-                               match=r"reference underrun: need 104 fed "
-                                     r"samples, have 100"):
-                stream.process(d[:100])
-            # Nothing was processed: time did not advance.
-            assert stream.time == 0
-            stream.process(d[:96])
+            with path():
+                with pytest.raises(ConfigurationError,
+                                   match=r"reference underrun: need 104 "
+                                         r"fed samples, have 100"):
+                    stream.process(d[:100])
+                # Nothing was processed: time did not advance.
+                assert stream.time == 0
+                stream.process(d[:96])
             assert stream.time == 96
 
     def test_peek_future_past_fed_horizon(self):
@@ -223,64 +245,27 @@ class TestStreamingEdgeCases:
 
     def test_inactive_ringing_equivalent_across_backends(self):
         # Converge, then mute the speaker: the anti-noise already in
-        # flight must ring through s_true identically on both backends.
+        # flight must ring through s_true identically on the oracle and
+        # on the product kernel.
         x, d = _scene(2, T=900)
-        tails = []
-        for backend in ("loop", "vector"):
-            stream = self._stream(backend)
+
+        def build():
+            stream = self._stream()
             stream.feed(x)
+            return stream
+
+        def run(stream):
             stream.process(d[:600])
-            tails.append(stream.process(d[600:850], active=False))
-        np.testing.assert_allclose(tails[1], tails[0], atol=TOL, rtol=0)
+            return stream.process(d[600:850], active=False)
+
+        (__, ref_tail), (___, tail) = _on_both(build, run)
+        np.testing.assert_allclose(tail, ref_tail, atol=TOL, rtol=0)
         # The first s_len-1 muted samples still carry ringing; after
         # that the residual is exactly the disturbance.
         s_len = S_TRUE.size
-        assert not np.array_equal(tails[0][:s_len - 1], d[600:600 + s_len - 1])
-        np.testing.assert_array_equal(tails[0][s_len - 1:],
+        assert not np.array_equal(tail[:s_len - 1], d[600:600 + s_len - 1])
+        np.testing.assert_array_equal(tail[s_len - 1:],
                                       d[600 + s_len - 1: 850])
-
-
-class TestBackendSelection:
-    def test_default_is_loop(self, monkeypatch):
-        monkeypatch.delenv(kernels.ENV_VAR, raising=False)
-        assert kernels.resolve_backend_name() == "loop"
-
-    def test_env_var_overrides_default(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_VAR, "vector")
-        assert kernels.resolve_backend_name() == "vector"
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_VAR, "vector")
-        assert kernels.resolve_backend_name("loop") == "loop"
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown kernel"):
-            kernels.resolve_backend_name("numba")
-
-    def test_engines_validate_backend_eagerly(self):
-        for build in (
-            lambda: LancFilter(2, 8, S_HAT, kernel_backend="nope"),
-            lambda: LmsFilter(8, kernel_backend="nope"),
-            lambda: RlsFilter(8, kernel_backend="nope"),
-            lambda: ApaFilter(8, kernel_backend="nope"),
-            lambda: MultiRefLancFilter([2], 8, S_HAT,
-                                       kernel_backend="nope"),
-            lambda: MuteConfig(kernel_backend="nope"),
-        ):
-            with pytest.raises(ConfigurationError):
-                build()
-
-    def test_env_var_reaches_engine(self, monkeypatch):
-        x, d = _scene(6, T=400)
-        monkeypatch.setenv(kernels.ENV_VAR, "vector")
-        via_env = LancFilter(4, 16, S_HAT, mu=0.3).run(x, d)
-        monkeypatch.delenv(kernels.ENV_VAR)
-        explicit = LancFilter(4, 16, S_HAT, mu=0.3,
-                              kernel_backend="vector").run(x, d)
-        np.testing.assert_array_equal(via_env.error, explicit.error)
-
-    def test_available_backends(self):
-        assert kernels.available_backends() == ("loop", "vector")
 
 
 class TestKernelState:

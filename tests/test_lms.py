@@ -50,8 +50,7 @@ class TestLmsFilter:
     def test_leak_shrinks_taps_without_input(self):
         lms = LmsFilter(n_taps=2, mu=0.5, leak=0.01)
         lms.taps[:] = [1.0, 1.0]
-        for __ in range(100):
-            lms.step(0.0, 0.0)
+        lms.run(np.zeros(100), np.zeros(100))
         assert np.all(np.abs(lms.taps) < 0.5)
 
     def test_reset(self, rng):
@@ -65,10 +64,12 @@ class TestLmsFilter:
             LmsFilter(n_taps=2, leak=1.0)
 
     def test_step_returns_prediction_and_error(self):
+        """One sample of predict-then-adapt: zero taps predict zero."""
         lms = LmsFilter(n_taps=2, mu=0.5)
-        pred, err = lms.step(1.0, 3.0)
-        assert pred == 0.0
-        assert err == 3.0
+        result = lms.run(np.array([1.0]), np.array([3.0]))
+        assert result.output[0] == 0.0
+        assert result.error[0] == 3.0
+        assert result.taps[0] > 0.0
 
 
 class TestIdentifySystem:

@@ -338,16 +338,15 @@ class TestPipelineInstrumentation:
 
     def test_engine_metrics_recorded(self, office_runs):
         assert office_runs.metric("mute.runs")["value"] >= 1
-        assert office_runs.metric("adaptive.samples", engine="lancfilter",
-                                  backend="loop")["value"] > 0
+        assert office_runs.metric("adaptive.samples",
+                                  engine="lancfilter")["value"] > 0
         misadjustment = office_runs.metric("adaptive.misadjustment",
-                                           engine="lancfilter",
-                                           backend="loop")
+                                           engine="lancfilter")
         assert misadjustment["writes"] >= 1
         # Cancelling, not diverging.
         assert 0.0 < misadjustment["value"] < 1.0
-        assert office_runs.metric("adaptive.run_s", engine="lancfilter",
-                                  backend="loop")["count"] >= 1
+        assert office_runs.metric("adaptive.run_s",
+                                  engine="lancfilter")["count"] >= 1
         assert office_runs.metric("relay.forwarded_samples",
                                   relay="ideal")["value"] > 0
 
@@ -405,12 +404,10 @@ class TestEngineHooks:
             stream.process(d[start:start + 128])
         obs.disable()
         hist = obs.get_registry().histogram("adaptive.block_update_s",
-                                            engine="streaminglanc",
-                                            backend="loop")
+                                            engine="streaminglanc")
         assert hist.count == 8
         assert obs.get_registry().counter(
-            "adaptive.samples", engine="streaminglanc",
-            backend="loop").value == 1024
+            "adaptive.samples", engine="streaminglanc").value == 1024
 
     def test_block_lanc_histogram_and_run_metrics(self):
         x, d, s = self._signals()
@@ -437,10 +434,10 @@ class TestEngineHooks:
         obs.disable()
         reg = obs.get_registry()
         for engine in ("lmsfilter", "rlsfilter", "apafilter"):
-            assert reg.counter("adaptive.samples", engine=engine,
-                               backend="loop").value == 400
-            assert reg.gauge("adaptive.misadjustment", engine=engine,
-                             backend="loop").writes == 1
+            assert reg.counter("adaptive.samples",
+                               engine=engine).value == 400
+            assert reg.gauge("adaptive.misadjustment",
+                             engine=engine).writes == 1
 
     def test_profile_switcher_metrics(self):
         rng = np.random.default_rng(0)

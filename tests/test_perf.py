@@ -77,11 +77,6 @@ class TestProfilePipeline:
         with pytest.raises(ConfigurationError):
             profile_pipeline(duration_s=0.0)
 
-    def test_fastpath_off_is_recorded(self):
-        doc = profile_pipeline(duration_s=0.1, repeats=1, warmup=0,
-                               use_fastpath=False)
-        assert doc["settings"]["fastpath"] is False
-
 
 class TestPerfProfileCli:
     ARGS = ["perf-profile", "--duration", "0.2", "--repeats", "1",
@@ -107,9 +102,10 @@ class TestPerfProfileCli:
         assert doc["schema"] == "repro.perf/v1"
 
     def test_no_fastpath_flag(self):
-        out = io.StringIO()
-        assert main(self.ARGS + ["--no-fastpath", "--json"], out=out) == 0
-        assert json.loads(out.getvalue())["settings"]["fastpath"] is False
+        """The fast paths are the only paths: there is no switch."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(self.ARGS + ["--no-fastpath"], out=io.StringIO())
+        assert excinfo.value.code == 2
 
     def test_bad_arguments_rejected(self):
         out = io.StringIO()

@@ -85,6 +85,26 @@ class TestPersistence:
         document = json.loads(path.read_text())
         assert document["cache"]["a"] == [1.0, 1.0]
 
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        old = FilterCache()
+        old.store("a", np.ones(3))
+        path = save_learned_state(tmp_path / "state.json", cache=old)
+
+        new = FilterCache()
+        new.store("a", np.zeros(3))
+
+        def crash(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("repro.core.persistence.os.replace", crash)
+        with pytest.raises(OSError):
+            save_learned_state(path, cache=new)
+        monkeypatch.undo()
+
+        __, loaded, ___ = load_learned_state(path)
+        np.testing.assert_array_equal(loaded.load("a"), np.ones(3))
+        assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
+
 
 class TestPresets:
     @pytest.mark.parametrize("factory", [airport_gate, gym_floor,

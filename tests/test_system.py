@@ -128,3 +128,21 @@ class TestForwardedSignals:
         forwarded, ear = system.forwarded_and_ear_signals(noise)
         assert set(forwarded) == {0, 1}
         assert ear.size == noise.size
+
+
+class TestNoAmbientToggles:
+    def test_environment_does_not_change_the_residual(self, monkeypatch):
+        """Results depend on arguments only, never on the environment."""
+        from repro.core import office_scenario
+
+        noise = NOISE.generate(0.5)
+
+        def residual():
+            return MuteSystem(office_scenario()).run(noise).residual
+
+        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
+        monkeypatch.delenv("REPRO_FASTPATH", raising=False)
+        clean = residual()
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "loop")
+        monkeypatch.setenv("REPRO_FASTPATH", "0")
+        assert np.array_equal(residual(), clean)
