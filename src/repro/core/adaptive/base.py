@@ -10,8 +10,8 @@ so ``k = -n_future`` multiplies the most futuristic sample
 ``x(t + n_future)``.  Internally taps are stored oldest-*future*-first:
 ``taps[0] ↔ k = -n_future`` ... ``taps[-1] ↔ k = n_past - 1``, which
 matches the oldest-first window returned by
-:meth:`repro.utils.buffers.LookaheadBuffer.window` *reversed* — see
-:func:`tap_window` for the exact pairing used throughout.
+:meth:`repro.utils.buffers.LookaheadBuffer.window` *reversed*:
+``y(t) = taps · window`` with ``window[i] = x(t + n_future - i)``.
 """
 
 from __future__ import annotations
@@ -27,11 +27,10 @@ from ...utils.validation import (
     check_non_negative_int,
     check_positive,
     check_positive_int,
-    check_waveform,
 )
 
-__all__ = ["TapVector", "AdaptationResult", "padded_reference",
-           "tap_window", "record_run_metrics", "record_block_metrics"]
+__all__ = ["TapVector", "AdaptationResult", "record_run_metrics",
+           "record_block_metrics"]
 
 #: Error magnitude beyond which a filter is declared divergent.
 DIVERGENCE_LIMIT = 1e6
@@ -101,32 +100,6 @@ class AdaptationResult:
         n = max(int(self.error.size * fraction), 1)
         tail = self.error[-n:]
         return float(np.sqrt(np.mean(np.square(tail))))
-
-
-def padded_reference(x, n_future, n_past):
-    """Pad ``x`` so every window ``x[t-n_past+1 .. t+n_future]`` exists.
-
-    Returns ``(padded, offset)`` where sample ``x[t]`` lives at
-    ``padded[t + offset]``.
-    """
-    x = check_waveform("x", x)
-    n_future = check_non_negative_int("n_future", n_future)
-    n_past = check_positive_int("n_past", n_past)
-    padded = np.concatenate([
-        np.zeros(n_past - 1), x, np.zeros(n_future)
-    ])
-    return padded, n_past - 1
-
-
-def tap_window(padded, offset, t, n_future, n_past):
-    """Window aligned with the tap vector: index 0 ↔ ``x(t + n_future)``.
-
-    ``y(t) = taps · window`` with taps stored future-first, because
-    ``taps[i] ↔ k = i - n_future`` multiplies ``x(t - k) = x(t + n_future - i)``.
-    """
-    start = t + offset - (n_past - 1)
-    stop = t + offset + n_future + 1
-    return padded[start:stop][::-1]
 
 
 def mse_curve(error, window=256):

@@ -121,8 +121,8 @@ class BlockLancFilter:
 
         # Filtered reference (x' = s_hat * x), padded like the reference.
         xf = np.convolve(x, self.secondary_path)[:T]
-        xp = np.concatenate([np.zeros(L - 1), x, np.zeros(N)])
-        xfp = np.concatenate([np.zeros(L - 1), xf, np.zeros(N)])
+        x_pad = np.concatenate([np.zeros(L - 1), x, np.zeros(N)])
+        xf_pad = np.concatenate([np.zeros(L - 1), xf, np.zeros(N)])
 
         errors = np.empty(T)
         outputs = np.empty(T)
@@ -143,7 +143,7 @@ class BlockLancFilter:
             n = stop - start
             # Reference slice covering taps k ∈ [-N, L) for this block:
             # acoustic times [start - L + 1, stop - 1 + N].
-            seg = xp[start: stop + L - 1 + N]
+            seg = x_pad[start: stop + L - 1 + N]
             kernel = self._kernel()
             y = np.convolve(seg, kernel, mode="valid")[:n]
             outputs[start:stop] = y
@@ -160,7 +160,7 @@ class BlockLancFilter:
                     "BlockLancFilter diverged — reduce mu or block_size"
                 )
             # Accumulated gradient: grad[k] = sum_t e(t) xf(t-k).
-            segf = xfp[start: stop + L - 1 + N]
+            segf = xf_pad[start: stop + L - 1 + N]
             grad = np.correlate(segf, e, mode="valid")[: self.n_taps][::-1]
             power = float(np.dot(segf, segf)) / max(segf.size, 1) \
                 * self.n_taps

@@ -8,22 +8,14 @@ geometry in the paper's convention ``k ∈ [-n_future, n_past - 1]``
 ``x(t + n_future)``).  The *algorithm* half — how that state is walked
 — lives in :mod:`.vector`.
 
-Two construction modes mirror the two ways the engines consume signals:
-
-* :meth:`KernelState.batch` — the whole aligned reference is known up
-  front (``LancFilter.run`` and friends).  The filtered reference is one
-  ``np.convolve`` and both arrays are pre-padded so every window
-  ``x[t - n_past + 1 .. t + n_future]`` exists (the
-  :func:`repro.core.adaptive.base.padded_reference` layout).
-* :meth:`KernelState.streaming` — samples arrive in blocks
-  (``StreamingLanc``).  :meth:`extend` maintains the filtered reference
-  incrementally with :func:`scipy.signal.lfilter` state, and
-  :attr:`time` / :attr:`y_recent` carry the processed-sample clock and
-  the anti-noise still ringing through the secondary path between
-  blocks.
-
-Both modes expose the same window accessors, so kernels are written
-once against the ``k``-convention and do not care which mode fed them.
+Samples arrive through :meth:`KernelState.extend`, which maintains the
+filtered reference incrementally with :func:`scipy.signal.lfilter`
+state; :attr:`time` / :attr:`y_recent` carry the processed-sample clock
+and the anti-noise still ringing through the secondary path between
+blocks.  A whole-signal run is the same state fed ``x ⊕ 0`` (the
+reference plus ``n_future`` zeros) and walked as one block, so every
+driver reads the same filtered reference past the signal's end:
+``ŝ * (x ⊕ 0)``.
 """
 
 from __future__ import annotations
@@ -37,7 +29,6 @@ from ....utils.validation import (
     check_positive_int,
     check_waveform,
 )
-from ..base import padded_reference
 
 __all__ = ["KernelState"]
 
@@ -45,10 +36,7 @@ __all__ = ["KernelState"]
 class KernelState:
     """Signal state for a two-sided (lookahead-aware) FxLMS kernel.
 
-    Use the :meth:`batch` / :meth:`streaming` constructors; the bare
-    ``__init__`` is an implementation detail.
-
-    Attributes
+    Parameters
     ----------
     n_future / n_past:
         Tap geometry: ``k ∈ [-n_future, n_past - 1]``.
@@ -56,24 +44,23 @@ class KernelState:
         ``ŝ`` — the filter's model of the speaker→error-mic path, used
         to build the filtered reference.
     secondary_true:
-        ``s`` — the physical path the anti-noise actually rings through.
+        ``s`` — the physical path the anti-noise actually rings through
+        (defaults to ``secondary_estimate``).
+
+    Attributes
+    ----------
     x / xf:
-        Raw aligned reference and filtered reference (unpadded,
-        error-mic time base).
-    xp / off / xfp / offf:
-        Batch mode only: zero-padded arrays and offsets from
-        :func:`repro.core.adaptive.base.padded_reference` (sample
-        ``x[t]`` lives at ``xp[t + off]``).
+        Raw aligned reference and filtered reference delivered so far
+        (unpadded, error-mic time base).
     y_recent:
         Anti-noise output history, newest first — what is still ringing
-        through ``secondary_true``.  Persisted across blocks in
-        streaming mode; batch runs start from silence.
+        through ``secondary_true``.  A fresh state starts from silence.
     time:
-        Streaming mode: number of error-mic samples processed so far.
+        Number of error-mic samples processed so far.
     """
 
     def __init__(self, n_future, n_past, secondary_estimate,
-                 secondary_true, mode):
+                 secondary_true=None):
         self.n_future = check_non_negative_int("n_future", n_future)
         self.n_past = check_positive_int("n_past", n_past)
         self.secondary_estimate = check_impulse_response(
@@ -83,13 +70,9 @@ class KernelState:
             self.secondary_estimate if secondary_true is None
             else check_impulse_response("secondary_true", secondary_true)
         )
-        if mode not in ("batch", "streaming"):
-            raise ConfigurationError(f"unknown KernelState mode {mode!r}")
-        self.mode = mode
         self.n_taps = self.n_future + self.n_past
         self.x = np.zeros(0)
         self.xf = np.zeros(0)
-        self.xp = self.off = self.xfp = self.offf = None
         self.y_recent = np.zeros(self.secondary_true.size)
         self.time = 0
         # scipy.signal.lfilter carry for the incremental filtered-x.
@@ -98,52 +81,12 @@ class KernelState:
             if self.secondary_estimate.size > 1 else np.zeros(0)
         )
 
-    # ------------------------------------------------------------------
-    # Constructors
-    # ------------------------------------------------------------------
-    @classmethod
-    def batch(cls, reference, n_future, n_past, secondary_estimate,
-              secondary_true=None):
-        """State over a fully-known aligned reference.
-
-        Precomputes the filtered reference (``np.convolve``, truncated
-        to the signal length) and the padded layouts the kernels'
-        sliding-window views read.
-        """
-        state = cls(n_future, n_past, secondary_estimate, secondary_true,
-                    mode="batch")
-        x = check_waveform("reference", reference)
-        T = x.size
-        x_filtered = np.convolve(x, state.secondary_estimate)[:T]
-        state.x = x
-        state.xf = x_filtered
-        state.xp, state.off = padded_reference(x, state.n_future,
-                                               state.n_past)
-        state.xfp, state.offf = padded_reference(x_filtered, state.n_future,
-                                                 state.n_past)
-        return state
-
-    @classmethod
-    def streaming(cls, n_future, n_past, secondary_estimate,
-                  secondary_true=None):
-        """Empty state to be fed incrementally via :meth:`extend`."""
-        return cls(n_future, n_past, secondary_estimate, secondary_true,
-                   mode="streaming")
-
-    # ------------------------------------------------------------------
-    # Streaming maintenance
-    # ------------------------------------------------------------------
     def extend(self, reference_block):
         """Append newly arrived aligned-reference samples.
 
         Maintains ``xf = ŝ * x`` incrementally (filter state carried in
-        ``lfilter`` initial conditions), exactly as the seed
-        ``StreamingLanc.feed`` did.
+        ``lfilter`` initial conditions).
         """
-        if self.mode != "streaming":
-            raise ConfigurationError(
-                "extend() is only valid on a streaming KernelState"
-            )
         block = check_waveform("reference_block", reference_block,
                                min_length=1)
         from scipy import signal as sps
@@ -190,14 +133,8 @@ class KernelState:
 
         The state must have been constructed with the same geometry
         (``n_future``/``n_past``) and secondary paths as the snapshot's
-        origin; only the mutable signal state is replaced.  Batch-mode
-        states are rejected — their arrays are construction inputs, not
-        evolving state.
+        origin; only the mutable signal state is replaced.
         """
-        if self.mode != "streaming":
-            raise ConfigurationError(
-                "restore() is only valid on a streaming KernelState"
-            )
         y_recent = np.asarray(snapshot["y_recent"], dtype=np.float64)
         if y_recent.shape != self.y_recent.shape:
             raise ConfigurationError(
@@ -221,29 +158,3 @@ class KernelState:
         """The next ``n_samples`` of not-yet-processed reference."""
         start = self.time
         return self.x[start: start + int(n_samples)].copy()
-
-    # ------------------------------------------------------------------
-    # Window accessors (the paper's k-convention)
-    # ------------------------------------------------------------------
-    def window(self, t):
-        """Reference window at time ``t``, future-first.
-
-        ``window[i] = x(t + n_future - i)`` so ``y(t) = taps · window``
-        with taps stored future-first (``taps[i] ↔ k = i - n_future``).
-        Valid in batch mode for any ``t`` in range; primarily a
-        documentation/testing helper — the kernels use faster layouts.
-        """
-        return self._window_from(self.xp, self.off, t)
-
-    def filtered_window(self, t):
-        """Filtered-reference window at time ``t``, future-first."""
-        return self._window_from(self.xfp, self.offf, t)
-
-    def _window_from(self, padded, offset, t):
-        if self.mode != "batch":
-            raise ConfigurationError(
-                "window accessors need a batch KernelState"
-            )
-        start = t + offset - (self.n_past - 1)
-        stop = t + offset + self.n_future + 1
-        return padded[start:stop][::-1]

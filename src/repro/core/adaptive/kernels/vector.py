@@ -5,7 +5,8 @@ formulations are kept in the test oracle, ``tests/oracle.py``),
 restructured for throughput:
 
 * windows come from :func:`numpy.lib.stride_tricks.sliding_window_view`
-  over the padded reference — zero copies, zero per-sample slicing
+  over the fed reference, left-padded with zeros before the signal's
+  start — zero copies, zero per-sample slicing
   logic (taps are kept in *forward* (oldest-first) order locally so the
   window rows need no per-sample reversal);
 * everything that does not depend on the adapting taps is precomputed
@@ -41,8 +42,8 @@ from scipy.linalg.blas import daxpy, ddot, dsymv, dsyr
 
 from ..base import DIVERGENCE_LIMIT, guard_divergence
 
-__all__ = ["fxlms_run", "fxlms_block", "fxlms_block_batch", "lms_run",
-           "rls_run", "apa_run", "multiref_run", "GUARD_INTERVAL"]
+__all__ = ["fxlms_block", "fxlms_block_batch", "lms_run", "rls_run",
+           "apa_run", "multiref_run", "GUARD_INTERVAL"]
 
 #: Samples between divergence checks in the sequential paths.
 GUARD_INTERVAL = 256
@@ -74,81 +75,40 @@ def _ringing(opad, s_rev):
     return sliding_window_view(opad, s_rev.size) @ s_rev
 
 
-def fxlms_run(state, taps, d, mu, normalized=True, leak=0.0, adapt=True,
-              active=True, adapt_mask=None, context="LancFilter"):
-    """Batch two-sided FxLMS over a :meth:`KernelState.batch` state.
+def _segments(state, B):
+    """Reference and filtered-reference segments covering ``B`` windows.
 
-    Returns ``(errors, outputs)``; ``taps`` (future-first) is updated in
-    place.  ``adapt=False`` freezes the taps, ``adapt_mask`` adapts
-    only where true, and ``active=False`` mutes the speaker (zero
-    output; batch states start from silence, so nothing rings).
+    Row ``i`` of ``sliding_window_view(seg, state.n_taps)`` is the
+    forward window of sample ``t = state.time + i``; samples before the
+    signal's start read as zeros.
     """
-    T = d.size
-    n_taps = state.n_taps
-    s_true = state.secondary_true
-    s_len = s_true.size
-
-    if not active:
-        return d.copy(), np.zeros(T)
-
-    W = sliding_window_view(state.xp, n_taps)      # row t = forward window
-    s_rev = np.ascontiguousarray(s_true[::-1])
-    taps_fwd = np.ascontiguousarray(taps[::-1])
-
-    if not adapt:
-        # Frozen taps: pure filtering, no loop at all.
-        outputs = W @ taps_fwd
-        opad = np.concatenate([np.zeros(s_len - 1), outputs])
-        errors = d + _ringing(opad, s_rev)
-        _guard_block(errors, 0, T, context)
-        return errors, outputs
-
-    Wf = sliding_window_view(state.xfp, n_taps)
-    steps = _steps(Wf, mu, normalized)
-    mask = None if adapt_mask is None else np.asarray(adapt_mask,
-                                                      dtype=bool)
-
-    opad = np.zeros(T + s_len - 1)
-    o_view = sliding_window_view(opad, s_len)      # reads reflect writes
-    errors = np.empty(T)
-    d_list = d.tolist()                            # python floats: the hot
-    step_list = steps.tolist()                     # loop dodges np scalars
-    mask_list = None if mask is None else mask.tolist()
-    decay = 1.0 - leak
-    guard_at = GUARD_INTERVAL
-    with np.errstate(all="ignore"):
-        for t in range(T):
-            y = ddot(W[t], taps_fwd)
-            opad[t + s_len - 1] = y
-            e = d_list[t] + ddot(o_view[t], s_rev)
-            errors[t] = e
-            if mask_list is None or mask_list[t]:
-                if leak:
-                    taps_fwd *= decay
-                daxpy(Wf[t], taps_fwd, a=-(step_list[t] * e))
-            if t + 1 == guard_at:
-                _guard_block(errors, guard_at - GUARD_INTERVAL, guard_at,
-                             context)
-                guard_at += GUARD_INTERVAL
-    _guard_block(errors, guard_at - GUARD_INTERVAL, T, context)
-    taps[:] = taps_fwd[::-1]
-    return errors, opad[s_len - 1:].copy()
+    lo = state.time - (state.n_past - 1)
+    hi = state.time + B + state.n_future
+    seg = state.x[max(lo, 0): hi]
+    segf = state.xf[max(lo, 0): hi]
+    if lo < 0:
+        pad = np.zeros(-lo)
+        seg = np.concatenate([pad, seg])
+        segf = np.concatenate([pad, segf])
+    return seg, segf
 
 
 def fxlms_block(state, taps, d, mu, normalized=True, leak=0.0, adapt=True,
-                active=True, context="StreamingLanc"):
-    """One streaming block over a :meth:`KernelState.streaming` state.
+                active=True, adapt_mask=None, context="StreamingLanc"):
+    """One block of two-sided FxLMS over a fed :class:`KernelState`.
 
-    Advances ``state.time`` and ``state.y_recent``; returns the error
-    block.  ``active=False`` mutes the speaker for the block while
-    anti-noise already in flight keeps ringing through the secondary
-    path.
+    Returns ``(errors, outputs)``; ``taps`` (future-first) is updated in
+    place and ``state.time`` / ``state.y_recent`` advance by the block.
+    ``adapt=False`` freezes the taps, ``adapt_mask`` (one flag per
+    sample of the block) adapts only where true, and ``active=False``
+    mutes the speaker for the block while anti-noise already in flight
+    keeps ringing through the secondary path.  A whole-signal run is
+    one block over a fresh state fed ``x ⊕ 0``.
     """
     B = d.size
-    n_future, n_past, n_taps = state.n_future, state.n_past, state.n_taps
+    n_taps = state.n_taps
     s_true = state.secondary_true
     s_len = s_true.size
-    time = state.time
     s_rev = np.ascontiguousarray(s_true[::-1])
 
     # Padded output timeline: opad[j] = y(time - (s_len-1) + j), the
@@ -162,35 +122,30 @@ def fxlms_block(state, taps, d, mu, normalized=True, leak=0.0, adapt=True,
         errors = d + _ringing(opad, s_rev)
         state.y_recent[:] = opad[B - 1: B + s_len - 1][::-1]
         state.time += B
-        return errors
+        return errors, np.zeros(B)
 
-    # Reference segment covering every window of the block, zero-padded
-    # on the left for the early-sample windows.
-    lo0 = time - (n_past - 1)
-    seg = state.x[max(lo0, 0): time + B + n_future]
-    segf = state.xf[max(lo0, 0): time + B + n_future]
-    if lo0 < 0:
-        pad = np.zeros(-lo0)
-        seg = np.concatenate([pad, seg])
-        segf = np.concatenate([pad, segf])
+    seg, segf = _segments(state, B)
     W = sliding_window_view(seg, n_taps)           # row i ↔ t = time + i
     taps_fwd = np.ascontiguousarray(taps[::-1])
 
     if not adapt:
+        # Frozen taps: pure filtering, no loop at all.
         outputs = W @ taps_fwd
         opad[s_len - 1:] = outputs
         errors = d + _ringing(opad, s_rev)
         _guard_block(errors, 0, B, context)
         state.y_recent[:] = opad[B - 1: B + s_len - 1][::-1]
         state.time += B
-        return errors
+        return errors, outputs
 
     Wf = sliding_window_view(segf, n_taps)
     steps = _steps(Wf, mu, normalized)
-    o_view = sliding_window_view(opad, s_len)
+    o_view = sliding_window_view(opad, s_len)      # reads reflect writes
     errors = np.empty(B)
-    d_list = d.tolist()
-    step_list = steps.tolist()
+    d_list = d.tolist()                            # python floats: the hot
+    step_list = steps.tolist()                     # loop dodges np scalars
+    mask_list = (None if adapt_mask is None
+                 else np.asarray(adapt_mask, dtype=bool).tolist())
     decay = 1.0 - leak
     guard_at = GUARD_INTERVAL
     with np.errstate(all="ignore"):
@@ -199,9 +154,10 @@ def fxlms_block(state, taps, d, mu, normalized=True, leak=0.0, adapt=True,
             opad[i + s_len - 1] = y
             e = d_list[i] + ddot(o_view[i], s_rev)
             errors[i] = e
-            if leak:
-                taps_fwd *= decay
-            daxpy(Wf[i], taps_fwd, a=-(step_list[i] * e))
+            if mask_list is None or mask_list[i]:
+                if leak:
+                    taps_fwd *= decay
+                daxpy(Wf[i], taps_fwd, a=-(step_list[i] * e))
             if i + 1 == guard_at:
                 _guard_block(errors, guard_at - GUARD_INTERVAL, guard_at,
                              context)
@@ -210,13 +166,13 @@ def fxlms_block(state, taps, d, mu, normalized=True, leak=0.0, adapt=True,
     taps[:] = taps_fwd[::-1]
     state.y_recent[:] = opad[B - 1: B + s_len - 1][::-1]
     state.time += B
-    return errors
+    return errors, opad[s_len - 1:].copy()
 
 
 def fxlms_block_batch(states, taps, d, mu, normalized=True, leak=0.0,
                       adapt=None, active=None, context="SessionServer",
                       workspace=None):
-    """One lock-step FxLMS block across a *batch* of streaming states.
+    """One lock-step FxLMS block across a *batch* of kernel states.
 
     The cross-session kernel behind :mod:`repro.serving`: per-session
     tap vectors and reference histories are stacked on a leading
@@ -227,7 +183,7 @@ def fxlms_block_batch(states, taps, d, mu, normalized=True, leak=0.0,
     Parameters
     ----------
     states:
-        Sequence of ``S`` streaming :class:`KernelState` objects with
+        Sequence of ``S`` fed :class:`KernelState` objects with
         identical geometry (``n_future``/``n_past``/secondary-path
         length); each keeps its own reference history, clock, and
         ringing buffer, which are advanced in place.
@@ -243,8 +199,9 @@ def fxlms_block_batch(states, taps, d, mu, normalized=True, leak=0.0,
         degradation controller's gates, applied *per row* so one
         degraded session freezes or mutes without touching the rest.
     workspace:
-        Optional :class:`~.workspace.BatchWorkspace` scratch arena.
-        With one, the call performs zero array-data allocations — every
+        Optional :class:`~.workspace.BatchWorkspace` scratch arena
+        that fits this batch (the dispatcher checks it).  With one,
+        the call performs zero array-data allocations — every
         stack, intermediate, and mask is written in place — and the
         returned ``(errors, diverged)`` are *views into the arena*,
         valid until the next call on the same workspace.  Without one,
@@ -283,14 +240,6 @@ def fxlms_block_batch(states, taps, d, mu, normalized=True, leak=0.0,
     ws = workspace
     if ws is None:
         ws = BatchWorkspace(S, B, n_future, n_past, s_len)
-    elif not ws.fits(S, B, n_future, n_past, s_len):
-        raise ValueError(
-            f"workspace sized for (S<={ws.max_sessions}, B={ws.block_size}, "
-            f"n_future={ws.n_future}, n_past={ws.n_past}, "
-            f"s_len={ws.s_len}) cannot serve a batch of "
-            f"(S={S}, B={B}, n_future={n_future}, n_past={n_past}, "
-            f"s_len={s_len})"
-        )
 
     if adapt is None:
         ws.adapt[:S] = True
@@ -533,10 +482,12 @@ def apa_run(x, d, taps, window, U, d_ring, mu, epsilon,
 
 def multiref_run(states, taps_list, d, mu, normalized=True, leak=0.0,
                  adapt=True, context="MultiRefLancFilter"):
-    """Multi-reference two-sided FxLMS: one batch state per branch.
+    """Multi-reference two-sided FxLMS: one fresh fed state per branch.
 
-    All branches share the error signal and the (true) secondary path
-    of ``states[0]``; the NLMS step is normalized by the *total*
+    Each branch's state holds its reference plus its own ``n_future``
+    zeros, read through the windows :func:`fxlms_block` uses.  All
+    branches share the error signal and the (true) secondary path of
+    ``states[0]``; the NLMS step is normalized by the *total*
     filtered-window power across branches.  Each branch's taps are
     updated in place.  Returns ``(errors, outputs)``.
     """
@@ -544,7 +495,9 @@ def multiref_run(states, taps_list, d, mu, normalized=True, leak=0.0,
     s_true = states[0].secondary_true
     s_len = s_true.size
     s_rev = np.ascontiguousarray(s_true[::-1])
-    Ws = [sliding_window_view(st.xp, st.n_taps) for st in states]
+    segs = [_segments(st, T) for st in states]
+    Ws = [sliding_window_view(seg, st.n_taps)
+          for (seg, __), st in zip(segs, states)]
     taps_fwd = [np.ascontiguousarray(taps[::-1]) for taps in taps_list]
 
     if not adapt:
@@ -556,7 +509,8 @@ def multiref_run(states, taps_list, d, mu, normalized=True, leak=0.0,
         _guard_block(errors, 0, T, context)
         return errors, outputs
 
-    Wfs = [sliding_window_view(st.xfp, st.n_taps) for st in states]
+    Wfs = [sliding_window_view(segf, st.n_taps)
+           for (__, segf), st in zip(segs, states)]
     # Total filtered-window power across branches, summed branch order.
     total_power = np.zeros(T)
     for Wf in Wfs:

@@ -116,7 +116,7 @@ class LancFilter:
         self.taps[:] = 0.0
 
     # ------------------------------------------------------------------
-    # Batch physical simulation
+    # Whole-signal physical simulation
     # ------------------------------------------------------------------
     def run(self, reference, disturbance, secondary_path_true=None,
             adapt=True, adapt_mask=None):
@@ -127,6 +127,11 @@ class LancFilter:
         the *true* secondary path to the error mic, where it sums with
         the disturbance ``d(t)``; the measured error drives the filtered-x
         gradient update ``h_AF(k) ← h_AF(k) − µ e(t) x'(t−k)``.
+
+        The whole signal is one block of the streaming kernel, over a
+        fresh state fed ``x ⊕ 0`` (the reference plus ``n_future``
+        zeros) — the state every streaming driver feeds, so the last
+        ``n_future`` updates see the filtered reference ``ŝ ∗ (x ⊕ 0)``.
 
         Parameters
         ----------
@@ -167,10 +172,11 @@ class LancFilter:
         enabled = obs.enabled()
         t_start = time.perf_counter() if enabled else None
 
-        state = kernels.KernelState.batch(
-            x, self.n_future, self.n_past, self.secondary_path, s_true
+        state = kernels.KernelState(
+            self.n_future, self.n_past, self.secondary_path, s_true
         )
-        errors, outputs = kernels.fxlms_run(
+        state.extend(np.concatenate([x, np.zeros(self.n_future)]))
+        errors, outputs = kernels.fxlms_block(
             state, self.taps, d, self.mu,
             normalized=self.normalized, leak=self.leak, adapt=adapt,
             adapt_mask=adapt_mask, context="LancFilter",
@@ -233,7 +239,7 @@ class StreamingLanc:
         )
         # All signal history (reference, filtered reference, ringing
         # anti-noise, the acoustic clock) lives in the kernel state.
-        self._state = kernels.KernelState.streaming(
+        self._state = kernels.KernelState(
             lanc_filter.n_future, lanc_filter.n_past,
             lanc_filter.secondary_path, self.s_true,
         )
@@ -285,7 +291,7 @@ class StreamingLanc:
         enabled = obs.enabled()
         t_start = time.perf_counter() if enabled else None
         f = self.filter
-        errors = kernels.fxlms_block(
+        errors, __ = kernels.fxlms_block(
             self._state, f.taps, d, f.mu,
             normalized=f.normalized, leak=f.leak, adapt=adapt,
             active=active, context="StreamingLanc",

@@ -154,11 +154,12 @@ class MultiRefLancFilter:
         enabled = obs.enabled()
         t_start = time.perf_counter() if enabled else None
 
-        states = [
-            kernels.KernelState.batch(x, n_future, self.n_past,
-                                      self.secondary_path, s_true)
-            for x, n_future in zip(xs, self.n_futures)
-        ]
+        states = []
+        for x, n_future in zip(xs, self.n_futures):
+            state = kernels.KernelState(n_future, self.n_past,
+                                        self.secondary_path, s_true)
+            state.extend(np.concatenate([x, np.zeros(n_future)]))
+            states.append(state)
         errors, outputs = kernels.multiref_run(
             states, self.taps, d, self.mu,
             normalized=self.normalized, leak=self.leak, adapt=adapt,

@@ -462,13 +462,12 @@ class MuteSystem:
             controller = DegradationController(
                 lanc, monitor=monitor, sample_rate=self.sample_rate
             )
-            # Feed everything up front, zero-padded so the final block's
-            # anti-causal taps see the same implicit zeros as the batch
-            # path (`padded_reference`).
+            # Feed everything up front plus n_future zeros — the x ⊕ 0
+            # that `run` feeds — so the final block's anti-causal taps
+            # read what the whole-signal run reads.
             reference = prepared.reference
             stream.feed(np.concatenate(
-                [reference, np.zeros(prepared.n_future)]
-            ) if prepared.n_future else reference)
+                [reference, np.zeros(prepared.n_future)]))
             with obs.span("mute.adapt", engine="resilient-lanc",
                           n_future=prepared.n_future,
                           n_past=self.config.n_past):

@@ -7,7 +7,7 @@ transient, audibly.  This module makes serving crashes cheap instead:
 
 * :func:`checkpoint_payload` captures everything mutable about a
   :class:`~repro.serving.session.DeviceSession` mid-run — the filter
-  taps, the streaming :class:`~repro.core.adaptive.kernels.KernelState`
+  taps, the :class:`~repro.core.adaptive.kernels.KernelState`
   (via its ``snapshot()``), the
   :class:`~repro.faults.DegradationController` mode machine, the
   workload cursor, and the residual produced so far;
@@ -228,7 +228,7 @@ class CheckpointStore:
                 return payload
         return None
 
-    def restore_session(self, session, config=None, block_size=None):
+    def restore_session(self, session):
         """A fresh :class:`DeviceSession` resumed from the newest snapshot.
 
         Parameters
@@ -236,8 +236,6 @@ class CheckpointStore:
         session:
             The crashed session (source of the workload, config, block
             size, and identity).  It is not touched.
-        config / block_size:
-            Optional overrides; defaults to the crashed session's own.
 
         Returns
         -------
@@ -252,9 +250,8 @@ class CheckpointStore:
         from .session import DeviceSession
 
         replacement = DeviceSession(
-            session.session_id, session.workload,
-            config or session.config,
-            block_size or session.block_size,
+            session.session_id, session.workload, session.config,
+            session.block_size,
         )
         replacement.chaos = session.chaos
         replacement.breaker = session.breaker

@@ -7,7 +7,7 @@ reference histories are stacked on a leading session axis and one
 the whole batch; in **serial** mode the *same kernel* is called once
 per session with a singleton batch.  Because that kernel is built from
 row-wise operations, the two schedules are **bit-identical** — the
-serving analogue of the loop-vs-vector contract in ``docs/KERNELS.md``
+serving analogue of the kernel-vs-oracle contract in ``docs/KERNELS.md``
 (property-tested in ``tests/test_serving.py``).
 
 Why batching is legitimate at all is the paper's point: the RF
@@ -254,7 +254,6 @@ class SessionServer:
 
     def _advance(self, batch):
         """One lock-step block over ``batch`` (list of sessions)."""
-        S = len(batch)
         # Per-session prep: chaos injection (may raise a scheduled
         # crash) and degradation gating.  A crashing session drops out
         # of this block; its neighbours' rows are unaffected.
@@ -278,23 +277,14 @@ class SessionServer:
         adapt = [g[0] for __, g in prepped]
         act = [g[1] for __, g in prepped]
         states = [session.state for session in batch]
-        st0 = states[0]
         ws = self._workspace
-        if not ws.fits(S, self.config.block_size, st0.n_future, st0.n_past,
-                       st0.secondary_true.size):   # pragma: no cover
-            ws = None                              # heterogeneous override
-        if ws is not None:
-            taps = ws.taps_io[:S]
-            d = ws.d[:S]
-            mu = ws.mu[:S]
-            for i, session in enumerate(batch):
-                taps[i] = session.filter.taps
-                d[i] = session.next_block()[1]
-                mu[i] = session.filter.mu
-        else:   # pragma: no cover - only reachable with a foreign config
-            taps = np.stack([session.filter.taps for session in batch])
-            d = np.stack([session.next_block()[1] for session in batch])
-            mu = np.array([session.filter.mu for session in batch])
+        taps = ws.taps_io[:S]
+        d = ws.d[:S]
+        mu = ws.mu[:S]
+        for i, session in enumerate(batch):
+            taps[i] = session.filter.taps
+            d[i] = session.next_block()[1]
+            mu[i] = session.filter.mu
 
         started = time.perf_counter()
         errors, diverged = kernels.fxlms_block_batch(

@@ -3,7 +3,7 @@
 One :class:`DeviceSession` is one MUTE ear-device being served: its
 workload (the aligned reference the relay delivers and the disturbance
 at the error mic), its adaptive state (a :class:`LancFilter` plus a
-streaming :class:`KernelState`), and its own
+:class:`KernelState`), and its own
 :class:`~repro.faults.DegradationController` watching the reference it
 actually received — faults are injected per session through a
 :class:`~repro.faults.FaultyRelay`, so one user behind a failing relay
@@ -93,8 +93,9 @@ class SessionWorkload:
     """One user's signals: the relay reference and the ear disturbance.
 
     ``reference`` must be aligned to the error-mic time base (the usual
-    LANC contract); the server truncates both waveforms to a whole
-    number of blocks — lock-step batches never process ragged tails.
+    LANC contract).  The server serves a whole number of blocks —
+    lock-step batches never process ragged tails — but the last block's
+    anti-causal taps still read the reference samples past it.
     """
 
     name: str
@@ -184,8 +185,8 @@ class DeviceSession:
     config:
         The server's :class:`SessionConfig`.
     block_size:
-        The server's lock-step block length (workload truncated to a
-        whole number of blocks).
+        The server's lock-step block length (disturbance and residual
+        truncated to a whole number of blocks).
     """
 
     def __init__(self, session_id, workload, config, block_size):
@@ -214,12 +215,13 @@ class DeviceSession:
         )
         self.controller = DegradationController(
             self.filter, sample_rate=config.sample_rate)
-        # The kernel state is fed the delivered reference up front plus
-        # the trailing lookahead zeros the final block's windows read.
-        self.state = kernels.KernelState.streaming(
+        # The kernel state is fed the whole delivered reference up front
+        # (also the ragged tail past the last whole block: the final
+        # block's anti-causal taps read it) plus n_future zeros.
+        self.state = kernels.KernelState(
             config.n_future, config.n_past, config.secondary())
         self.state.extend(np.concatenate(
-            [self.reference, np.zeros(config.n_future)]))
+            [reference, np.zeros(config.n_future)]))
         self.block_index = 0
         # Residual bank, preallocated to the whole workload span: blocks
         # are written in place (no per-tick list append + copy), and the

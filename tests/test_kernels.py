@@ -269,30 +269,13 @@ class TestStreamingEdgeCases:
 
 
 class TestKernelState:
-    def test_batch_windows_match_convention(self):
-        x = np.arange(10.0)
-        state = KernelState.batch(x, 2, 3, np.array([1.0]))
-        # window[i] = x(t + n_future - i), zeros outside the signal.
-        np.testing.assert_array_equal(state.window(4),
-                                      np.array([6., 5., 4., 3., 2.]))
-        np.testing.assert_array_equal(state.window(0),
-                                      np.array([2., 1., 0., 0., 0.]))
-        np.testing.assert_array_equal(state.window(9),
-                                      np.array([0., 0., 9., 8., 7.]))
-
-    def test_streaming_state_rejects_batch_accessors(self):
-        state = KernelState.streaming(2, 3, S_HAT)
-        with pytest.raises(ConfigurationError):
-            state.window(0)
-        batch = KernelState.batch(np.ones(8), 2, 3, S_HAT)
-        with pytest.raises(ConfigurationError):
-            batch.extend(np.ones(4))
-
     def test_streaming_filtered_reference_matches_batch(self):
+        # A state fed in 37-sample chunks carries the lfilter state
+        # across chunks: its xf is the one-shot convolution ŝ * x.
         x, __ = _scene(8, T=300)
-        batch = KernelState.batch(x, 2, 8, S_HAT)
-        stream = KernelState.streaming(2, 8, S_HAT)
+        state = KernelState(2, 8, S_HAT)
         for t0 in range(0, 300, 37):
-            stream.extend(x[t0: t0 + 37])
-        assert stream.fed() == 300
-        np.testing.assert_allclose(stream.xf, batch.xf, atol=1e-12)
+            state.extend(x[t0: t0 + 37])
+        assert state.fed() == 300
+        np.testing.assert_allclose(state.xf, np.convolve(x, S_HAT)[:300],
+                                   atol=1e-12, rtol=0)

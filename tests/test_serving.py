@@ -79,7 +79,7 @@ class TestBatchKernelContract:
             span = (workload.reference.size // BLOCK) * BLOCK
             x = workload.reference[:span]
             d = workload.disturbance[:span]
-            state = kernels.KernelState.streaming(
+            state = kernels.KernelState(
                 config.n_future, config.n_past, config.secondary())
             state.extend(np.concatenate([x, np.zeros(config.n_future)]))
             built.append((x, d, state))
@@ -108,9 +108,10 @@ class TestBatchKernelContract:
             solo_taps = np.zeros(n_taps)
             solo_errors = []
             for b in range(n_blocks):
-                solo_errors.append(oracle.fxlms_block(
+                errors, __ = oracle.fxlms_block(
                     state, solo_taps, d[b * BLOCK:(b + 1) * BLOCK],
-                    config.mu))
+                    config.mu)
+                solo_errors.append(errors)
             np.testing.assert_allclose(
                 batch_errors[s], np.concatenate(solo_errors),
                 atol=self.TOL, rtol=0)
@@ -128,7 +129,7 @@ class TestBatchKernelContract:
         with pytest.raises(ConfigurationError):
             kernels.fxlms_block_batch([], good_taps, good_d, mu)
         with pytest.raises(ConfigurationError):        # ragged geometry
-            other = kernels.KernelState.streaming(
+            other = kernels.KernelState(
                 config.n_future + 1, config.n_past, config.secondary())
             other.extend(np.zeros(x.size + config.n_future + 1))
             kernels.fxlms_block_batch(
@@ -140,7 +141,7 @@ class TestBatchKernelContract:
         with pytest.raises(ConfigurationError):        # d shape
             kernels.fxlms_block_batch([state], good_taps, d[:BLOCK], mu)
         with pytest.raises(ConfigurationError):        # underrun
-            starved = kernels.KernelState.streaming(
+            starved = kernels.KernelState(
                 config.n_future, config.n_past, config.secondary())
             starved.extend(np.zeros(8))
             kernels.fxlms_block_batch([starved], good_taps, good_d, mu)
@@ -155,7 +156,7 @@ class TestBatchWorkspace:
         built = []
         for workload in _workloads(3, seed=seed):
             span = (workload.reference.size // BLOCK) * BLOCK
-            state = kernels.KernelState.streaming(
+            state = kernels.KernelState(
                 config.n_future, config.n_past, config.secondary())
             state.extend(np.concatenate(
                 [workload.reference[:span], np.zeros(config.n_future)]))
@@ -203,7 +204,7 @@ class TestBatchWorkspace:
             config.secondary().size)
         assert not wrong_block.fits(1, BLOCK, config.n_future,
                                     config.n_past, config.secondary().size)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="workspace sized"):
             self._run_blocks(config, wrong_block, seed=0)
 
     def test_workspace_validates_construction(self):
