@@ -31,11 +31,11 @@ runs bit-identical to uncrashed ones (``tests/test_chaos.py``).
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 
 import numpy as np
 
 from ..errors import ConfigurationError, InjectedCrashError
+from ..utils.store import content_key
 
 __all__ = [
     "ChaosEvent",
@@ -111,15 +111,6 @@ class StallAt(ChaosEvent):
         return self.block <= block < self.block + self.blocks
 
 
-def _event_blob(event):
-    """``Type(field=value,...)`` with exact reprs — plan-key material."""
-    fields = ",".join(
-        f"{f.name}={getattr(event, f.name)!r}"
-        for f in dataclasses.fields(event)
-    )
-    return f"{type(event).__name__}({fields})"
-
-
 @dataclasses.dataclass(frozen=True)
 class ChaosPlan:
     """A deterministic, content-addressed schedule of chaos events.
@@ -155,10 +146,10 @@ class ChaosPlan:
         return not self.events
 
     def plan_key(self):
-        """Deterministic SHA-256 content key (stable across processes)."""
-        parts = ["repro.chaos/v1", f"seed:{self.seed!r}"]
-        parts.extend(_event_blob(event) for event in self.events)
-        return hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()
+        """Deterministic SHA-256 content key (stable across processes):
+        the :func:`~repro.utils.store.content_key` of the plan, tagged
+        ``repro.chaos/v1``."""
+        return content_key("repro.chaos/v1", self)
 
     def events_of(self, *types):
         """The plan's events that are instances of the given types."""
@@ -170,7 +161,7 @@ class ChaosPlan:
             return "ChaosPlan: (no events)"
         lines = [f"ChaosPlan seed={self.seed} key={self.plan_key()[:12]}"]
         for event in self.events:
-            lines.append(f"  {_event_blob(event)}")
+            lines.append(f"  {event!r}")
         return "\n".join(lines)
 
 

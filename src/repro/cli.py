@@ -82,6 +82,7 @@ import time
 
 from . import obs
 from .eval import experiments
+from .utils.store import atomic_write
 
 
 def build_parser():
@@ -207,6 +208,22 @@ def build_parser():
     return parser
 
 
+def _write_out(command, path, document, out):
+    """Write ``document`` as JSON to ``path``, all or nothing.
+
+    Goes through :func:`repro.utils.store.atomic_write`, so a failed or
+    interrupted write keeps any previous file intact.  On ``OSError``
+    prints ``<command>: cannot write <path>: <error>`` to ``out`` and
+    returns False (the caller exits 2).
+    """
+    try:
+        atomic_write(path, json.dumps(document, indent=2, default=str))
+    except OSError as exc:
+        print(f"{command}: cannot write {path}: {exc}", file=out)
+        return False
+    return True
+
+
 def _run_one(name, request, out):
     """Run one named experiment and print its report to ``out``."""
     entry = experiments.get(name)
@@ -256,11 +273,7 @@ def _run_suite(args, out):
     print(suite.report(), file=out)
 
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(suite.to_json(indent=2))
-        except OSError as exc:
-            print(f"run-all: cannot write {args.out}: {exc}", file=out)
+        if not _write_out("run-all", args.out, suite.to_dict(), out):
             return 2
         print(f"\n[JSON suite report written to {args.out}]", file=out)
 
@@ -311,11 +324,7 @@ def _run_serve_bench(args, out):
             code = 1
 
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(report.to_dict(), fh, indent=2, default=str)
-        except OSError as exc:
-            print(f"serve-bench: cannot write {args.out}: {exc}", file=out)
+        if not _write_out("serve-bench", args.out, report.to_dict(), out):
             return 2
         print(f"[JSON serving report written to {args.out}]", file=out)
     return code
@@ -355,13 +364,8 @@ def _run_chaos_soak(args, out):
         )
 
     document = report.to_dict() if (args.json or args.out) else None
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(document, fh, indent=2, default=str)
-        except OSError as exc:
-            print(f"chaos-soak: cannot write {args.out}: {exc}", file=out)
-            return 2
+    if args.out and not _write_out("chaos-soak", args.out, document, out):
+        return 2
     if args.json:
         print(json.dumps(document, indent=2, default=str), file=out)
     else:
@@ -396,13 +400,8 @@ def _run_perf_profile(args, out):
         duration_s=args.duration, repeats=args.repeats, warmup=args.warmup,
         seed=args.seed,
     )
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=2, default=str)
-        except OSError as exc:
-            print(f"perf-profile: cannot write {args.out}: {exc}", file=out)
-            return 2
+    if args.out and not _write_out("perf-profile", args.out, doc, out):
+        return 2
     if args.json:
         print(json.dumps(doc, indent=2, default=str), file=out)
         return 0
@@ -452,13 +451,8 @@ def _run_obs_report(args, out):
     document = None
     if args.json or args.out:
         document = obs.obs_report_dict(tracer, registry, budget_report)
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(document, fh, indent=2, default=str)
-        except OSError as exc:
-            print(f"obs-report: cannot write {args.out}: {exc}", file=out)
-            return 2
+    if args.out and not _write_out("obs-report", args.out, document, out):
+        return 2
     if args.json:
         print(json.dumps(document, indent=2, default=str), file=out)
         return 0

@@ -11,13 +11,12 @@ full disk mid-write leaves the previous file intact.
 from __future__ import annotations
 
 import json
-import os
 import pathlib
-import tempfile
 
 import numpy as np
 
 from ..errors import ConfigurationError
+from ..utils.store import atomic_write
 from .profiles import FilterCache, ProfileClassifier
 
 __all__ = ["save_learned_state", "load_learned_state", "STATE_FORMAT_VERSION"]
@@ -29,8 +28,8 @@ STATE_FORMAT_VERSION = 1
 def save_learned_state(path, classifier=None, cache=None, metadata=None):
     """Write profiles and/or cached taps to ``path`` (JSON), atomically.
 
-    The document goes to a temporary file in the destination directory
-    first and is then renamed over ``path`` (``os.replace``), so a
+    The document is written with :func:`repro.utils.store.atomic_write`
+    (temp file in the destination directory, then a rename), so a
     failed save never leaves a truncated file behind.
 
     Parameters
@@ -77,17 +76,7 @@ def save_learned_state(path, classifier=None, cache=None, metadata=None):
         document["cache"] = {
             label: cache.load(label).tolist() for label in cache.labels()
         }
-    path = pathlib.Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".",
-                               suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(document, fh, indent=1)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-    return path
+    return atomic_write(path, json.dumps(document, indent=1))
 
 
 def load_learned_state(path):
@@ -97,7 +86,8 @@ def load_learned_state(path):
     Raises
     ------
     ConfigurationError
-        On version mismatch or malformed documents.
+        On an unreadable file, a version mismatch or a malformed
+        document; the message names ``path``.
     """
     path = pathlib.Path(path)
     try:
@@ -105,6 +95,16 @@ def load_learned_state(path):
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigurationError(f"cannot load state from {path}: {exc}") \
             from exc
+    try:
+        return _parse_state(document)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigurationError(
+            f"cannot load state from {path}: "
+            f"{type(exc).__name__}: {exc}") from exc
+
+
+def _parse_state(document):
+    """The ``(classifier, cache, metadata)`` a parsed document holds."""
     version = document.get("format_version")
     if version != STATE_FORMAT_VERSION:
         raise ConfigurationError(

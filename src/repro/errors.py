@@ -96,8 +96,9 @@ class CheckpointError(ReproError, RuntimeError):
     """A session checkpoint could not be written, read, or applied.
 
     Note that a *corrupt* stored checkpoint never raises on the read
-    path — :meth:`repro.serving.CheckpointStore.latest` skips damaged
-    snapshots and falls back to the newest intact one (or a cold
+    path — :meth:`repro.serving.CheckpointStore.latest` quarantines
+    damaged snapshots (the :class:`repro.utils.store.Store` corruption
+    policy) and falls back to the newest intact one (or a cold
     restart).  This error flags caller mistakes: checkpointing a
     session whose geometry does not match the payload, or restoring
     into the wrong workload.

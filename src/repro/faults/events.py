@@ -31,9 +31,9 @@ simulation time.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 
 from ..errors import ConfigurationError
+from ..utils.store import content_key
 
 __all__ = [
     "FaultEvent",
@@ -246,22 +246,6 @@ class RelayHandoff(FaultEvent):
         return cls(start_s=at_s, stop_s=at_s + blackout_s)
 
 
-#: Stable ordering of event types inside a plan key.
-_EVENT_TYPES = (
-    RelayOutage, SnrFade, BurstInterference, PacketLoss, PacketReorder,
-    ClockDrift, RelayHandoff,
-)
-
-
-def _event_blob(event):
-    """``Type(field=value,...)`` with exact float reprs — key material."""
-    fields = ",".join(
-        f"{f.name}={getattr(event, f.name)!r}"
-        for f in dataclasses.fields(event)
-    )
-    return f"{type(event).__name__}({fields})"
-
-
 @dataclasses.dataclass(frozen=True)
 class FaultPlan:
     """A deterministic, content-addressed schedule of fault events.
@@ -312,16 +296,15 @@ class FaultPlan:
     def plan_key(self):
         """Deterministic SHA-256 content key for this plan.
 
-        Mirrors :func:`repro.runtime.cache.scenario_cache_key`: field
-        values are serialized via ``repr`` (floats round-trip exactly),
-        no ``hash()`` is involved, so the key is stable across processes
-        and ``PYTHONHASHSEED`` values.  Experiment envelopes and obs
-        spans carry it so a result can always be traced back to the
-        exact fault schedule that produced it.
+        The :func:`~repro.utils.store.content_key` of the plan, tagged
+        ``repro.faults/v1``: the plan is a frozen dataclass of its seed
+        and events, hashed by ``repr`` (floats round-trip exactly), so
+        the key is stable across processes and ``PYTHONHASHSEED``
+        values.  Experiment envelopes and obs spans carry it so a
+        result can always be traced back to the exact fault schedule
+        that produced it.
         """
-        parts = ["repro.faults/v1", f"seed:{self.seed!r}"]
-        parts.extend(_event_blob(event) for event in self.events)
-        return hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()
+        return content_key("repro.faults/v1", self)
 
     def events_of(self, *types):
         """The plan's events that are instances of the given types."""
@@ -353,7 +336,7 @@ class FaultPlan:
             return "FaultPlan: (no events)"
         lines = [f"FaultPlan seed={self.seed} key={self.plan_key()[:12]}"]
         for event in self.events:
-            lines.append(f"  {_event_blob(event)}")
+            lines.append(f"  {event!r}")
         return "\n".join(lines)
 
 

@@ -175,6 +175,17 @@ class ReferenceHealthMonitor:
                 self.baseline_rms = (1.0 - a) * self.baseline_rms + a * rms
         return self.state
 
+    def snapshot(self):
+        """The watchdog's mutable state, as a JSON-able dict."""
+        return {"baseline_rms": self.baseline_rms, "state": self.state,
+                "better_streak": self._better_streak}
+
+    def restore(self, state):
+        """Apply a :meth:`snapshot` from an equally configured monitor."""
+        self.baseline_rms = state["baseline_rms"]
+        self.state = state["state"]
+        self._better_streak = int(state["better_streak"])
+
 
 @dataclasses.dataclass(frozen=True)
 class ModeTransition:
@@ -225,7 +236,6 @@ class DegradationController:
         self.transitions = []
         self.modes = []          #: mode chosen for each observed block
         self._snapshot = None
-        self._blocks = 0
 
     def observe(self, reference_block, sample_index):
         """Assess one block and return the mode to run it under.
@@ -248,8 +258,37 @@ class DegradationController:
         if target != self.mode:
             self._transition(target, state, sample_index)
         self.modes.append(self.mode)
-        self._blocks += 1
         return self.mode
+
+    def snapshot(self):
+        """The mode machine's mutable state, for checkpoints.
+
+        Like :meth:`KernelState.snapshot
+        <repro.core.adaptive.kernels.KernelState.snapshot>`: every
+        value is JSON-able except ``"snapshot_taps"``, a private copy
+        of the pre-fault taps (``None`` while none are held).
+        Restoring it with :meth:`restore` on a controller built with
+        the same configuration resumes the machine exactly.
+        """
+        taps = self._snapshot
+        return {
+            "mode": self.mode,
+            "modes": list(self.modes),
+            "transitions": [dataclasses.asdict(t) for t in self.transitions],
+            "monitor": self.monitor.snapshot(),
+            "snapshot_taps": None if taps is None else taps.copy(),
+        }
+
+    def restore(self, state):
+        """Apply a :meth:`snapshot` (its JSON-able part may have been
+        through a JSON round trip)."""
+        self.mode = state["mode"]
+        self.modes = list(state["modes"])
+        self.transitions = [ModeTransition(**t) for t in state["transitions"]]
+        taps = state["snapshot_taps"]
+        self._snapshot = (None if taps is None
+                          else np.array(taps, dtype=np.float64))
+        self.monitor.restore(state["monitor"])
 
     def _transition(self, target, state, sample_index):
         if self.mode == MODE_MUTE:
@@ -260,7 +299,7 @@ class DegradationController:
             # Recovery: resume adapting from the pre-fault solution.
             self.filter.set_taps(self._snapshot)
         transition = ModeTransition(
-            block_index=self._blocks,
+            block_index=len(self.modes),
             sample_index=int(sample_index),
             time_s=float(sample_index) / self.sample_rate,
             from_mode=self.mode,

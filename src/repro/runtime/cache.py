@@ -6,12 +6,14 @@ and :class:`~repro.core.system.MuteSystem` construction re-runs it for
 *identical geometry*.  This module makes the second and every later
 build of the same scenario effectively free:
 
-* :func:`scenario_cache_key` derives a deterministic, cross-process
-  SHA-256 key from ``(Room, positions, RirSettings, sample_rate)`` —
-  no ``hash()`` involved, so ``PYTHONHASHSEED`` cannot perturb it;
+* :func:`scenario_cache_key` is the :func:`~repro.utils.store.content_key`
+  of the :class:`~repro.core.scenario.Scenario` — a frozen dataclass
+  of exactly the key material — so ``PYTHONHASHSEED`` cannot perturb
+  it;
 * :class:`ChannelCache` holds an in-process LRU of raw impulse
-  responses plus an **opt-in** on-disk store (``~/.cache/repro`` by
-  default) with versioned, atomically written ``.npz`` entries;
+  responses plus an **opt-in** on-disk layer (``~/.cache/repro`` by
+  default): a :class:`~repro.utils.store.Store` of digest-verified,
+  atomically written entries;
 * :meth:`Scenario.build_channels` routes through the process-global
   cache (see :func:`get_channel_cache`), so every caller hits it
   transparently.
@@ -19,18 +21,17 @@ build of the same scenario effectively free:
 Cache hits are **bit-identical** to cold builds: entries store the raw
 FIR arrays and each hit materializes *fresh* :class:`AcousticChannel`
 objects from private copies, so streaming filter state is never shared
-between callers.  Corrupt or truncated disk entries are detected,
-moved aside into a ``.quarantine/`` sidecar directory (so the bytes
-survive for post-mortem inspection), and recomputed — a cache can lose
-data, never corrupt a result.  Full scheme in ``docs/RUNTIME.md``.
+between callers.  Corrupt or truncated disk entries fall under the
+store's one corruption policy — quarantined into ``.quarantine/`` (so
+the bytes survive for post-mortem inspection) — and are recomputed: a
+cache can lose data, never corrupt a result.  Full scheme in
+``docs/RUNTIME.md``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import os
-import tempfile
 import threading
 from collections import OrderedDict
 from pathlib import Path
@@ -40,6 +41,7 @@ import numpy as np
 from .. import obs
 from ..acoustics.channels import AcousticChannel
 from ..errors import ConfigurationError
+from ..utils.store import Store, content_key
 
 __all__ = [
     "CHANNEL_KEY_VERSION",
@@ -52,10 +54,7 @@ __all__ = [
 
 #: Bumped whenever the key derivation *or* the channel computation
 #: changes meaning; stale disk entries from older versions simply miss.
-CHANNEL_KEY_VERSION = 1
-
-#: On-disk entry layout version (independent of the key version).
-DISK_FORMAT_VERSION = 1
+CHANNEL_KEY_VERSION = 2
 
 #: Environment variable that overrides the on-disk store location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -71,38 +70,18 @@ def default_disk_dir():
     return base / "channels"
 
 
-def _fields_blob(obj):
-    """``field=repr(value)`` for every dataclass field, in field order.
-
-    ``repr`` of floats round-trips exactly, so two processes always
-    derive the same blob for the same values.
-    """
-    pairs = []
-    for field in dataclasses.fields(obj):
-        pairs.append(f"{field.name}={getattr(obj, field.name)!r}")
-    return ",".join(pairs)
-
-
 def scenario_cache_key(scenario):
     """Deterministic content key for one scenario's acoustic channels.
 
-    Covers everything :meth:`Scenario.compute_channels` reads: room
+    A :class:`~repro.core.scenario.Scenario` holds exactly what
+    :meth:`~repro.core.scenario.Scenario.compute_channels` reads — room
     geometry and absorption, source/client/relay/speaker positions, the
-    sample rate, and every :class:`RirSettings` field — plus
+    sample rate and every :class:`RirSettings` field — so the key is its
+    :func:`~repro.utils.store.content_key`, tagged with
     :data:`CHANNEL_KEY_VERSION` so algorithm changes invalidate old
     entries.  Stable across processes and ``PYTHONHASHSEED`` values.
     """
-    parts = [
-        f"repro.channels/v{CHANNEL_KEY_VERSION}",
-        f"room:{_fields_blob(scenario.room)}",
-        f"source:{_fields_blob(scenario.source)}",
-        f"client:{_fields_blob(scenario.client)}",
-        "relays:" + ";".join(_fields_blob(r) for r in scenario.relays),
-        f"speaker_offset_m:{scenario.speaker_offset_m!r}",
-        f"sample_rate:{scenario.sample_rate!r}",
-        f"rir:{_fields_blob(scenario.rir_settings)}",
-    ]
-    return hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()
+    return content_key(f"repro.channels/v{CHANNEL_KEY_VERSION}", scenario)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -126,9 +105,10 @@ class ChannelCache:
         room's channels are a few hundred KB, so the default keeps the
         working set of a full experiment suite resident.
     disk_dir:
-        Directory for the persistent store, or ``None`` (memory only).
-        Entries are written atomically (temp file + ``os.replace``) and
-        validated on load; anything unreadable is quarantined under
+        Directory for the persistent layer, or ``None`` (memory only).
+        It is a :class:`~repro.utils.store.Store` labelled
+        ``channels``: entries are written atomically and verified on
+        load; anything unreadable is quarantined under
         ``<disk_dir>/.quarantine/`` and rebuilt from scratch.
     """
 
@@ -138,13 +118,13 @@ class ChannelCache:
                 f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = int(max_entries)
         self.disk_dir = Path(disk_dir) if disk_dir else None
+        self._disk = (Store(self.disk_dir, "channels") if self.disk_dir
+                      else None)
         self._entries = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.disk_hits = 0
-        self.disk_discards = 0
-        self.quarantined = 0
         self.evictions = 0
 
     # ------------------------------------------------------------------
@@ -197,8 +177,7 @@ class ChannelCache:
             "hits": self.hits,
             "misses": self.misses,
             "disk_hits": self.disk_hits,
-            "disk_discards": self.disk_discards,
-            "quarantined": self.quarantined,
+            "disk_discards": self._disk.corrupt if self._disk else 0,
             "evictions": self.evictions,
         }
 
@@ -206,12 +185,9 @@ class ChannelCache:
         """Drop every in-memory entry (and the disk store if asked)."""
         with self._lock:
             self._entries.clear()
-        if disk and self.disk_dir is not None and self.disk_dir.exists():
-            for path in self.disk_dir.glob("*.npz"):
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
+        if disk and self._disk is not None:
+            for name in self._disk.names():
+                self._disk.delete(name)
 
     def __len__(self):
         return len(self._entries)
@@ -249,91 +225,43 @@ class ChannelCache:
             sample_rate=entry.sample_rate,
         )
 
-    def _disk_path(self, key):
-        return self.disk_dir / f"{key}.npz"
-
     def _disk_store(self, key, entry):
-        """Atomic write: full temp file + rename, or nothing."""
-        if self.disk_dir is None:
+        if self._disk is None:
             return
+        arrays = {"h_ne": entry.h_ne, "h_se": entry.h_se}
+        for i, ir in enumerate(entry.h_nr):
+            arrays[f"h_nr_{i}"] = ir
+        meta = {"lead": list(entry.lead), "sample_rate": entry.sample_rate}
         try:
-            self.disk_dir.mkdir(parents=True, exist_ok=True)
-            payload = {
-                "version": np.array([DISK_FORMAT_VERSION], dtype=np.int64),
-                "sample_rate": np.array([entry.sample_rate]),
-                "lead": np.array(entry.lead, dtype=np.int64),
-                "n_relays": np.array([len(entry.h_nr)], dtype=np.int64),
-                "h_ne": entry.h_ne,
-                "h_se": entry.h_se,
-            }
-            for i, ir in enumerate(entry.h_nr):
-                payload[f"h_nr_{i}"] = ir
-            fd, tmp = tempfile.mkstemp(dir=self.disk_dir,
-                                       suffix=".npz.tmp")
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    np.savez(fh, **payload)
-                os.replace(tmp, self._disk_path(key))
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
+            self._disk.put(key, meta, arrays)
         except OSError:
             # A read-only or full disk degrades to memory-only caching.
             pass
 
     def _disk_load(self, key):
-        """Load one entry, or ``None`` (and drop the file) if unusable."""
-        if self.disk_dir is None:
+        """One verified disk entry, or ``None`` (quarantined if unusable)."""
+        found = self._disk.get(key) if self._disk is not None else None
+        if found is None:
             return None
-        path = self._disk_path(key)
-        if not path.exists():
-            return None
+        meta, arrays = found
         try:
-            with np.load(path, allow_pickle=False) as data:
-                version = int(data["version"][0])
-                if version != DISK_FORMAT_VERSION:
-                    raise ValueError(f"disk format v{version}")
-                n_relays = int(data["n_relays"][0])
-                entry = _Entry(
-                    h_ne=np.array(data["h_ne"]),
-                    h_nr=tuple(np.array(data[f"h_nr_{i}"])
-                               for i in range(n_relays)),
-                    h_se=np.array(data["h_se"]),
-                    lead=tuple(int(v) for v in data["lead"]),
-                    sample_rate=float(data["sample_rate"][0]),
-                )
+            n_relays = len(arrays) - 2
+            entry = _Entry(
+                h_ne=arrays["h_ne"],
+                h_nr=tuple(arrays[f"h_nr_{i}"] for i in range(n_relays)),
+                h_se=arrays["h_se"],
+                lead=tuple(int(v) for v in meta["lead"]),
+                sample_rate=float(meta["sample_rate"]),
+            )
             if len(entry.lead) != n_relays:
                 raise ValueError("lead/relay count mismatch")
             for ir in (entry.h_ne, entry.h_se) + entry.h_nr:
                 if ir.ndim != 1 or not np.all(np.isfinite(ir)):
                     raise ValueError("invalid impulse response")
-            return entry
-        except Exception:
-            # Corrupt, truncated, or stale-format entry: move it aside
-            # so the slot is rebuilt from scratch (and rewritten
-            # cleanly) while the bad bytes stay available for
-            # inspection under .quarantine/.
-            self.disk_discards += 1
-            self._count("disk_discard")
-            self._quarantine(path)
+        except (KeyError, TypeError, ValueError):
+            self._disk.quarantine(key)
             return None
-
-    def _quarantine(self, path):
-        """Move a corrupt entry into ``.quarantine/`` (unlink fallback)."""
-        if obs.enabled():
-            obs.get_registry().counter("cache.corruption_total").inc()
-        try:
-            qdir = self.disk_dir / ".quarantine"
-            qdir.mkdir(parents=True, exist_ok=True)
-            os.replace(path, qdir / path.name)
-            self.quarantined += 1
-        except OSError:
-            # Can't move it (read-only dir, cross-device ...): fall back
-            # to deleting so the poisoned entry never hits again.
-            try:
-                path.unlink()
-            except OSError:
-                pass
+        return entry
 
 
 _default_cache = None

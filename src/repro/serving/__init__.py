@@ -26,7 +26,7 @@ Three layers:
 Crash safety (``docs/RESILIENCE.md``) adds three more:
 
 * :mod:`~repro.serving.checkpoint` — :class:`CheckpointStore`:
-  content-addressed, atomically persisted session snapshots with warm
+  digest-verified, atomically persisted session snapshots with warm
   bit-identical restore;
 * :mod:`~repro.serving.supervisor` — :class:`SessionSupervisor`:
   catches per-session crashes, restarts from the latest checkpoint
@@ -67,7 +67,6 @@ from .checkpoint import (
     CHECKPOINT_SCHEMA,
     CheckpointStore,
     checkpoint_payload,
-    payload_digest,
 )
 from .manager import SHED_POLICIES, SessionManager
 from .server import ServerConfig, ServingReport, SessionServer
@@ -106,7 +105,6 @@ __all__ = [
     "CHECKPOINT_SCHEMA",
     "CheckpointStore",
     "checkpoint_payload",
-    "payload_digest",
     # supervisor
     "SupervisionConfig",
     "SessionSupervisor",

@@ -19,7 +19,6 @@ exactly the state that must survive between blocks.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 
 import numpy as np
 
@@ -27,8 +26,9 @@ from ..core.adaptive import kernels
 from ..core.adaptive.lanc import LancFilter
 from ..errors import CheckpointError, ConfigurationError
 from ..faults import DegradationController, FaultyRelay
-from ..faults.monitor import MODE_LEVEL, ModeTransition
+from ..faults.monitor import MODE_LEVEL
 from ..signals import WhiteNoise
+from ..utils.store import content_key
 from ..utils.validation import check_positive, check_positive_int, \
     check_waveform
 
@@ -147,10 +147,8 @@ class SessionResult:
     breaker: dict | None = None   #: deadline-breaker summary, if attached
 
     def digest(self):
-        """SHA-256 of the residual bytes — the bit-identity fingerprint."""
-        return hashlib.sha256(
-            np.ascontiguousarray(self.residual, dtype=np.float64).tobytes()
-        ).hexdigest()
+        """Content key of the residual — the bit-identity fingerprint."""
+        return content_key(self.residual)
 
     def cancellation_db(self):
         """Mean cancellation over the processed samples (dB, >0 = good)."""
@@ -349,22 +347,8 @@ class DeviceSession:
         })
         self.filter.set_taps(taps)
 
-        ctrl_meta = meta["controller"]
-        controller = self.controller
-        controller.mode = ctrl_meta["mode"]
-        controller.modes = list(ctrl_meta["modes"])
-        controller._blocks = int(ctrl_meta["blocks"])
-        controller.transitions = [
-            ModeTransition(**t) for t in ctrl_meta["transitions"]
-        ]
-        controller._snapshot = (
-            np.asarray(arrays["snapshot_taps"], dtype=np.float64).copy()
-            if meta["has_snapshot_taps"] else None)
-        mon_meta = meta["monitor"]
-        monitor = controller.monitor
-        monitor.baseline_rms = mon_meta["baseline_rms"]
-        monitor.state = mon_meta["state"]
-        monitor._better_streak = int(mon_meta["better_streak"])
+        self.controller.restore({**meta["controller"],
+                                 "snapshot_taps": arrays.get("snapshot_taps")})
 
         self.block_index = int(meta["block_index"])
         self.status = meta["status"]

@@ -19,7 +19,6 @@ from repro.serving import (
     CHECKPOINT_SCHEMA,
     CheckpointStore,
     checkpoint_payload,
-    payload_digest,
 )
 from repro.serving.session import (
     ACTIVE,
@@ -27,6 +26,7 @@ from repro.serving.session import (
     SessionConfig,
     SessionWorkload,
 )
+from repro.utils.store import entry_digest
 from tests import oracle
 
 BLOCK = 64
@@ -68,6 +68,11 @@ def _advance(session, blocks):
 def _drain(session):
     _advance(session, session.n_blocks)
     return session.result()
+
+
+def _digest(payload):
+    """The store's entry digest of one payload."""
+    return entry_digest(payload["meta"], payload["arrays"])
 
 
 class TestRestoreBitIdentity:
@@ -134,7 +139,7 @@ class TestPayloadDigest:
         _advance(session, 3)
         payload = checkpoint_payload(session)
         assert payload["meta"]["schema"] == CHECKPOINT_SCHEMA
-        assert payload_digest(payload) == payload_digest(payload)
+        assert _digest(payload) == _digest(payload)
 
     def test_sensitive_to_state(self):
         session = _session()
@@ -142,16 +147,16 @@ class TestPayloadDigest:
         payload = checkpoint_payload(session)
         tampered = checkpoint_payload(session)
         tampered["arrays"]["taps"] = tampered["arrays"]["taps"] + 1e-12
-        assert payload_digest(tampered) != payload_digest(payload)
+        assert _digest(tampered) != _digest(payload)
 
     def test_payload_is_frozen_copy(self):
         """The session keeps mutating; the payload must not follow."""
         session = _session()
         _advance(session, 3)
         payload = checkpoint_payload(session)
-        digest = payload_digest(payload)
+        digest = _digest(payload)
         _advance(session, 3)
-        assert payload_digest(payload) == digest
+        assert _digest(payload) == digest
 
 
 class TestMemoryStore:
@@ -161,7 +166,7 @@ class TestMemoryStore:
         _advance(session, 4)
         digest = store.save(session)
         payload = store.latest(session.session_id)
-        assert payload_digest(payload) == digest
+        assert _digest(payload) == digest
         assert payload["meta"]["block_index"] == 4
 
     def test_keep_prunes_oldest(self):
@@ -170,8 +175,8 @@ class TestMemoryStore:
         for __ in range(4):
             _advance(session, 1)
             store.save(session)
-        entries = store._memory[session.session_id]
-        assert [block for block, __, __ in entries] == [3, 4]
+        assert store.entries.names() == ["session-00000-block-0000003",
+                                         "session-00000-block-0000004"]
 
     def test_corrupt_snapshot_skipped_not_fatal(self):
         store = CheckpointStore()
@@ -180,10 +185,12 @@ class TestMemoryStore:
         store.save(session)
         _advance(session, 2)
         store.save(session)
-        # Bit-rot the newest in-memory payload: digest check must skip
+        # Bit-rot the newest in-memory entry: verification must skip
         # it and fall back to the older intact snapshot.
-        entries = store._memory[session.session_id]
-        entries[-1][2]["arrays"]["taps"][:] += 1.0
+        newest = store.entries.names()[-1]
+        blob = bytearray(store.entries._blobs[newest])
+        blob[len(blob) // 2] ^= 0xFF
+        store.entries._blobs[newest] = bytes(blob)
         payload = store.latest(session.session_id)
         assert payload["meta"]["block_index"] == 2
         assert store.corrupt_skipped == 1
@@ -218,7 +225,7 @@ class TestDiskStore:
 
         reader = CheckpointStore(tmp_path)       # fresh "process"
         payload = reader.latest(session.session_id)
-        assert payload_digest(payload) == digest
+        assert _digest(payload) == digest
 
         restored, warm = reader.restore_session(_session())
         assert warm

@@ -1,6 +1,7 @@
 """repro.faults: fault model, injection, degradation, supervision."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -322,6 +323,30 @@ class TestDegradationController:
         assert "resilience.transitions" in names
         assert "resilience.mode" in names
         obs.reset()
+
+    def test_snapshot_restore_resumes_the_mode_machine(self):
+        original_filter, original = self._controller()
+        healthy = [np.full(100, level) for level in (0.1, 0.12, 0.09)]
+        for i, block in enumerate(healthy + [np.zeros(100)] * 2):
+            if i == 2:
+                original_filter.set_taps(
+                    np.linspace(1.0, 0.0, original_filter.n_taps))
+            original.observe(block, 100 * i)
+
+        state = original.snapshot()
+        taps = state.pop("snapshot_taps")
+        state = json.loads(json.dumps(state))      # as a checkpoint stores it
+        restored_filter, restored = self._controller()
+        restored.restore({**state, "snapshot_taps": taps})
+
+        for i in range(5, 9):
+            block = np.full(100, 0.1)
+            assert restored.observe(block, 100 * i) == \
+                original.observe(block, 100 * i)
+        assert restored.modes == original.modes
+        assert restored.transitions == original.transitions
+        assert np.array_equal(restored_filter.get_taps(),
+                              original_filter.get_taps())
 
     def test_requires_tap_access(self):
         with pytest.raises(ConfigurationError):

@@ -1,6 +1,7 @@
 """Learned-state persistence and scenario presets."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -78,6 +79,19 @@ class TestPersistence:
         with pytest.raises(ConfigurationError):
             load_learned_state(path)
 
+    @pytest.mark.parametrize("document", [
+        [1, 2],
+        {"format_version": 1, "classifier": {"n_bands": 8}},
+        {"format_version": 1, "cache": [1, 2]},
+        {"format_version": 1, "cache": {"a": ["x", "y"]}},
+    ], ids=["top_level_list", "classifier_without_sample_rate",
+            "cache_list", "non_numeric_taps"])
+    def test_malformed_document_rejected(self, tmp_path, document):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(document))
+        with pytest.raises(ConfigurationError, match=re.escape(str(path))):
+            load_learned_state(path)
+
     def test_file_is_plain_json(self, tmp_path):
         cache = FilterCache()
         cache.store("a", np.ones(2))
@@ -96,7 +110,7 @@ class TestPersistence:
         def crash(src, dst):
             raise OSError("disk full")
 
-        monkeypatch.setattr("repro.core.persistence.os.replace", crash)
+        monkeypatch.setattr("repro.utils.store.os.replace", crash)
         with pytest.raises(OSError):
             save_learned_state(path, cache=new)
         monkeypatch.undo()

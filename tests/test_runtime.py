@@ -117,8 +117,7 @@ class TestMemoryCache:
         scenario.build_channels(cache=cache)
         assert cache.stats() == {
             "entries": 1, "hits": 1, "misses": 1,
-            "disk_hits": 0, "disk_discards": 0, "quarantined": 0,
-            "evictions": 0,
+            "disk_hits": 0, "disk_discards": 0, "evictions": 0,
         }
 
     def test_build_channels_cache_false_bypasses(self):
@@ -160,7 +159,6 @@ class TestDiskCache:
         _assert_channels_equal(channels, scenario.compute_channels())
         stats = reader.stats()
         assert stats["disk_discards"] == 1
-        assert stats["quarantined"] == 1
         assert stats["misses"] == 1
         # The bad bytes were moved aside for inspection, not destroyed.
         quarantined = list((tmp_path / ".quarantine").glob("*.npz"))
@@ -184,7 +182,9 @@ class TestDiskCache:
             metrics = obs.get_registry().to_dict()["metrics"]
         obs.reset()
         by_name = {m["name"]: m for m in metrics}
-        assert by_name["cache.corruption_total"]["value"] == 1
+        corruption = by_name["store.corruption_total"]
+        assert corruption["labels"] == {"store": "channels"}
+        assert corruption["value"] == 1
 
     def test_truncated_entry_recovered(self, tmp_path):
         scenario = office_scenario()

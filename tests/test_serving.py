@@ -1,5 +1,6 @@
 """The multi-session serving runtime (repro.serving)."""
 
+import errno
 import io
 import json
 
@@ -389,6 +390,23 @@ class TestServeBenchCli:
         document = json.loads(path.read_text())
         assert document["schema"] == "repro.runtime.report/v2"
         assert document["kind"] == "serving"
+
+    def test_failed_out_write_keeps_previous_file(self, tmp_path,
+                                                  monkeypatch):
+        path = tmp_path / "serving.json"
+        path.write_text("previous report")
+
+        def full_disk(src, dst):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr("repro.utils.store.os.replace", full_disk)
+        out = io.StringIO()
+        code = main(["serve-bench", "--sessions", "2",
+                     "--duration", "0.2", "--out", str(path)], out=out)
+        assert code == 2
+        assert f"serve-bench: cannot write {path}" in out.getvalue()
+        assert path.read_text() == "previous report"
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_bad_arguments_rejected(self):
         out = io.StringIO()
