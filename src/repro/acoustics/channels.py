@@ -13,7 +13,6 @@ fix the ``repro perf-profile`` channel stage motivated.
 from __future__ import annotations
 
 import numpy as np
-from scipy import signal as sps
 
 from ..errors import ChannelError
 from ..utils import fastconv
@@ -99,6 +98,8 @@ class AcousticChannel:
 
     def frequency_response(self, sample_rate, n_points=512):
         """Return ``(freqs_hz, complex_response)`` on a linear grid."""
+        from scipy import signal as sps
+
         w, h = sps.freqz(self.ir, worN=n_points, fs=sample_rate)
         return w, h
 

@@ -18,7 +18,6 @@ version.  This module makes those statements computable:
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg
 
 from ..errors import ChannelError
 from ..utils.validation import (
@@ -52,6 +51,8 @@ def is_minimum_phase(ir, tolerance=1e-8):
 
 def _convolution_matrix(ir, n_taps):
     """Tall Toeplitz matrix ``C`` with ``C @ g = ir * g`` for len-n_taps g."""
+    from scipy import linalg
+
     n_out = ir.size + n_taps - 1
     col = np.zeros(n_out)
     col[: ir.size] = ir
@@ -73,6 +74,8 @@ def delayed_inverse(ir, n_taps, delay, regularization=1e-8):
     numpy.ndarray
         The inverse filter ``g``.
     """
+    from scipy import linalg
+
     ir = check_impulse_response("ir", ir)
     n_taps = check_positive_int("n_taps", n_taps)
     delay = check_non_negative_int("delay", delay)

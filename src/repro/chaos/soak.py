@@ -183,17 +183,17 @@ def run_soak(sessions=8, duration_s=0.5, block_size=128, *, seed=0,
 
     # Baseline: same fleet, no chaos, no supervision — the digests a
     # crash-free run produces.
-    baseline = _build_server(block_size, batched, sessions, None, None)
-    for workload in _workloads():
-        baseline.submit(workload)
-    baseline_digests = baseline.run_until_drained().digests()
-
-    n_blocks = baseline.session_blocks // max(sessions, 1)
+    fleet = _workloads()
+    n_blocks = fleet[0].reference.size // block_size
     if n_blocks < 2:
         raise ConfigurationError(
             f"soak needs >= 2 blocks per session; got {n_blocks} "
             f"(duration_s={duration_s}, block_size={block_size})"
         )
+    baseline = _build_server(block_size, batched, sessions, None, None)
+    for workload in fleet:
+        baseline.submit(workload)
+    baseline_digests = baseline.run_until_drained().digests()
     plans = soak_plans(sessions, n_blocks, crash_prob=crash_prob,
                        stall_prob=stall_prob,
                        max_crashes=supervision.max_restarts + 1,

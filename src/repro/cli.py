@@ -81,6 +81,7 @@ import sys
 import time
 
 from . import obs
+from .errors import SignalError
 from .eval import experiments
 from .utils.store import atomic_write
 
@@ -311,7 +312,11 @@ def _run_serve_bench(args, out):
                 sample_rate=config.session.sample_rate))
         return server.run_until_drained()
 
-    report = drain(batched=not args.serial)
+    try:
+        report = drain(batched=not args.serial)
+    except SignalError as exc:
+        print(f"serve-bench: {exc}", file=out)
+        return 2
     print(report.report(), file=out)
 
     code = 0

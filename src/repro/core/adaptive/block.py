@@ -24,7 +24,6 @@ from __future__ import annotations
 import time
 
 import numpy as np
-from scipy import signal as sps
 
 from ... import obs
 from ...errors import ConfigurationError
@@ -107,6 +106,8 @@ class BlockLancFilter:
         Same signal contract as :meth:`LancFilter.run`; returns an
         :class:`AdaptationResult`.
         """
+        from scipy import signal as sps
+
         x = check_waveform("reference", reference)
         d = check_waveform("disturbance", disturbance)
         check_same_length("reference", x, "disturbance", d)

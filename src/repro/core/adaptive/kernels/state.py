@@ -9,13 +9,14 @@ geometry in the paper's convention ``k ∈ [-n_future, n_past - 1]``
 — lives in :mod:`.vector`.
 
 Samples arrive through :meth:`KernelState.extend`, which maintains the
-filtered reference incrementally with :func:`scipy.signal.lfilter`
-state; :attr:`time` / :attr:`y_recent` carry the processed-sample clock
-and the anti-noise still ringing through the secondary path between
-blocks.  A whole-signal run is the same state fed ``x ⊕ 0`` (the
-reference plus ``n_future`` zeros) and walked as one block, so every
-driver reads the same filtered reference past the signal's end:
-``ŝ * (x ⊕ 0)``.
+filtered reference incrementally through a
+:class:`~repro.utils.fastconv.StreamingFir` whose carry is numerically
+``lfilter``'s ``zi``; :attr:`time` / :attr:`y_recent` carry the
+processed-sample clock and the anti-noise still ringing through the
+secondary path between blocks.  A whole-signal run is the same state
+fed ``x ⊕ 0`` (the reference plus ``n_future`` zeros) and walked as one
+block, so every driver reads the same filtered reference past the
+signal's end: ``ŝ * (x ⊕ 0)``.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from ....errors import ConfigurationError
+from ....utils.fastconv import StreamingFir
 from ....utils.validation import (
     check_impulse_response,
     check_non_negative_int,
@@ -75,28 +77,21 @@ class KernelState:
         self.xf = np.zeros(0)
         self.y_recent = np.zeros(self.secondary_true.size)
         self.time = 0
-        # scipy.signal.lfilter carry for the incremental filtered-x.
-        self._zi = (
-            np.zeros(self.secondary_estimate.size - 1)
-            if self.secondary_estimate.size > 1 else np.zeros(0)
-        )
+        self._fir = StreamingFir(self.secondary_estimate)
+        # ``zi``, the pending convolution tail: a view of the carry
+        # (length 0 for a one-tap ŝ, whose carry keeps a spare slot).
+        self._zi = self._fir.state[: self.secondary_estimate.size - 1]
 
     def extend(self, reference_block):
         """Append newly arrived aligned-reference samples.
 
-        Maintains ``xf = ŝ * x`` incrementally (filter state carried in
-        ``lfilter`` initial conditions).
+        Maintains ``xf = ŝ * x`` incrementally: the
+        :class:`~repro.utils.fastconv.StreamingFir` carries the pending
+        convolution tail across calls, numerically ``lfilter``'s ``zi``.
         """
         block = check_waveform("reference_block", reference_block,
                                min_length=1)
-        from scipy import signal as sps
-
-        if self._zi.size:
-            filtered, self._zi = sps.lfilter(
-                self.secondary_estimate, [1.0], block, zi=self._zi
-            )
-        else:
-            filtered = self.secondary_estimate[0] * block
+        filtered = self._fir.process(block)
         self.x = np.concatenate([self.x, block])
         self.xf = np.concatenate([self.xf, filtered])
 
@@ -113,12 +108,14 @@ class KernelState:
         Everything a mid-run kernel state owns beyond its construction
         parameters: the delivered reference and its filtered-x
         companion, the processed-sample clock, the ringing anti-noise
-        buffer, and the ``lfilter`` carry.  Restoring the returned
-        mapping with :meth:`restore` on an identically constructed
-        state resumes processing **bit-identically** — the contract the
-        serving checkpoint layer (``repro.serving.checkpoint``) builds
-        on, property-tested in ``tests/test_checkpoint.py`` on the
-        kernels and on the oracle's reference walk.
+        buffer, and the filtered-x carry as ``zi`` (the first
+        ``len(ŝ) - 1`` carry entries, numerically ``lfilter``'s ``zi``).
+        Restoring the returned mapping with :meth:`restore` on an
+        identically constructed state resumes processing
+        **bit-identically** — the contract the serving checkpoint layer
+        (``repro.serving.checkpoint``) builds on, property-tested in
+        ``tests/test_checkpoint.py`` on the kernels and on the oracle's
+        reference walk.
         """
         return {
             "x": self.x.copy(),
@@ -152,7 +149,7 @@ class KernelState:
         self.xf = np.asarray(snapshot["xf"], dtype=np.float64).copy()
         self.time = int(snapshot["time"])
         self.y_recent = y_recent.copy()
-        self._zi = zi.copy()
+        self._zi[:] = zi
 
     def peek_future(self, n_samples):
         """The next ``n_samples`` of not-yet-processed reference."""

@@ -22,6 +22,9 @@ restructured for throughput:
   loop, stripped to three raw BLAS calls per sample (``ddot`` for the
   output and the ringing, ``daxpy`` for the in-place tap update) so the
   per-call overhead of the ufunc machinery never enters the hot path.
+  Each walk imports its BLAS routines from :mod:`scipy.linalg.blas`
+  once per call, never per sample; the batched serving kernel uses
+  NumPy only.
 
 Divergence is checked per :data:`GUARD_INTERVAL` samples rather than
 per sample: the same :class:`repro.errors.ConvergenceError` is raised
@@ -38,7 +41,6 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg.blas import daxpy, ddot, dsymv, dsyr
 
 from ..base import DIVERGENCE_LIMIT, guard_divergence
 
@@ -105,6 +107,8 @@ def fxlms_block(state, taps, d, mu, normalized=True, leak=0.0, adapt=True,
     keeps ringing through the secondary path.  A whole-signal run is
     one block over a fresh state fed ``x ⊕ 0``.
     """
+    from scipy.linalg.blas import daxpy, ddot
+
     B = d.size
     n_taps = state.n_taps
     s_true = state.secondary_true
@@ -332,6 +336,8 @@ def lms_run(x, d, taps, window, mu, normalized=True, leak=0.0,
     ``taps`` are updated in place so a later run resumes where this one
     left off.  Returns ``(predictions, errors)``.
     """
+    from scipy.linalg.blas import daxpy, ddot
+
     T = x.size
     n = taps.size
     # Extend with the shift-register history so mid-stream runs resume
@@ -385,6 +391,8 @@ def rls_run(x, d, taps, window, P, forgetting, context="RlsFilter"):
     Contract vs the oracle's general-form walk: ≤ 1e-10 on
     predictions/errors/taps/``P``.
     """
+    from scipy.linalg.blas import daxpy, ddot, dsymv, dsyr
+
     T = x.size
     n = taps.size
     ext = np.concatenate([window[::-1], x])
@@ -491,6 +499,8 @@ def multiref_run(states, taps_list, d, mu, normalized=True, leak=0.0,
     filtered-window power across branches.  Each branch's taps are
     updated in place.  Returns ``(errors, outputs)``.
     """
+    from scipy.linalg.blas import daxpy, ddot
+
     T = d.size
     s_true = states[0].secondary_true
     s_len = s_true.size

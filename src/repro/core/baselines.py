@@ -26,7 +26,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy import signal as sps
 
 from ..acoustics.propagation import fractional_delay_filter
 from ..errors import ConfigurationError
@@ -89,6 +88,8 @@ class ConventionalAncModel:
 
     def residual_fir(self, sample_rate, n_taps=257):
         """Linear-phase FIR whose magnitude is the residual gain."""
+        from scipy import signal as sps
+
         sample_rate = check_positive("sample_rate", sample_rate)
         if n_taps % 2 == 0 or n_taps < 9:
             raise ConfigurationError("n_taps must be odd and >= 9")
@@ -98,6 +99,8 @@ class ConventionalAncModel:
 
     def residual_waveform(self, disturbance, sample_rate, n_taps=257):
         """What the ear hears with this active stage on (time-aligned)."""
+        from scipy import signal as sps
+
         disturbance = check_waveform("disturbance", disturbance)
         fir = self.residual_fir(sample_rate, n_taps)
         filtered = sps.fftconvolve(disturbance, fir)

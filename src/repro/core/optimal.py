@@ -23,7 +23,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy import linalg, signal as sps
 
 from ..errors import ConfigurationError
 from ..utils.validation import (
@@ -59,6 +58,8 @@ class WienerSolution:
 
 def _correlations(v, d, n_future, n_past):
     """Autocorrelation of v and cross-correlation v↔d on the tap grid."""
+    from scipy import signal as sps
+
     T = v.size
     M = n_future + n_past
     # r_v[m] = sum_t v(t) v(t - m) for m = 0..M-1 (symmetric).
@@ -84,6 +85,8 @@ def wiener_lanc(reference, disturbance, secondary_path, n_future, n_past,
         ``taps`` is directly loadable into a :class:`LancFilter` via
         ``set_taps`` (same future-first convention).
     """
+    from scipy import linalg, signal as sps
+
     x = check_waveform("reference", reference, min_length=64)
     d = check_waveform("disturbance", disturbance, min_length=64)
     check_same_length("reference", x, "disturbance", d)

@@ -29,7 +29,6 @@ KEMAR-fit ideal).
 from __future__ import annotations
 
 import numpy as np
-from scipy import signal as sps
 
 from ..acoustics.propagation import fractional_delay_filter
 from ..errors import ConfigurationError
@@ -81,6 +80,8 @@ class EarCanalCoupling:
     # Filter design
     # ------------------------------------------------------------------
     def _design_canal(self, n_taps=65):
+        from scipy import signal as sps
+
         grid = np.linspace(0.0, self.sample_rate / 2.0, 256)
         gain = 1.0 + (10.0 ** (self.resonance_gain_db / 20.0) - 1.0) \
             * np.exp(-((grid - self.canal_resonance_hz)
@@ -88,6 +89,8 @@ class EarCanalCoupling:
         return sps.firwin2(n_taps, grid, gain, fs=self.sample_rate)
 
     def _design_mismatch(self, n_taps=33):
+        from scipy import signal as sps
+
         grid = np.linspace(0.0, self.sample_rate / 2.0, 128)
         tilt = 10.0 ** (self.mismatch_tilt_db / 20.0
                         * (grid / (self.sample_rate / 2.0)))
@@ -152,6 +155,8 @@ class EarCanalCoupling:
         ``20·log10 |1 − H_mismatch|`` — the per-frequency floor the
         mismatch imposes.
         """
+        from scipy import signal as sps
+
         freqs = np.asarray(freqs, dtype=float)
         w = 2.0 * np.pi * freqs / self.sample_rate
         __, h = sps.freqz(self._mismatch_fir, worN=w)

@@ -11,7 +11,6 @@ can filter waveforms through it.
 from __future__ import annotations
 
 import numpy as np
-from scipy import signal as sps
 
 from ..errors import ConfigurationError
 from ..utils import fastconv
@@ -62,6 +61,8 @@ class PassiveEarcup:
         return 10.0 ** (-self.insertion_loss_db(freqs) / 20.0)
 
     def _design_fir(self):
+        from scipy import signal as sps
+
         grid = np.linspace(0.0, self.sample_rate / 2.0, 256)
         gains = self.transmission_gain(grid)
         return sps.firwin2(self.n_taps, grid, gains, fs=self.sample_rate)

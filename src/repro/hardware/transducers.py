@@ -15,7 +15,6 @@ hardware versus an idealized flat transducer.
 from __future__ import annotations
 
 import numpy as np
-from scipy import signal as sps
 
 from ..errors import ConfigurationError
 from ..utils import fastconv
@@ -86,6 +85,8 @@ class TransducerResponse:
         return 20.0 * np.log10(np.maximum(self.magnitude(freqs), 1e-12))
 
     def _design_fir(self):
+        from scipy import signal as sps
+
         grid = np.linspace(0.0, self.sample_rate / 2.0, 256)
         mags = self.magnitude(grid)
         mags[0] = 0.0

@@ -29,7 +29,7 @@ from __future__ import annotations
 import collections
 
 from .. import obs
-from ..errors import ConfigurationError, ServingOverloadError
+from ..errors import ConfigurationError, ServingOverloadError, SignalError
 from ..utils.validation import check_positive_int
 from .session import SHED, DeviceSession, SessionConfig, SessionWorkload
 
@@ -92,9 +92,19 @@ class SessionManager:
 
         Raises
         ------
+        SignalError
+            When the workload is shorter than one block: the server
+            serves whole blocks only, so it would have nothing to
+            serve.  Nothing is queued.
         ServingOverloadError
             Under the ``"reject"`` policy with a full queue.
         """
+        n_samples = workload.reference.size
+        if n_samples < self.block_size:
+            raise SignalError(
+                f"workload {workload.name!r} has {n_samples} samples, "
+                f"fewer than one {self.block_size}-sample block"
+            )
         if request is not None and request.fault_plan is not None \
                 and workload.fault_plan is None:
             workload = SessionWorkload(

@@ -225,14 +225,9 @@ class SessionServer:
             if self.config.deadline is not None:
                 session.breaker = DeadlineCircuitBreaker(
                     self._budget_s, self.config.deadline)
-            if session.done:
-                # Sub-block workload: nothing to schedule.
-                session.status = DONE
-                self.finished.append(session)
-            else:
-                if self.supervisor is not None:
-                    self.supervisor.on_admit(session)
-                self.active.append(session)
+            if self.supervisor is not None:
+                self.supervisor.on_admit(session)
+            self.active.append(session)
 
     def _crash(self, session, exc):
         """Route one caught per-session exception through the supervisor.

@@ -12,7 +12,6 @@ impacts (hammering).  This generator layers:
 from __future__ import annotations
 
 import numpy as np
-from scipy import signal as sps
 
 from ..errors import ConfigurationError
 from .base import SignalSource
@@ -40,12 +39,16 @@ class ConstructionNoise(SignalSource):
         self.whine_center_hz = float(whine_center_hz)
 
     def _rumble(self, n, rng):
+        from scipy import signal as sps
+
         white = rng.standard_normal(n + 512)
         sos = sps.butter(4, 400.0 / (self.sample_rate / 2.0),
                          btype="lowpass", output="sos")
         return sps.sosfilt(sos, white)[512:]
 
     def _whine(self, n, rng):
+        from scipy import signal as sps
+
         nyquist = self.sample_rate / 2.0
         low = max(self.whine_center_hz - 150.0, 10.0) / nyquist
         high = min(self.whine_center_hz + 150.0, nyquist * 0.98) / nyquist

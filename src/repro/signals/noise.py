@@ -8,7 +8,6 @@ and machinery broadband components.
 from __future__ import annotations
 
 import numpy as np
-from scipy import signal as sps
 
 from ..errors import ConfigurationError
 from .base import SignalSource
@@ -40,6 +39,8 @@ class PinkNoise(SignalSource):
     _A = np.array([1.0, -2.494956002, 2.017265875, -0.522189400])
 
     def _raw(self, n_samples, rng):
+        from scipy import signal as sps
+
         white = rng.standard_normal(n_samples + 2048)
         pink = sps.lfilter(self._B, self._A, white)
         return pink[2048:]  # drop the filter warm-up transient
@@ -71,6 +72,8 @@ class BandlimitedNoise(SignalSource):
         self._sos = self._design(nyquist)
 
     def _design(self, nyquist):
+        from scipy import signal as sps
+
         low = self.f_low / nyquist
         high = self.f_high / nyquist
         if low <= 0.0 and high >= 1.0:
@@ -82,6 +85,8 @@ class BandlimitedNoise(SignalSource):
         return sps.butter(4, [low, high], btype="bandpass", output="sos")
 
     def _raw(self, n_samples, rng):
+        from scipy import signal as sps
+
         white = rng.standard_normal(n_samples + 1024)
         if self._sos is None:
             return white[1024:]

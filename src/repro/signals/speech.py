@@ -20,7 +20,6 @@ sample is reproducible from the seed.
 from __future__ import annotations
 
 import numpy as np
-from scipy import signal as sps
 
 from ..errors import ConfigurationError
 from .base import SignalSource, normalize_rms
@@ -92,6 +91,8 @@ class SyntheticSpeech(SignalSource):
     # ------------------------------------------------------------------
     def _glottal_pulses(self, n, rng):
         """Impulse train at pitch with 3% jitter, pre-emphasized."""
+        from scipy import signal as sps
+
         out = np.zeros(n)
         period = self.sample_rate / self.pitch_hz
         pos = 0.0
@@ -103,6 +104,8 @@ class SyntheticSpeech(SignalSource):
         return sps.lfilter(b, a, out)
 
     def _voiced_syllable(self, n, rng):
+        from scipy import signal as sps
+
         vowel = rng.choice(list(VOWEL_FORMANTS))
         f1, f2 = VOWEL_FORMANTS[vowel]
         src = self._glottal_pulses(n, rng)
@@ -113,6 +116,8 @@ class SyntheticSpeech(SignalSource):
         return sps.sosfilt(sos, src)
 
     def _fricative_syllable(self, n, rng):
+        from scipy import signal as sps
+
         noise = rng.standard_normal(n)
         sos = sps.butter(2, 1800.0 / (self.sample_rate / 2.0),
                          btype="highpass", output="sos")

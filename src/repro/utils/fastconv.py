@@ -16,7 +16,9 @@ This module centralizes all of it:
   pipeline); long signals switch to **overlap-save** with a fixed
   per-IR block size, so one cached spectrum serves every signal length.
   Tiny kernels fall back to direct ``np.convolve`` (faster below the
-  FFT break-even, and bit-identical to the historical path).
+  FFT break-even, and bit-identical to the historical path); only the
+  FFT branches import :mod:`scipy.fft`, so tiny kernels never load
+  SciPy.
 * :class:`StreamingFir` — stateful block convolution whose carry state
   is numerically the ``lfilter`` ``zi`` vector (the pending tail of the
   convolution), computed per block through :func:`fir_apply`.
@@ -35,7 +37,6 @@ from __future__ import annotations
 from collections import OrderedDict
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from ..errors import ConfigurationError
 
@@ -71,6 +72,8 @@ def cache_info():
 def _spectrum(ir, nfft):
     """The cached ``rfft(ir, nfft)`` for this exact impulse response."""
     global _hits, _misses
+    from scipy import fft as sp_fft
+
     key = (ir.tobytes(), nfft)
     found = _cache.get(key)
     if found is not None:
@@ -91,11 +94,15 @@ def _block_nfft(m):
     ~8x the kernel keeps the per-output cost near the optimum while one
     cached spectrum serves every signal length the IR ever meets.
     """
+    from scipy import fft as sp_fft
+
     return sp_fft.next_fast_len(max(8 * m, 4096), True)
 
 
 def _overlap_save(x, H, m, nfft, n_out):
     """Linear convolution via overlap-save against a cached spectrum."""
+    from scipy import fft as sp_fft
+
     L = nfft - m + 1
     # Leading m-1 zeros stand in for the pre-signal history; slices past
     # the end are implicitly zero-padded by rfft(..., nfft).
@@ -137,6 +144,8 @@ def fir_apply(signal, ir, mode="same"):
             or np.iscomplexobj(signal) or np.iscomplexobj(ir)):
         full = np.convolve(signal, ir)
         return full if mode == "full" else full[:n]
+
+    from scipy import fft as sp_fft
 
     block_nfft = _block_nfft(m)
     if n_out <= block_nfft:

@@ -10,7 +10,6 @@ human-rating model.
 from __future__ import annotations
 
 import numpy as np
-from scipy import signal as sps
 
 from ..errors import SignalError
 from .units import power_to_db
@@ -35,6 +34,8 @@ def welch_psd(signal, sample_rate, nperseg=512):
     :func:`scipy.signal.welch` with the library's validation applied, and
     ``nperseg`` clamped to the signal length so short signals still work.
     """
+    from scipy import signal as sps
+
     signal = check_waveform("signal", signal, min_length=8)
     sample_rate = check_positive("sample_rate", sample_rate)
     nperseg = min(check_positive_int("nperseg", nperseg), signal.size)
@@ -84,6 +85,8 @@ def band_energy_signature(signal, sample_rate, n_bands=16, f_max=None):
 
 def spectrogram(signal, sample_rate, nperseg=256, overlap=0.5):
     """Magnitude spectrogram ``(freqs, times, magnitude)``."""
+    from scipy import signal as sps
+
     signal = check_waveform("signal", signal, min_length=8)
     sample_rate = check_positive("sample_rate", sample_rate)
     nperseg = min(check_positive_int("nperseg", nperseg), signal.size)

@@ -9,7 +9,6 @@ quantitative (the ``bench_ablation_fm_vs_am`` benchmark).
 from __future__ import annotations
 
 import numpy as np
-from scipy import signal as sps
 
 from ..errors import ConfigurationError
 from ..utils.validation import check_in_range, check_positive, check_waveform
@@ -59,6 +58,8 @@ class AmDemodulator:
 
     def __init__(self, audio_rate=8000.0, rf_rate=96000.0,
                  modulation_index=0.8):
+        from scipy import signal as sps
+
         self.audio_rate = check_positive("audio_rate", audio_rate)
         self.rf_rate = check_positive("rf_rate", rf_rate)
         self.modulation_index = check_positive(
@@ -71,6 +72,8 @@ class AmDemodulator:
 
     def demodulate(self, baseband):
         """Recover audio from the AM envelope."""
+        from scipy import signal as sps
+
         baseband = check_waveform("baseband", baseband, min_length=2,
                                   allow_complex=True)
         envelope = np.abs(baseband)

@@ -31,7 +31,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy import signal as sps
 
 from ..errors import ConfigurationError
 from ..utils.validation import check_positive, check_waveform
@@ -76,6 +75,8 @@ def _polyphase_design(up, down):
     path (scipy copies and scales it by ``up`` itself) — but built
     once and cached, instead of redesigned on every call.
     """
+    from scipy import signal as sps
+
     key = (up, down)
     window = _design_cache.get(key)
     if window is None:
@@ -89,6 +90,8 @@ def _polyphase_design(up, down):
 
 def resample(signal, rate_in, rate_out):
     """Polyphase resampling between exact-rational-ratio rates."""
+    from scipy import signal as sps
+
     rate_in = check_positive("rate_in", rate_in)
     rate_out = check_positive("rate_out", rate_out)
     if rate_in == rate_out:
@@ -158,6 +161,8 @@ class FmDemodulator:
 
     def __init__(self, audio_rate=8000.0, rf_rate=96000.0,
                  deviation_hz=12000.0, remove_dc=True):
+        from scipy import signal as sps
+
         self.audio_rate = check_positive("audio_rate", audio_rate)
         self.rf_rate = check_positive("rf_rate", rf_rate)
         self.deviation_hz = check_positive("deviation_hz", deviation_hz)
@@ -169,6 +174,8 @@ class FmDemodulator:
 
     def demodulate(self, baseband):
         """Recover the audio waveform from complex baseband."""
+        from scipy import signal as sps
+
         baseband = check_waveform("baseband", baseband, min_length=2,
                                   allow_complex=True)
         # Phase difference between consecutive samples → instantaneous

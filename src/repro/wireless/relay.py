@@ -19,7 +19,6 @@ from __future__ import annotations
 import time
 
 import numpy as np
-from scipy import signal as sps
 
 from .. import obs
 from ..errors import ConfigurationError
@@ -93,6 +92,8 @@ class AnalogRelay:
     def __init__(self, audio_rate=8000.0, rf_rate=96000.0,
                  deviation_hz=12000.0, channel_config=None,
                  mic_noise_rms=1e-3, lpf_cutoff_hz=None, seed=0):
+        from scipy import signal as sps
+
         self.audio_rate = check_positive("audio_rate", audio_rate)
         self.rf_rate = check_positive("rf_rate", rf_rate)
         self.mic_noise_rms = check_non_negative("mic_noise_rms", mic_noise_rms)
@@ -127,6 +128,8 @@ class AnalogRelay:
         ``relay.demod_s{relay=analog}`` histogram — the dominant
         receive-side cost of the chain.
         """
+        from scipy import signal as sps
+
         shaped = sps.sosfilt(self._front_sos, audio)
         if self.mic_noise_rms > 0.0:
             rng = np.random.default_rng(self.seed + 1)
@@ -152,6 +155,8 @@ class AnalogRelay:
         and resamplers leave a sub-sample offset that would otherwise
         read as high-frequency error.
         """
+        from scipy import signal as sps
+
         n = int(self.audio_rate * 0.25)
         t = np.arange(n) / self.audio_rate
         probe = sps.chirp(t, f0=100.0, f1=self.audio_rate * 0.4, t1=t[-1])
@@ -200,6 +205,8 @@ class AnalogRelay:
         the two: per frequency, ``SNR(f) = C(f) / (1 - C(f))``; the
         returned figure is the output-power-weighted aggregate in dB.
         """
+        from scipy import signal as sps
+
         audio = check_waveform("audio", audio, min_length=256)
         forwarded = self.forward(audio)
         nperseg = min(1024, audio.size // 4)

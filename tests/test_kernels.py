@@ -14,7 +14,7 @@ import contextlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.adaptive.apa import ApaFilter
@@ -268,14 +268,67 @@ class TestStreamingEdgeCases:
                                       d[600 + s_len - 1: 850])
 
 
+def _fed_state(s_hat, chunks, path="product"):
+    """A fresh :class:`KernelState` fed ``chunks`` one ``extend`` each."""
+    state = KernelState(2, 8, s_hat)
+    with PATHS[path]():
+        for chunk in chunks:
+            state.extend(chunk)
+    return state
+
+
+@st.composite
+def _s_hat_and_chunks(draw):
+    """A unit-norm ŝ of 1 to 150 taps and 1 to 5 reference chunks.
+
+    The FFT branches start past 8 taps, overlap-save past 4096 samples.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    s_hat = rng.standard_normal(draw(st.integers(1, 150)))
+    s_hat /= np.linalg.norm(s_hat)
+    sizes = draw(st.lists(st.integers(1, 5000), min_size=1, max_size=5))
+    return s_hat, [rng.standard_normal(n) for n in sizes]
+
+
+#: A one-tap ŝ: ``zi`` is empty while StreamingFir keeps a spare slot.
+_ONE_TAP = (np.array([0.8]), [np.arange(3.0), np.arange(5.0)])
+
+
 class TestKernelState:
-    def test_streaming_filtered_reference_matches_batch(self):
-        # A state fed in 37-sample chunks carries the lfilter state
-        # across chunks: its xf is the one-shot convolution ŝ * x.
-        x, __ = _scene(8, T=300)
-        state = KernelState(2, 8, S_HAT)
-        for t0 in range(0, 300, 37):
-            state.extend(x[t0: t0 + 37])
-        assert state.fed() == 300
-        np.testing.assert_allclose(state.xf, np.convolve(x, S_HAT)[:300],
+    @settings(max_examples=30, deadline=None)
+    @given(_s_hat_and_chunks())
+    @example(_ONE_TAP)
+    def test_streaming_filtered_reference_matches_batch(self, drawn):
+        # A state fed chunk by chunk carries the StreamingFir tail across
+        # chunks: its xf is the one-shot convolution ŝ * x, and the
+        # oracle's lfilter-with-zi formulation, to 1e-12.
+        s_hat, chunks = drawn
+        x = np.concatenate(chunks)
+        state = _fed_state(s_hat, chunks)
+        reference = _fed_state(s_hat, chunks, path="oracle")
+        assert state.fed() == x.size
+        np.testing.assert_allclose(state.xf, np.convolve(x, s_hat)[:x.size],
                                    atol=1e-12, rtol=0)
+        np.testing.assert_allclose(state.xf, reference.xf, atol=1e-12,
+                                   rtol=0)
+        # The snapshot's zi is lfilter's: len(ŝ) - 1 entries (none for a
+        # one-tap ŝ), numerically the oracle's carry.
+        zi = state.snapshot()["zi"]
+        assert zi.shape == (s_hat.size - 1,)
+        np.testing.assert_allclose(zi, reference.snapshot()["zi"],
+                                   atol=1e-12, rtol=0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_s_hat_and_chunks(), st.integers(min_value=0, max_value=5))
+    @example(_ONE_TAP, 1)
+    def test_mid_stream_snapshot_resumes_bit_for_bit(self, drawn, cut):
+        s_hat, chunks = drawn
+        cut = min(cut, len(chunks))
+        uninterrupted = _fed_state(s_hat, chunks)
+        resumed = KernelState(2, 8, s_hat)
+        resumed.restore(_fed_state(s_hat, chunks[:cut]).snapshot())
+        for chunk in chunks[cut:]:
+            resumed.extend(chunk)
+        after, before = resumed.snapshot(), uninterrupted.snapshot()
+        for key in ("x", "xf", "zi"):
+            assert np.array_equal(after[key], before[key]), key

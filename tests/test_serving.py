@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from repro import serving
 from repro.cli import main
 from repro.core.adaptive import kernels
-from repro.errors import ConfigurationError, ServingOverloadError
+from repro.errors import ConfigurationError, ServingOverloadError, \
+    SignalError
 from repro.eval import experiments
 from repro.faults import outage_plan
 from repro.runtime import RunRequest
@@ -280,14 +281,15 @@ class TestAdmission:
         (survivor,) = report.results
         assert survivor.name == "user2"
 
-    def test_sub_block_workload_finishes_empty(self):
+    def test_sub_block_workload_rejected_at_submit(self):
+        manager = serving.SessionManager(block_size=BLOCK)
         tiny = serving.SessionWorkload.synthetic(
             "tiny", duration_s=BLOCK / 2 / 8000.0, seed=0)
-        report = _drain([tiny], batched=True)
-        (result,) = report.results
-        assert result.status == serving.DONE
-        assert result.blocks == 0
-        assert result.residual.size == 0
+        with pytest.raises(SignalError,
+                           match=r"'tiny' has 64 samples.*128-sample block"):
+            manager.submit(tiny)
+        assert not manager.pending
+        assert manager.submitted == 0
 
     def test_request_fault_plan_applied_on_submit(self):
         manager = serving.SessionManager()
@@ -412,3 +414,10 @@ class TestServeBenchCli:
         out = io.StringIO()
         assert main(["serve-bench", "--sessions", "0"], out=out) == 2
         assert main(["serve-bench", "--duration", "-1"], out=out) == 2
+        # Shorter than one block: rejected at submit, nothing reported.
+        out = io.StringIO()
+        assert main(["serve-bench", "--sessions", "2", "--duration",
+                     "0.01", "--check"], out=out) == 2
+        assert out.getvalue() == ("serve-bench: workload 'user0' has 80 "
+                                  "samples, fewer than one 256-sample "
+                                  "block\n")
