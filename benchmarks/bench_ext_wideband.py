@@ -1,7 +1,7 @@
 """Extension — cancellation beyond the paper's 4 kHz cap.
 
 The §5.2 "A faster DSP will ease the problem" sentence, built: the bench
-at 16 kHz with the fast-DSP budget and the block LANC engine.
+at 16 kHz with the fast-DSP budget and the per-sample LANC engine.
 """
 
 from _bench_utils import run_once

@@ -174,21 +174,3 @@ def test_fm_roundtrip_one_second(benchmark, white_second):
     out = benchmark(roundtrip)
     assert out.size == white_second.size
 
-
-def test_block_lanc_one_second(benchmark, white_second):
-    """Block LANC on the same workload — the 'faster DSP' speed path."""
-    import numpy as np
-
-    from repro.core import BlockLancFilter
-
-    s = np.zeros(8)
-    s[2] = 1.0
-    d = np.convolve(white_second, np.array([0.0] * 12 + [0.5]))[:8000]
-
-    def run():
-        f = BlockLancFilter(n_future=64, n_past=512, secondary_path=s,
-                            mu=0.1, block_size=64)
-        return f.run(white_second, d)
-
-    result = benchmark(run)
-    assert np.all(np.isfinite(result.error))

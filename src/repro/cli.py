@@ -46,16 +46,6 @@ Subcommands
         python -m repro chaos-soak --sessions 6 --duration 0.3
         python -m repro chaos-soak --json --out soak.json
 
-``perf-profile``
-    Time the pipeline stage by stage (synthesis / channel / relay /
-    kernel / ear, plus end-to-end ``MuteSystem.run``) on the Figure 12
-    workload and print a stage table — or the ``repro.perf/v1`` JSON
-    document CI uploads (see ``docs/PERFORMANCE.md``)::
-
-        python -m repro perf-profile
-        python -m repro perf-profile --json
-        python -m repro perf-profile --duration 1 --out profile.json
-
 ``obs-report``
     Run the headline office scenario with observability
     (:mod:`repro.obs`) enabled and print the span tree, the metrics
@@ -167,26 +157,6 @@ def build_parser():
                       help="emit the repro.chaos.soak/v1 JSON document "
                            "instead of text")
     soak.add_argument("--out", default=None, metavar="PATH",
-                      help="also write the JSON document to PATH")
-
-    perf = sub.add_parser(
-        "perf-profile",
-        help="profile the pipeline per stage; emit repro.perf/v1 JSON",
-    )
-    perf.add_argument("--duration", type=float, default=2.0,
-                      help="simulated seconds of workload (default 2.0)")
-    perf.add_argument("--repeats", type=int, default=3,
-                      help="timed repeats per stage, median reported "
-                           "(default 3)")
-    perf.add_argument("--warmup", type=int, default=1,
-                      help="untimed warmup calls per stage (default 1 — "
-                           "measures the cache-warm steady state)")
-    perf.add_argument("--seed", type=int, default=7,
-                      help="workload seed (default 7, the fig12 seed)")
-    perf.add_argument("--json", action="store_true",
-                      help="emit the repro.perf/v1 JSON document instead "
-                           "of text")
-    perf.add_argument("--out", default=None, metavar="PATH",
                       help="also write the JSON document to PATH")
 
     obs_report = sub.add_parser(
@@ -380,42 +350,6 @@ def _run_chaos_soak(args, out):
     return 0 if report.ok() else 1
 
 
-def _run_perf_profile(args, out):
-    """The ``perf-profile`` subcommand: stage-level pipeline timings.
-
-    Runs :func:`repro.perf.profile_pipeline` on the fig12 workload and
-    renders (or writes) the ``repro.perf/v1`` document — the artifact
-    the CI perf-smoke job uploads and ``docs/PERFORMANCE.md`` reads
-    from.
-    """
-    from .perf import profile_pipeline
-    from .perf.harness import render_profile
-
-    if args.duration <= 0:
-        print("perf-profile: --duration must be > 0", file=out)
-        return 2
-    if args.repeats < 1:
-        print("perf-profile: --repeats must be >= 1", file=out)
-        return 2
-    if args.warmup < 0:
-        print("perf-profile: --warmup must be >= 0", file=out)
-        return 2
-
-    doc = profile_pipeline(
-        duration_s=args.duration, repeats=args.repeats, warmup=args.warmup,
-        seed=args.seed,
-    )
-    if args.out and not _write_out("perf-profile", args.out, doc, out):
-        return 2
-    if args.json:
-        print(json.dumps(doc, indent=2, default=str), file=out)
-        return 0
-    print(render_profile(doc), file=out)
-    if args.out:
-        print(f"[JSON perf profile written to {args.out}]", file=out)
-    return 0
-
-
 def _run_obs_report(args, out):
     """The ``obs-report`` subcommand: one traced headline-scenario run.
 
@@ -502,9 +436,6 @@ def main(argv=None, out=None):
 
     if args.command == "obs-report":
         return _run_obs_report(args, out)
-
-    if args.command == "perf-profile":
-        return _run_perf_profile(args, out)
 
     if args.command == "serve-bench":
         return _run_serve_bench(args, out)

@@ -3,7 +3,6 @@
 from .adaptive import (
     AdaptationResult,
     ApaFilter,
-    BlockLancFilter,
     FxlmsFilter,
     LancFilter,
     LmsFilter,
@@ -18,11 +17,7 @@ from .persistence import load_learned_state, save_learned_state
 from .presets import airport_gate, all_presets, bedroom_at_night, gym_floor
 from .multisource import MultiSourceScene, build_multisource_scene
 from .optimal import WienerSolution, optimal_cancellation_db, wiener_lanc
-from .baselines import (
-    BoseHeadphone,
-    ConventionalAncModel,
-    simulate_delay_limited_fxlms,
-)
+from .baselines import BoseHeadphone, ConventionalAncModel
 from .lookahead import LookaheadBudget, lookahead_samples, lookahead_seconds
 from .profiles import (
     FilterCache,
@@ -50,7 +45,6 @@ from .system import (
 __all__ = [
     "AdaptationResult",
     "ApaFilter",
-    "BlockLancFilter",
     "MultiRefLancFilter",
     "RlsFilter",
     "MultiSourceScene",
@@ -77,7 +71,6 @@ __all__ = [
     "StreamingLanc",
     "BoseHeadphone",
     "ConventionalAncModel",
-    "simulate_delay_limited_fxlms",
     "LookaheadBudget",
     "lookahead_samples",
     "lookahead_seconds",

@@ -13,7 +13,6 @@ from .base import (
     record_block_metrics,
     record_run_metrics,
 )
-from .block import BlockLancFilter
 from .kernels import KernelState
 from .lanc import FxlmsFilter, LancFilter
 from .lms import LmsFilter, identify_system
@@ -27,7 +26,6 @@ __all__ = [
     "mse_curve",
     "record_block_metrics",
     "record_run_metrics",
-    "BlockLancFilter",
     "FxlmsFilter",
     "LancFilter",
     "LmsFilter",

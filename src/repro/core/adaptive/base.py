@@ -8,10 +8,12 @@ Tap-index convention (matches the paper's Algorithm 1): a filter has
 
 so ``k = -n_future`` multiplies the most futuristic sample
 ``x(t + n_future)``.  Internally taps are stored oldest-*future*-first:
-``taps[0] ↔ k = -n_future`` ... ``taps[-1] ↔ k = n_past - 1``, which
-matches the oldest-first window returned by
-:meth:`repro.utils.buffers.LookaheadBuffer.window` *reversed*:
-``y(t) = taps · window`` with ``window[i] = x(t + n_future - i)``.
+``taps[0] ↔ k = -n_future`` ... ``taps[-1] ↔ k = n_past - 1``, so
+``y(t) = taps · window`` with ``window[i] = x(t + n_future - i)``.  The
+kernels read the reverse: row ``t`` of a sliding window over the
+reference a :class:`~repro.core.adaptive.kernels.KernelState` holds is
+the oldest-first span ``x(t - n_past + 1) … x(t + n_future)``, which
+they dot with the reversed taps.
 """
 
 from __future__ import annotations
@@ -156,11 +158,10 @@ def record_run_metrics(engine, errors, desired, wall_s):
 
 
 def record_block_metrics(engine, wall_s, n_samples):
-    """Record one streaming/block update in the obs metrics registry.
+    """Record one streaming block update in the obs metrics registry.
 
-    The shared tail of every block-processing path (both branches of
-    ``StreamingLanc.process``, ``BlockLancFilter``): one observation in
-    the ``adaptive.block_update_s`` latency histogram — what the
+    The tail of ``StreamingLanc.process``: one observation in the
+    ``adaptive.block_update_s`` latency histogram — what the
     timing-budget report compares against the real-time deadline — and
     the processed-sample counter.  Labeled ``engine=<name>``.  Call
     **only when** :func:`repro.obs.enabled`.

@@ -4,7 +4,7 @@
 ``(S, ·)`` scratch arrays per tick — stacked reference segments, the
 padded output timeline, step sizes, per-sample dot-product results,
 divergence masks.  Allocating them fresh every block dominated the
-serving steady state (profiled via ``repro perf-profile``): at 64
+serving steady state (in a stage profile of the tick): at 64
 sessions the kernel itself is a few fused einsums, and ``np.zeros`` of
 the big stacks was a measurable fraction of the tick.
 

@@ -14,9 +14,9 @@ as LANC but with two handicaps the paper quantifies:
    the optimal filter is truncated, leaving a floor even at low
    frequency.
 
-:class:`ConventionalAncModel` captures both with a closed form
-(validated against a time-domain FxLMS simulation at high sample rate in
-the test suite — see :func:`simulate_delay_limited_fxlms`).
+:class:`ConventionalAncModel` captures both with a closed form,
+validated against a time-domain FxLMS simulation at high sample rate
+(the delay-limited run in ``tests/oracle.py``).
 :class:`BoseHeadphone` composes it with the passive earcup for
 Bose_Overall.
 """
@@ -27,18 +27,11 @@ import dataclasses
 
 import numpy as np
 
-from ..acoustics.propagation import fractional_delay_filter
 from ..errors import ConfigurationError
 from ..hardware.headphone import PassiveEarcup, bose_qc35_earcup
-from ..utils.spectral import cancellation_spectrum_db
 from ..utils.validation import check_positive, check_waveform
-from .adaptive.lanc import LancFilter
 
-__all__ = [
-    "ConventionalAncModel",
-    "BoseHeadphone",
-    "simulate_delay_limited_fxlms",
-]
+__all__ = ["ConventionalAncModel", "BoseHeadphone"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -143,39 +136,3 @@ class BoseHeadphone:
         freqs = np.linspace(max(f_low, 1.0), f_high, n_points)
         return float(np.mean(self.overall_cancellation_db(freqs)))
 
-
-def simulate_delay_limited_fxlms(noise, sample_rate, delay_error_s,
-                                 n_taps=96, mu=0.05, leak=1e-3,
-                                 settle_fraction=0.3):
-    """Time-domain check of the delay-limited model.
-
-    Runs causal FxLMS where the *true* secondary path contains an extra
-    (possibly fractional) bulk delay of ``delay_error_s`` that the
-    filter's estimate does not know about — the physical situation of a
-    headphone missing its deadline.  Returns ``(freqs, cancellation_db)``
-    measured from the simulation, to be compared against
-    :meth:`ConventionalAncModel.cancellation_db`.
-
-    Note: run this at a high sample rate (e.g. 48 kHz) so microsecond
-    delays are resolvable.  The defaults use a small step and a leak:
-    with an unmodeled secondary-path delay, FxLMS is unstable wherever
-    the phase error exceeds 90° (the textbook bound) — the leak damps
-    those modes, just as production headphones band-limit their ANC.
-    """
-    noise = check_waveform("noise", noise, min_length=1024)
-    sample_rate = check_positive("sample_rate", sample_rate)
-    if delay_error_s < 0:
-        raise ConfigurationError("delay_error_s must be >= 0")
-
-    delay_samples = delay_error_s * sample_rate
-    s_nominal = np.zeros(8)
-    s_nominal[1] = 1.0   # what the filter believes
-    late = fractional_delay_filter(delay_samples, n_taps=31)
-    s_true = np.convolve(s_nominal, late)   # what physics does
-
-    lanc = LancFilter(n_future=0, n_past=n_taps, secondary_path=s_nominal,
-                      mu=mu, leak=leak)
-    result = lanc.run(noise, noise, secondary_path_true=s_true)
-    start = int(noise.size * settle_fraction)
-    return cancellation_spectrum_db(noise[start:], result.error[start:],
-                                    sample_rate)

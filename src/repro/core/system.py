@@ -26,7 +26,7 @@ from ..hardware.dsp_board import DspBoard, tms320c6713
 from ..hardware.transducers import TransducerResponse, cheap_transducer
 from ..utils import fastconv
 from ..utils.spectral import cancellation_spectrum_db
-from ..utils.validation import check_waveform
+from ..utils.validation import check_positive_int, check_waveform
 from ..wireless.relay import IdealRelay
 from .adaptive.lanc import LancFilter
 from .lookahead import LookaheadBudget
@@ -444,16 +444,14 @@ class MuteSystem:
         from ..faults.monitor import DegradationController
         from .adaptive.lanc import StreamingLanc
 
-        if block_size <= 0:
-            raise ConfigurationError("block_size must be > 0")
-        block_size = int(block_size)
+        block_size = check_positive_int("block_size", block_size)
+        # Wrapping first rejects a fault_plan that is not a FaultPlan.
+        relay = wrap_relay(self.config.relay, fault_plan, self.sample_rate)
         plan_key = (fault_plan.plan_key()
                     if fault_plan is not None and not fault_plan.empty
                     else None)
         with obs.span("mute.run_resilient", block_size=block_size,
                       plan=plan_key or "none") as sp:
-            relay = wrap_relay(self.config.relay, fault_plan,
-                               self.sample_rate)
             prepared = self.prepare(noise, relay=relay)
             lanc = self.make_filter(n_future=prepared.n_future)
             stream = StreamingLanc(

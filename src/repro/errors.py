@@ -76,7 +76,11 @@ class ConvergenceError(ReproError, RuntimeError):
 
 
 class LookaheadError(ReproError, ValueError):
-    """A lookahead buffer was asked for samples it cannot provide."""
+    """The relay's lead cannot cover the pipeline: no usable lookahead.
+
+    Raised when the geometry leaves no anti-causal tap to run — a relay
+    that relay selection would have rejected.
+    """
 
 
 class RelaySelectionError(ReproError, RuntimeError):

@@ -11,17 +11,13 @@ Three layers:
   :class:`FaultEvent` subtypes (outage, SNR fade, burst interference,
   packet loss/reorder, clock drift, handoff blackout) composed into a
   content-addressed :class:`FaultPlan`;
-* :mod:`~repro.faults.injector` — :class:`FaultyRelay` /
-  :class:`FaultyRfChannel` wrappers that apply a plan around an
-  unmodified relay ``forward()`` or ``RfChannel.apply``;
+* :mod:`~repro.faults.injector` — the :class:`FaultyRelay` wrapper
+  that applies a plan around an unmodified relay ``forward()``;
 * :mod:`~repro.faults.monitor` — the
   :class:`ReferenceHealthMonitor` watchdog and the
   :class:`DegradationController` that walks
   ``mute → feedback → passive`` and back, snapshotting/restoring taps
-  for fast re-convergence;
-* :mod:`~repro.faults.supervision` — :class:`RelaySupervisor`
-  retry/backoff bookkeeping feeding health-aware
-  :class:`~repro.core.relay_selection.RelaySelector` routing.
+  for fast re-convergence.
 
 Minimal session::
 
@@ -51,7 +47,7 @@ from .events import (
     outage_plan,
     packet_loss_plan,
 )
-from .injector import FaultyRelay, FaultyRfChannel, wrap_relay
+from .injector import FaultyRelay, wrap_relay
 from .monitor import (
     DEGRADED,
     HEALTHY,
@@ -63,7 +59,6 @@ from .monitor import (
     ModeTransition,
     ReferenceHealthMonitor,
 )
-from .supervision import RelayLinkState, RelaySupervisor, RetryPolicy
 
 __all__ = [
     # events
@@ -80,7 +75,6 @@ __all__ = [
     "packet_loss_plan",
     # injector
     "FaultyRelay",
-    "FaultyRfChannel",
     "wrap_relay",
     # monitor
     "HEALTHY",
@@ -92,8 +86,4 @@ __all__ = [
     "ReferenceHealthMonitor",
     "ModeTransition",
     "DegradationController",
-    # supervision
-    "RetryPolicy",
-    "RelayLinkState",
-    "RelaySupervisor",
 ]

@@ -1,19 +1,13 @@
-"""Fault injection wrappers: apply a :class:`FaultPlan` to the relay path.
+"""Fault injection: apply a :class:`FaultPlan` to the relay path.
 
-Two wrappers, both *decorators around an unmodified object*:
+:class:`FaultyRelay` is a *decorator around an unmodified relay* —
+anything with a ``forward(audio)`` method
+(:class:`~repro.wireless.relay.IdealRelay`,
+:class:`~repro.wireless.relay.AnalogRelay`,
+:class:`~repro.wireless.digital.DigitalRelay`) — and applies the plan's
+events to the *forwarded audio*.
 
-* :class:`FaultyRelay` wraps anything with a ``forward(audio)`` method
-  (:class:`~repro.wireless.relay.IdealRelay`,
-  :class:`~repro.wireless.relay.AnalogRelay`,
-  :class:`~repro.wireless.digital.DigitalRelay`) and applies the plan's
-  events to the *forwarded audio*;
-* :class:`FaultyRfChannel` wraps an
-  :class:`~repro.wireless.rf_channel.RfChannel` and applies the subset
-  of events meaningful at complex baseband (outages, SNR fades, burst
-  interference) to the *RF waveform*, for experiments that study where
-  in the chain a fade bites.
-
-The wrapped objects' hot paths are untouched — no flags, no branches
+The wrapped relay's hot path is untouched — no flags, no branches
 added to :mod:`repro.wireless`; the wrapper owns every fault branch.
 Attribute access falls through to the wrapped object, so
 ``latency_samples``, ``audio_snr_db`` and friends keep working.
@@ -26,8 +20,8 @@ Determinism contract
 * Stochastic events draw from ``default_rng([plan.seed, event_index])``,
   so results are reproducible across processes and independent of
   injection order or other events in the plan.
-* Each ``forward()``/``apply()`` call is treated as ``t = 0`` (plans
-  describe one run; MUTE experiments forward one waveform per run).
+* Each ``forward()`` call is treated as ``t = 0`` (plans describe one
+  run; MUTE experiments forward one waveform per run).
 """
 
 from __future__ import annotations
@@ -47,7 +41,7 @@ from .events import (
     SnrFade,
 )
 
-__all__ = ["FaultyRelay", "FaultyRfChannel", "wrap_relay"]
+__all__ = ["FaultyRelay", "wrap_relay"]
 
 
 def _event_rng(plan, index):
@@ -59,33 +53,21 @@ def _apply_silence(out, lo, hi):
     out[lo:hi] = 0.0
 
 
-def _apply_snr_fade(out, lo, hi, event, rng, complex_valued):
+def _apply_snr_fade(out, lo, hi, event, rng):
     """Additive white noise scaled to the in-window signal power."""
     if not np.isfinite(event.snr_db):
         return
-    power = float(np.mean(np.abs(out[lo:hi]) ** 2))
+    power = float(np.mean(np.square(out[lo:hi])))
     if power <= 0.0:
         return
     noise_power = power / (10.0 ** (event.snr_db / 10.0))
-    if complex_valued:
-        noise = (rng.standard_normal(hi - lo)
-                 + 1j * rng.standard_normal(hi - lo)) \
-            * np.sqrt(noise_power / 2.0)
-    else:
-        noise = np.sqrt(noise_power) * rng.standard_normal(hi - lo)
-    out[lo:hi] += noise
+    out[lo:hi] += np.sqrt(noise_power) * rng.standard_normal(hi - lo)
 
 
-def _apply_burst(out, lo, hi, event, rng, complex_valued):
+def _apply_burst(out, lo, hi, event, rng):
     if event.level_rms == 0.0:
         return
-    if complex_valued:
-        burst = (rng.standard_normal(hi - lo)
-                 + 1j * rng.standard_normal(hi - lo)) \
-            * (event.level_rms / np.sqrt(2.0))
-    else:
-        burst = event.level_rms * rng.standard_normal(hi - lo)
-    out[lo:hi] += burst
+    out[lo:hi] += event.level_rms * rng.standard_normal(hi - lo)
 
 
 def _frame_bounds(lo, hi, frame_samples):
@@ -200,10 +182,10 @@ class FaultyRelay:
                 _apply_silence(out, lo, hi)
             elif isinstance(event, SnrFade):
                 _apply_snr_fade(out, lo, hi, event,
-                                _event_rng(self.plan, index), False)
+                                _event_rng(self.plan, index))
             elif isinstance(event, BurstInterference):
                 _apply_burst(out, lo, hi, event,
-                             _event_rng(self.plan, index), False)
+                             _event_rng(self.plan, index))
             elif isinstance(event, PacketLoss):
                 _apply_packet_loss(out, lo, hi, event,
                                    _event_rng(self.plan, index), fs)
@@ -216,64 +198,6 @@ class FaultyRelay:
                 raise ConfigurationError(
                     f"FaultyRelay cannot inject {type(event).__name__}"
                 )
-        return out
-
-
-#: Event types meaningful at complex baseband.
-_RF_EVENTS = (RelayOutage, RelayHandoff, SnrFade, BurstInterference)
-
-
-class FaultyRfChannel:
-    """An :class:`RfChannel` wrapped with the RF-meaningful plan subset.
-
-    Applies outage/handoff silencing, SNR fades, and burst interference
-    to the complex-baseband waveform *after* the wrapped channel's own
-    impairments.  Events of other types (packet loss, reorder, drift)
-    are ignored — they describe the digital/audio domain.
-
-    Parameters
-    ----------
-    channel : RfChannel
-        The channel to wrap (left unmodified).
-    plan : FaultPlan
-        Fault schedule; windows are interpreted at ``channel.rf_rate``.
-    """
-
-    def __init__(self, channel, plan):
-        if not hasattr(channel, "apply") or not hasattr(channel, "rf_rate"):
-            raise ConfigurationError(
-                "channel must expose apply(baseband) and rf_rate"
-            )
-        plan = plan if plan is not None else FaultPlan()
-        if not isinstance(plan, FaultPlan):
-            raise ConfigurationError("plan must be a FaultPlan")
-        self.channel = channel
-        self.plan = plan
-
-    def __getattr__(self, name):
-        return getattr(self.channel, name)
-
-    def apply(self, baseband):
-        """Apply the wrapped channel, then the plan's RF events."""
-        out = self.channel.apply(baseband)
-        if self.plan.empty:
-            return out
-        out = np.array(out, dtype=np.complex128, copy=True)
-        rate = float(self.channel.rf_rate)
-        for index, event in enumerate(self.plan.events):
-            if not isinstance(event, _RF_EVENTS):
-                continue
-            lo, hi = event.window(rate, out.size)
-            if hi <= lo:
-                continue
-            if isinstance(event, (RelayOutage, RelayHandoff)):
-                _apply_silence(out, lo, hi)
-            elif isinstance(event, SnrFade):
-                _apply_snr_fade(out, lo, hi, event,
-                                _event_rng(self.plan, index), True)
-            elif isinstance(event, BurstInterference):
-                _apply_burst(out, lo, hi, event,
-                             _event_rng(self.plan, index), True)
         return out
 
 

@@ -13,11 +13,10 @@ the request is pickled into each worker and applied *there* (seed,
 duration, fault plan, obs switch), so parallel workers see exactly the
 context a serial run would.
 
-This is what backs ``repro run-all --jobs N`` and
-:func:`repro.runtime.sweep`.  Determinism: a worker runs exactly the
-same registry entry point with exactly the same params and request as
-a serial call, so parallel results equal serial ones — the property
-``tests/test_runtime.py`` locks in.
+This is what backs ``repro run-all --jobs N``.  Determinism: a worker
+runs exactly the same registry entry point with exactly the same params
+and request as a serial call, so parallel results equal serial ones —
+the property ``tests/test_runtime.py`` locks in.
 
 Worker loss and deadlines
 -------------------------

@@ -1,9 +1,7 @@
 """Supervised recovery: catch per-session crashes, restore, escalate.
 
-The serving analogue of :class:`repro.faults.RelaySupervisor`: where
-that module routes around a failing *relay*, this one keeps a failing
-*session* alive.  A :class:`SessionSupervisor` sits inside
-:class:`~repro.serving.server.SessionServer` (enabled via
+A :class:`SessionSupervisor` keeps a failing *session* alive.  It sits
+inside :class:`~repro.serving.server.SessionServer` (enabled via
 ``ServerConfig.supervision``) and owns the crash path:
 
 1. a per-session exception during a tick (an injected

@@ -1,14 +1,19 @@
-"""Documentation lint: dead links and undocumented experiments.
+"""Documentation lint: dead links, dangling names, undocumented experiments.
 
 The docs cross-reference each other, the source tree, and the experiment
 catalog — all of which drift as the library grows.  This checker keeps
-them honest:
+``README.md``, ``DESIGN.md``, ``EXPERIMENTS.md`` and ``docs/*.md``
+honest:
 
-* every relative markdown link (``[text](OTHER.md)``) in ``README.md``
-  and ``docs/*.md`` must resolve to an existing file;
+* every relative markdown link (``[text](OTHER.md)``) must resolve to an
+  existing file;
 * every backticked path reference (`` `docs/RUNTIME.md` ``,
   `` `src/repro/cli.py` ``) must exist, resolved against the referencing
   file's directory, the repo root, and ``src/repro``;
+* every backticked dotted name (`` `repro.faults.FaultyRelay` ``) must
+  import and resolve attribute by attribute — so no document names
+  deleted code (schema tags such as ``repro.runtime.report/v2`` contain
+  a ``/`` and are not names);
 * every experiment registered in :mod:`repro.eval.experiments` must be
   mentioned by name in at least one checked document.
 
@@ -25,6 +30,7 @@ test suite runs the same checks behind the opt-in ``docs_lint`` marker
 from __future__ import annotations
 
 import argparse
+import importlib
 import pathlib
 import re
 import sys
@@ -37,6 +43,9 @@ _LINK_RE = re.compile(r"\[[^\]]+\]\(([^)\s]+)\)")
 #: Backticked path-looking references ending in .md or .py.
 _BACKTICK_RE = re.compile(r"`([^`\s]+\.(?:md|py))`")
 
+#: Backticked dotted names in the package: `repro.a.b...`.
+_NAME_RE = re.compile(r"`(repro(?:\.\w+)+)`")
+
 
 def _repo_root():
     """The checkout root, assuming the ``src/repro/tools`` layout."""
@@ -45,7 +54,7 @@ def _repo_root():
 
 def _documents(root):
     """The markdown files under lint, in deterministic order."""
-    docs = [root / "README.md"]
+    docs = [root / "README.md", root / "DESIGN.md", root / "EXPERIMENTS.md"]
     docs_dir = root / "docs"
     if docs_dir.is_dir():
         docs.extend(sorted(docs_dir.glob("*.md")))
@@ -90,6 +99,31 @@ def check_links(root, problems):
                                 f"-> {target}")
 
 
+def _name_resolves(dotted):
+    """Import the longest module prefix of ``dotted``, getattr the rest."""
+    parts = dotted.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        for attr in parts[split:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def check_names(root, problems):
+    """Every backticked ``repro.…`` name must resolve in the package."""
+    for doc in _documents(root):
+        rel = doc.relative_to(root)
+        for match in _NAME_RE.finditer(doc.read_text(encoding="utf-8")):
+            if not _name_resolves(match.group(1)):
+                problems.append(f"{rel}: dangling name -> {match.group(1)}")
+
+
 def check_experiments_documented(root, problems):
     """Every registered experiment must appear in the checked docs."""
     from ..eval import experiments
@@ -100,7 +134,7 @@ def check_experiments_documented(root, problems):
         if name not in corpus:
             problems.append(
                 f"experiment {name!r} is registered but never mentioned "
-                "in README.md or docs/"
+                "in the checked documents"
             )
 
 
@@ -111,6 +145,7 @@ def collect_problems(root=None):
     if not _documents(root):
         return [f"no markdown documents found under {root}"]
     check_links(root, problems)
+    check_names(root, problems)
     check_experiments_documented(root, problems)
     return problems
 
@@ -119,7 +154,8 @@ def main(argv=None):
     """CLI entry point; returns the process exit code."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.tools.check_docs",
-        description="lint intra-repo documentation links and coverage",
+        description="lint intra-repo documentation links, names and "
+                    "coverage",
     )
     parser.add_argument("--root", default=None,
                         help="checkout root (default: inferred from the "

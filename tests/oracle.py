@@ -12,7 +12,7 @@ formulations they were derived from live here, verbatim, for two jobs:
 * **honest "before" legs** — ``benchmarks/bench_kernels.py`` and
   ``benchmarks/bench_pipeline.py`` time the product against them.
 
-Three groups:
+Four groups:
 
 * the per-sample adaptive walks (:func:`fxlms_block`, :func:`lms_run`,
   :func:`rls_run`, :func:`apa_run`, :func:`multiref_run`) — one sample
@@ -23,7 +23,10 @@ Three groups:
 * the slow signal paths (:func:`fir_apply` = ``fftconvolve``,
   :func:`streaming_fir_process` = ``lfilter`` with carried state,
   :func:`resample` = ``resample_poly`` with its default window, and the
-  allocating FM/AM modulator and demodulator arithmetic).
+  allocating FM/AM modulator and demodulator arithmetic);
+* the time-domain check of the closed-form Bose baseline
+  (:func:`simulate_delay_limited_fxlms`, run by
+  ``tests/test_baselines.py``).
 
 :func:`reference_paths` swaps all of them in over the product
 attributes for the duration of a ``with`` block — a test double, so
@@ -41,8 +44,11 @@ import numpy as np
 from scipy import linalg
 from scipy import signal as sps
 
+from repro.acoustics.propagation import fractional_delay_filter
 from repro.core.adaptive.base import effective_step, guard_divergence
+from repro.core.adaptive.lanc import LancFilter
 from repro.errors import ConfigurationError
+from repro.utils.spectral import cancellation_spectrum_db
 from repro.utils.validation import check_positive, check_waveform
 from repro.wireless.fm import rational_ratio
 
@@ -51,6 +57,7 @@ __all__ = [
     "multiref_run", "lms_step", "rls_step", "apa_step", "fir_apply",
     "streaming_fir_process", "resample", "fm_modulate", "fm_demodulate",
     "am_modulate", "am_demodulate", "reference_paths",
+    "simulate_delay_limited_fxlms",
 ]
 
 
@@ -325,6 +332,46 @@ def apa_step(f, x_sample, d_sample):
         solved = linalg.lstsq(gram, e_vec)[0]
     f.taps += f.mu * (f._U.T @ solved)
     return prediction, error
+
+
+# ----------------------------------------------------------------------
+# Closed-form baseline cross-check
+# ----------------------------------------------------------------------
+def simulate_delay_limited_fxlms(noise, sample_rate, delay_error_s,
+                                 n_taps=96, mu=0.05, leak=1e-3,
+                                 settle_fraction=0.3):
+    """Time-domain check of the delay-limited model.
+
+    Runs causal FxLMS where the *true* secondary path contains an extra
+    (possibly fractional) bulk delay of ``delay_error_s`` that the
+    filter's estimate does not know about — the physical situation of a
+    headphone missing its deadline.  Returns ``(freqs, cancellation_db)``
+    measured from the simulation, to be compared against
+    :meth:`repro.core.ConventionalAncModel.cancellation_db`.
+
+    Note: run this at a high sample rate (e.g. 48 kHz) so microsecond
+    delays are resolvable.  The defaults use a small step and a leak:
+    with an unmodeled secondary-path delay, FxLMS is unstable wherever
+    the phase error exceeds 90° (the textbook bound) — the leak damps
+    those modes, just as production headphones band-limit their ANC.
+    """
+    noise = check_waveform("noise", noise, min_length=1024)
+    sample_rate = check_positive("sample_rate", sample_rate)
+    if delay_error_s < 0:
+        raise ConfigurationError("delay_error_s must be >= 0")
+
+    delay_samples = delay_error_s * sample_rate
+    s_nominal = np.zeros(8)
+    s_nominal[1] = 1.0   # what the filter believes
+    late = fractional_delay_filter(delay_samples, n_taps=31)
+    s_true = np.convolve(s_nominal, late)   # what physics does
+
+    lanc = LancFilter(n_future=0, n_past=n_taps, secondary_path=s_nominal,
+                      mu=mu, leak=leak)
+    result = lanc.run(noise, noise, secondary_path_true=s_true)
+    start = int(noise.size * settle_fraction)
+    return cancellation_spectrum_db(noise[start:], result.error[start:],
+                                    sample_rate)
 
 
 # ----------------------------------------------------------------------

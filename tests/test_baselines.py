@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core import BoseHeadphone, ConventionalAncModel
-from repro.core.baselines import simulate_delay_limited_fxlms
 from repro.errors import ConfigurationError
 from repro.signals import MachineHum, WhiteNoise
+from tests.oracle import simulate_delay_limited_fxlms
 
 
 class TestConventionalAncModel:

@@ -32,6 +32,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "fig99"])
 
+    def test_perf_profile_is_not_a_subcommand(self):
+        """The e2e benchmark and ``obs-report`` are the timing sources."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["perf-profile"], out=io.StringIO())
+        assert excinfo.value.code == 2
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])

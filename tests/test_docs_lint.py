@@ -1,8 +1,9 @@
 """Documentation lint, as an opt-in test (marker: ``docs_lint``).
 
 Runs the same checks as ``python -m repro.tools.check_docs`` against
-this checkout: every relative link and backticked path reference in
-``README.md`` / ``docs/*.md`` must resolve, and every registered
+this checkout: every relative link, backticked path reference and
+backticked ``repro.…`` name in ``README.md`` / ``DESIGN.md`` /
+``EXPERIMENTS.md`` / ``docs/*.md`` must resolve, and every registered
 experiment must be mentioned in the docs.  Opt in with ``--docs-lint``
 or ``REPRO_DOCS_LINT=1`` — the lint inspects the working tree, not the
 installed library, so it is not part of the default suite.
@@ -33,9 +34,16 @@ def test_cli_exit_code_clean():
 def test_cli_exit_code_dirty(tmp_path):
     (tmp_path / "README.md").write_text(
         "[dead](missing.md) and `nowhere.py`\n", encoding="utf-8")
+    (tmp_path / "DESIGN.md").write_text(
+        "`repro.faults.FaultyRelay` lives; `repro.faults.Gone` and "
+        "`repro.nowhere.Thing` do not; `repro.runtime.report/v2` is a "
+        "schema tag\n", encoding="utf-8")
     problems = check_docs.collect_problems(tmp_path)
     assert any("missing.md" in p for p in problems)
     assert any("nowhere.py" in p for p in problems)
+    dangling = [p for p in problems if "dangling name" in p]
+    assert dangling == ["DESIGN.md: dangling name -> repro.faults.Gone",
+                        "DESIGN.md: dangling name -> repro.nowhere.Thing"]
     assert check_docs.main(["--root", str(tmp_path)]) == 1
 
 

@@ -26,7 +26,6 @@ from repro.faults import (
     wrap_relay,
 )
 from repro.signals import WhiteNoise
-from repro.utils.buffers import LookaheadBuffer
 from repro.wireless.digital import DigitalRelay
 from repro.wireless.relay import IdealRelay
 
@@ -112,12 +111,6 @@ class TestPacketLossThroughAnc:
 
 class TestStrictFailures:
     """Conditions that must raise, not limp along."""
-
-    def test_lookahead_buffer_underrun(self):
-        lb = LookaheadBuffer(lookahead=8, history=8)
-        lb.feed_block(np.zeros(8))
-        with pytest.raises(LookaheadError, match="underrun"):
-            lb.advance()
 
     def test_streaming_underrun(self):
         f = LancFilter(8, 8, SECONDARY)

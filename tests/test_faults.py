@@ -1,4 +1,4 @@
-"""repro.faults: fault model, injection, degradation, supervision."""
+"""repro.faults: fault model, injection, degradation."""
 
 import dataclasses
 import json
@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.core import LancFilter, RelaySelector
+from repro.core import LancFilter
 from repro.core.system import ResilientRunResult
-from repro.errors import ConfigurationError, RelaySelectionError
+from repro.errors import ConfigurationError
 from repro.faults import (
     MODE_FEEDBACK,
     MODE_MUTE,
@@ -19,14 +19,11 @@ from repro.faults import (
     DegradationController,
     FaultPlan,
     FaultyRelay,
-    FaultyRfChannel,
     PacketLoss,
     PacketReorder,
     ReferenceHealthMonitor,
     RelayHandoff,
     RelayOutage,
-    RelaySupervisor,
-    RetryPolicy,
     SnrFade,
     outage_plan,
     packet_loss_plan,
@@ -205,31 +202,6 @@ class TestFaultyRelay:
             FaultyRelay(passthrough_relay(), "not a plan", FS)
 
 
-class _DummyRfChannel:
-    rf_rate = 1000.0
-
-    def apply(self, baseband):
-        return np.asarray(baseband, dtype=np.complex128)
-
-
-class TestFaultyRfChannel:
-    def test_outage_silences_rf_window(self):
-        channel = FaultyRfChannel(
-            _DummyRfChannel(), FaultPlan(events=(RelayOutage(0.1, 0.2),)))
-        baseband = np.ones(1000, dtype=np.complex128)
-        out = channel.apply(baseband)
-        assert np.all(out[100:200] == 0.0)
-        assert np.all(out[:100] == 1.0)
-
-    def test_audio_domain_events_ignored_at_rf(self):
-        channel = FaultyRfChannel(
-            _DummyRfChannel(),
-            FaultPlan(events=(PacketLoss(0.0, 1.0, loss_rate=0.9),
-                              ClockDrift(0.0, 1.0, ppm=1000.0))))
-        baseband = np.ones(1000, dtype=np.complex128)
-        assert np.array_equal(channel.apply(baseband), baseband)
-
-
 # ---------------------------------------------------------------------------
 # Health monitor and degradation controller
 # ---------------------------------------------------------------------------
@@ -354,81 +326,6 @@ class TestDegradationController:
 
 
 # ---------------------------------------------------------------------------
-# Supervision and health-aware selection
-# ---------------------------------------------------------------------------
-class TestRelaySupervisor:
-    def test_backoff_then_probation_then_trust(self):
-        sup = RelaySupervisor(RetryPolicy(base_backoff_s=1.0,
-                                          probation_health=0.6))
-        assert sup.health([0], at_s=0.0) == {0: 1.0}
-        sup.record_failure(0, at_s=0.0)
-        assert sup.health([0], at_s=0.5) == {0: 0.0}      # in backoff
-        assert sup.health([0], at_s=1.5) == {0: 0.6}      # probation
-        sup.record_success(0, at_s=1.6)
-        assert sup.health([0], at_s=1.7) == {0: 1.0}
-
-    def test_backoff_grows_exponentially_with_cap(self):
-        policy = RetryPolicy(base_backoff_s=0.5, backoff_factor=2.0,
-                             max_backoff_s=3.0)
-        assert policy.backoff_s(1) == pytest.approx(0.5)
-        assert policy.backoff_s(2) == pytest.approx(1.0)
-        assert policy.backoff_s(10) == pytest.approx(3.0)
-
-    def test_policy_validation(self):
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(base_backoff_s=0.0)
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(backoff_factor=0.5)
-        with pytest.raises(ConfigurationError):
-            RelaySupervisor(policy="nope")
-
-    def _forwarded_and_ear(self):
-        rng = np.random.default_rng(0)
-        base = rng.standard_normal(4000)
-        ear = np.zeros(4000)
-        ear[40:] = base[:-40]            # relay 0 leads by 40 samples
-        fwd1 = np.zeros(4000)
-        fwd1[20:] = base[:-20]           # relay 1 leads by 20 samples
-        return {0: base, 1: fwd1}, ear
-
-    def test_select_routes_around_failed_relay(self):
-        forwarded, ear = self._forwarded_and_ear()
-        selector = RelaySelector(sample_rate=FS)
-        sup = RelaySupervisor(RetryPolicy(base_backoff_s=5.0))
-
-        best, _ = sup.select(selector, forwarded, ear, at_s=0.0)
-        assert best == 0                 # healthy: longest lookahead wins
-        sup.record_failure(0, at_s=0.1)
-        best, _ = sup.select(selector, forwarded, ear, at_s=0.2)
-        assert best == 1                 # relay 0 quarantined
-
-
-class TestSelectorHealth:
-    def _forwarded_and_ear(self):
-        return TestRelaySupervisor._forwarded_and_ear(None)
-
-    def test_health_scales_score(self):
-        forwarded, ear = self._forwarded_and_ear()
-        selector = RelaySelector(sample_rate=FS, min_health=0.5)
-        # Probation score halves relay 0's lead: 40*0.55 < 20*1.0 fails,
-        # 40*0.55=22 > 20 — still wins; below min_health it is skipped.
-        best, _ = selector.select(forwarded, ear, health={0: 0.55})
-        assert best == 0
-        best, _ = selector.select(forwarded, ear, health={0: 0.4})
-        assert best == 1
-
-    def test_missing_ids_default_to_healthy(self):
-        forwarded, ear = self._forwarded_and_ear()
-        selector = RelaySelector(sample_rate=FS)
-        best, _ = selector.select(forwarded, ear, health={})
-        assert best == 0
-
-    def test_min_health_validation(self):
-        with pytest.raises(RelaySelectionError):
-            RelaySelector(sample_rate=FS, min_health=0.0)
-
-
-# ---------------------------------------------------------------------------
 # End-to-end: MuteSystem.run_resilient
 # ---------------------------------------------------------------------------
 class TestRunResilient:
@@ -472,9 +369,17 @@ class TestRunResilient:
         assert len(transitions) == len(result.transitions) >= 2
         obs.reset()
 
-    def test_block_size_validation(self, fast_system):
+    @pytest.mark.parametrize("kwargs", [
+        {"block_size": 0},
+        {"block_size": 0.5},
+        {"block_size": 2.7},
+        {"block_size": True},
+        {"block_size": "256"},
+        {"fault_plan": {"events": []}},
+    ], ids=["zero", "half", "fractional", "bool", "string", "dict-plan"])
+    def test_block_size_validation(self, fast_system, kwargs):
         with pytest.raises(ConfigurationError):
-            fast_system.run_resilient(self._noise(0.5), block_size=0)
+            fast_system.run_resilient(self._noise(0.5), **kwargs)
 
     def test_window_cancellation_validation(self, fast_system):
         result = fast_system.run_resilient(self._noise(0.5))

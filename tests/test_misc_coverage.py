@@ -13,7 +13,6 @@ from repro.eval.experiments.common import (
     white_noise,
 )
 from repro.hardware import bose_qc35_earcup
-from repro.utils.buffers import RingBuffer
 from repro.utils.units import amplitude_for_spl, spl_db
 from repro.wireless import AnalogRelay, pa_nonlinearity
 
@@ -59,19 +58,6 @@ class TestSplHelpers:
         amp = amplitude_for_spl(60.0)
         signal = np.full(100, amp)
         assert spl_db(signal) == pytest.approx(60.0, abs=1e-6)
-
-
-class TestRingBufferEdge:
-    def test_extend_empty_is_noop(self):
-        rb = RingBuffer(4)
-        rb.push(1.0)
-        rb.extend(np.array([]))
-        assert rb.newest() == 1.0
-
-    def test_exact_capacity_extend(self):
-        rb = RingBuffer(3)
-        rb.extend(np.array([1.0, 2.0, 3.0]))
-        np.testing.assert_array_equal(rb.recent(3), [1.0, 2.0, 3.0])
 
 
 class TestWirelessEdges:

@@ -10,7 +10,6 @@ import pytest
 import repro
 from repro import obs
 from repro.cli import main
-from repro.core.adaptive.block import BlockLancFilter
 from repro.core.adaptive.lanc import LancFilter, StreamingLanc
 from repro.core.profiles import PredictiveProfileSwitcher, ProfileClassifier
 from repro.errors import ConfigurationError
@@ -408,20 +407,6 @@ class TestEngineHooks:
         assert hist.count == 8
         assert obs.get_registry().counter(
             "adaptive.samples", engine="streaminglanc").value == 1024
-
-    def test_block_lanc_histogram_and_run_metrics(self):
-        x, d, s = self._signals()
-        blanc = BlockLancFilter(n_future=4, n_past=16, secondary_path=s,
-                                block_size=256)
-        obs.enable()
-        blanc.run(x, d)
-        obs.disable()
-        reg = obs.get_registry()
-        assert reg.histogram("adaptive.block_update_s",
-                             engine="blocklancfilter").count == \
-            -(-x.size // 256)
-        assert reg.counter("adaptive.samples",
-                           engine="blocklancfilter").value == x.size
 
     def test_lms_rls_apa_record_metrics(self):
         from repro.core.adaptive.apa import ApaFilter

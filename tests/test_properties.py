@@ -10,7 +10,6 @@ from repro.acoustics.propagation import apply_delay, fractional_delay_filter
 from repro.core.relay_selection import gcc_phat
 from repro.hardware import quantize
 from repro.signals import normalize_rms
-from repro.utils.buffers import DelayLine, RingBuffer
 from repro.utils.spectral import band_energy_signature
 from repro.utils.units import (
     amplitude_to_db,
@@ -56,47 +55,6 @@ class TestNormalizeRms:
     def test_silence_stays_silent(self, x):
         zeros = np.zeros_like(x)
         np.testing.assert_array_equal(normalize_rms(zeros, 1.0), zeros)
-
-
-class TestRingBufferModel:
-    """RingBuffer against a reference list model."""
-
-    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6,
-                              allow_nan=False), min_size=1, max_size=200),
-           st.integers(min_value=1, max_value=32))
-    def test_recent_matches_tail(self, values, capacity):
-        rb = RingBuffer(capacity)
-        model = []
-        for v in values:
-            rb.push(v)
-            model.append(v)
-        k = min(len(model), capacity)
-        np.testing.assert_array_equal(rb.recent(k), model[-k:])
-
-    @given(st.lists(st.lists(st.floats(min_value=-1e3, max_value=1e3,
-                                       allow_nan=False), max_size=40),
-                    max_size=10),
-           st.integers(min_value=1, max_value=16))
-    def test_extend_equivalent_to_pushes(self, blocks, capacity):
-        a, b = RingBuffer(capacity), RingBuffer(capacity)
-        for block in blocks:
-            for v in block:
-                a.push(v)
-            b.extend(np.asarray(block, dtype=float))
-        np.testing.assert_array_equal(a.recent(capacity),
-                                      b.recent(capacity))
-
-
-class TestDelayLineProperty:
-    @given(waveforms, st.integers(min_value=0, max_value=40))
-    def test_pure_shift(self, x, delay):
-        dl = DelayLine(delay)
-        out = dl.process(x)
-        if delay == 0:
-            np.testing.assert_array_equal(out, x)
-        elif delay < x.size:
-            np.testing.assert_array_equal(out[delay:], x[:-delay])
-            np.testing.assert_array_equal(out[:delay], 0.0)
 
 
 class TestQuantizeProperties:

@@ -1,9 +1,9 @@
-"""RLS engine and the block LANC variant."""
+"""The RLS engine."""
 
 import numpy as np
 import pytest
 
-from repro.core import BlockLancFilter, LancFilter, LmsFilter, RlsFilter
+from repro.core import LmsFilter, RlsFilter
 from repro.errors import ConfigurationError
 
 
@@ -60,74 +60,3 @@ class TestRlsFilter:
         with pytest.raises(ConfigurationError):
             RlsFilter(n_taps=4, forgetting=0.3)
 
-
-def _lookahead_scene(rng, T=12000):
-    n = rng.standard_normal(T)
-    g = np.array([1.0, 1.5])
-    delta = 16
-    x = np.zeros(T)
-    x[delta:] = np.convolve(n, g)[:T][:-delta]
-    d = np.zeros(T)
-    d[delta:] = n[:-delta]
-    return x, d
-
-
-SECONDARY = np.array([0.0, 0.0, 0.9, 0.1])
-
-
-class TestBlockLancFilter:
-    def test_forward_path_matches_lanc(self, rng):
-        x, __ = _lookahead_scene(rng, T=500)
-        taps = rng.standard_normal(3 + 8) * 0.1
-        lanc = LancFilter(3, 8, np.array([1.0]))
-        lanc.set_taps(taps)
-        frozen = lanc.run(x, np.zeros(500), adapt=False)
-        block = BlockLancFilter(3, 8, np.array([1.0]), mu=1e-15,
-                                block_size=64)
-        block.set_taps(taps)
-        out = block.run(x, np.zeros(500))
-        np.testing.assert_allclose(frozen.output, out.output, atol=1e-9)
-
-    def test_converges_like_sample_loop(self, rng):
-        x, d = _lookahead_scene(rng)
-        sample = LancFilter(12, 64, SECONDARY, mu=0.5).run(x, d)
-        block = BlockLancFilter(12, 64, SECONDARY, mu=0.5,
-                                block_size=64).run(x, d)
-        assert block.converged_error() < 1.5 * sample.converged_error()
-
-    def test_lookahead_advantage_preserved(self, rng):
-        x, d = _lookahead_scene(rng)
-        causal = BlockLancFilter(0, 76, SECONDARY, mu=0.5,
-                                 block_size=64).run(x, d)
-        lookahead = BlockLancFilter(12, 64, SECONDARY, mu=0.5,
-                                    block_size=64).run(x, d)
-        assert lookahead.converged_error() < 0.3 * causal.converged_error()
-
-    def test_taps_compatible_with_lanc(self, rng):
-        x, d = _lookahead_scene(rng)
-        block = BlockLancFilter(12, 64, SECONDARY, mu=0.5, block_size=64)
-        block.run(x, d)
-        lanc = LancFilter(12, 64, SECONDARY, mu=0.5)
-        lanc.set_taps(block.get_taps())   # shapes and ordering agree
-        frozen = lanc.run(x, d, adapt=False)
-        tail_rms = np.sqrt(np.mean(frozen.error[-2000:] ** 2))
-        d_rms = np.sqrt(np.mean(d[-2000:] ** 2))
-        assert tail_rms < 0.2 * d_rms
-
-    def test_divergence_detected(self, rng):
-        x, d = _lookahead_scene(rng, T=4000)
-        block = BlockLancFilter(12, 64, SECONDARY, mu=50.0, block_size=64)
-        from repro.errors import ConvergenceError
-
-        with pytest.raises(ConvergenceError):
-            block.run(100 * x, 100 * d)
-
-    def test_partial_final_block(self, rng):
-        x, d = _lookahead_scene(rng, T=1000)
-        block = BlockLancFilter(4, 16, SECONDARY, mu=0.3, block_size=64)
-        result = block.run(x[:999], d[:999])   # 999 % 64 != 0
-        assert result.error.size == 999
-
-    def test_rejects_bad_block_size(self):
-        with pytest.raises(ConfigurationError):
-            BlockLancFilter(2, 8, SECONDARY, block_size=0)

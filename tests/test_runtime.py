@@ -428,34 +428,3 @@ class TestReportV2:
         assert clone.results()["timing"].report() == \
             suite.results()["timing"].report()
 
-
-class TestSweep:
-    def test_grid_expansion_order(self):
-        result = runtime.sweep(
-            "fig13",
-            {"duration_s": [0.5, 1.0], "n_points": [16, 32]},
-        )
-        swept = [(run["params"]["duration_s"], run["params"]["n_points"])
-                 for run in result.runs]
-        assert swept == [(0.5, 16), (0.5, 32), (1.0, 16), (1.0, 32)]
-
-    def test_sweep_matches_direct_runs(self):
-        result = runtime.sweep("timing", {"bench_lead_s": [6e-3]}, jobs=2)
-        direct = experiments.get("timing").run(bench_lead_s=6e-3)
-        assert result.runs[0].report() == direct.report()
-
-    def test_collect(self):
-        result = runtime.sweep("timing", {"bench_lead_s": [6e-3, 8.5e-3]})
-        ratios = result.collect(lambda r: r.headphone_overrun_ratio)
-        assert len(ratios) == 2
-        assert all(isinstance(v, float) for v in ratios)
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ConfigurationError):
-            runtime.sweep("timing", {})
-        with pytest.raises(ConfigurationError):
-            runtime.sweep("timing", {"bench_lead_s": []})
-
-    def test_failing_point_raises(self):
-        with pytest.raises(ConfigurationError):
-            runtime.sweep("convergence", {"duration_s": [0.5]})
