@@ -15,12 +15,20 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import platform
 import statistics
+import subprocess
 import time
+from importlib import metadata
 from pathlib import Path
 
 from repro import obs
 from repro.errors import ConfigurationError
+from repro.utils.store import atomic_write
+
+#: Where ``write_bench_json`` leaves its artifacts: next to the benches.
+BENCH_DIR = Path(__file__).resolve().parent
 
 
 @dataclasses.dataclass(frozen=True)
@@ -79,16 +87,62 @@ def run_once(benchmark, fn, **kwargs):
     return benchmark.pedantic(fn, kwargs=kwargs, rounds=1, iterations=1)
 
 
+def _git_state():
+    """``{"sha", "dirty"}`` of the checkout; ``None`` values outside git."""
+    root = BENCH_DIR.parent
+
+    def git(*args):
+        return subprocess.run(["git", "-C", str(root), *args],
+                              stdout=subprocess.PIPE,
+                              stderr=subprocess.DEVNULL, text=True,
+                              check=True).stdout.strip()
+
+    try:
+        return {"sha": git("rev-parse", "HEAD"),
+                "dirty": bool(git("status", "--porcelain",
+                                  "--untracked-files=no"))}
+    except (OSError, subprocess.CalledProcessError):
+        return {"sha": None, "dirty": None}
+
+
+def bench_stamp():
+    """What a bench number depends on besides the code.
+
+    The facts the e2e benchmark stamps into its ``result.json``: the git
+    commit and dirty flag, the Python / NumPy / SciPy versions (SciPy's
+    read from package metadata, so stamping imports no SciPy), the BLAS
+    NumPy links against, the CPU count and the load average.
+    """
+    import numpy
+
+    try:
+        config = numpy.show_config(mode="dicts")
+    except TypeError:              # NumPy < 1.26 only prints its config
+        config = {}
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    return {
+        "git": _git_state(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": metadata.version("scipy"),
+        "blas": {k: blas.get(k) for k in ("name", "version")},
+        "cpu_count": os.cpu_count(),
+        "loadavg": list(os.getloadavg()),
+    }
+
+
 def write_bench_json(name, payload):
     """Write ``BENCH_<name>.json`` next to the benchmarks; return the path.
 
     The standing artifact a bench leaves behind (wall times, speedups,
     metrics snapshots) so runs are comparable across commits without
-    re-reading terminal output.
+    re-reading terminal output.  The payload gains a ``stamp``
+    (:func:`bench_stamp`), and the file is replaced atomically: a failed
+    write leaves the previous artifact whole.
     """
-    path = Path(__file__).resolve().parent / f"BENCH_{name}.json"
-    path.write_text(json.dumps(payload, indent=2, default=str) + "\n",
-                    encoding="utf-8")
+    path = BENCH_DIR / f"BENCH_{name}.json"
+    document = dict(payload, stamp=bench_stamp())
+    atomic_write(path, json.dumps(document, indent=2, default=str) + "\n")
     return path
 
 

@@ -11,7 +11,8 @@ restructured for throughput:
   window rows need no per-sample reversal);
 * everything that does not depend on the adapting taps is precomputed
   and vectorized: the filtered reference, the per-sample NLMS window
-  powers (one ``einsum``), and the secondary-path ringing layout (one
+  powers (one ``einsum``; running sums in the batched kernel, see
+  :func:`_window_powers`), and the secondary-path ringing layout (one
   growing output array read through a sliding view instead of a
   shift-register copy per sample);
 * the *inactive* (muted speaker) and *frozen-tap* (``adapt=False``)
@@ -24,7 +25,9 @@ restructured for throughput:
   per-call overhead of the ufunc machinery never enters the hot path.
   Each walk imports its BLAS routines from :mod:`scipy.linalg.blas`
   once per call, never per sample; the batched serving kernel uses
-  NumPy only.
+  NumPy only — per sample, two ``matmul`` row dots over plain row
+  slices of its stacked segments, one multiply for the steps, and an
+  ``einsum`` plus a subtraction for the tap update.
 
 Divergence is checked per :data:`GUARD_INTERVAL` samples rather than
 per sample: the same :class:`repro.errors.ConvergenceError` is raised
@@ -173,6 +176,33 @@ def fxlms_block(state, taps, d, mu, normalized=True, leak=0.0, adapt=True,
     return errors, opad[s_len - 1:].copy()
 
 
+def _window_powers(SEGF, n_taps, energy, out):
+    """Energy of every ``n_taps`` window of each stacked row, in place.
+
+    ``out[s, i] = Σ SEGF[s, i:i + n_taps]²`` for ``i < out.shape[1]``.
+    Running sums inside chunks of ``n_taps`` samples: a window is the
+    suffix sum of the chunk it starts in plus the prefix sum of the next
+    chunk (a window that starts on a chunk boundary *is* one chunk).
+    Every term is a square, so nothing is ever subtracted and each power
+    keeps a direct dot's relative accuracy however loud the segment was
+    before the window — the difference of one cumulative sum loses it
+    when the reference goes loud and then quiet.  ``energy`` is
+    ``(S, C·n_taps)`` scratch with ``C·n_taps >= SEGF.shape[1]``.
+    """
+    S, L = SEGF.shape
+    B = out.shape[1]
+    chunks = energy.reshape(S, -1, n_taps)
+    energy[:, L:] = 0.0                 # unread padding, kept finite
+    np.square(SEGF, out=energy[:, :L])
+    np.cumsum(chunks, axis=2, out=chunks)
+    np.copyto(out, energy[:, n_taps - 1: n_taps - 1 + B])
+    np.square(SEGF, out=energy[:, :L])
+    backward = chunks[:, :, ::-1]
+    np.cumsum(backward, axis=2, out=backward)
+    out += energy[:, :B]
+    out[:, ::n_taps] = energy[:, :B:n_taps]
+
+
 def fxlms_block_batch(states, taps, d, mu, normalized=True, leak=0.0,
                       adapt=None, active=None, context="SessionServer",
                       workspace=None):
@@ -181,8 +211,9 @@ def fxlms_block_batch(states, taps, d, mu, normalized=True, leak=0.0,
     The cross-session kernel behind :mod:`repro.serving`: per-session
     tap vectors and reference histories are stacked on a leading
     session axis ``S`` so one vectorized NLMS update services every
-    session in the block — per-sample work is ``S`` fused row-wise
-    operations instead of ``S`` Python-level kernel calls.
+    session in the block — per-sample work is a handful of row-wise
+    NumPy calls over the ``(S, n_taps)`` stacks instead of ``S``
+    Python-level kernel calls.
 
     Parameters
     ----------
@@ -202,6 +233,8 @@ def fxlms_block_batch(states, taps, d, mu, normalized=True, leak=0.0,
         Optional per-session boolean masks (default: all true) — the
         degradation controller's gates, applied *per row* so one
         degraded session freezes or mutes without touching the rest.
+        A muted row (``active`` false) also freezes its taps, as
+        :func:`fxlms_block` does for ``active=False``.
     workspace:
         Optional :class:`~.workspace.BatchWorkspace` scratch arena
         that fits this batch (the dispatcher checks it).  With one,
@@ -224,14 +257,15 @@ def fxlms_block_batch(states, taps, d, mu, normalized=True, leak=0.0,
 
     Determinism contract
     --------------------
-    Every step is a row-wise numpy operation (per-row ``einsum`` dots,
-    elementwise gating), so each session's row is computed by exactly
-    the same instruction sequence whether ``S == 1`` or ``S == 64`` —
-    batched serving is *bit-identical* to serial serving that calls
-    this kernel with singleton batches (property-tested in
-    ``tests/test_serving.py``).  Against the per-session
-    :func:`fxlms_block` the usual kernel contract applies: ≤ 1e-10,
-    not bit-identity (summation orders differ).
+    Every step is a row-wise NumPy operation (per-row ``matmul`` dots,
+    per-row running sums, elementwise updates and gating), so each
+    session's row is computed by exactly the same instruction sequence
+    whether ``S == 1`` or ``S == 64`` — batched serving is
+    *bit-identical* to serial serving that calls this kernel with
+    singleton batches (property-tested in ``tests/test_serving.py``).
+    Against the per-session :func:`fxlms_block` the usual kernel
+    contract applies: ≤ 1e-10, not bit-identity (summation orders
+    differ).
     """
     from .workspace import BatchWorkspace
 
@@ -245,24 +279,27 @@ def fxlms_block_batch(states, taps, d, mu, normalized=True, leak=0.0,
     if ws is None:
         ws = BatchWorkspace(S, B, n_future, n_past, s_len)
 
-    if adapt is None:
-        ws.adapt[:S] = True
-    else:
-        np.copyto(ws.adapt[:S], adapt)
+    # Gates, decided once per call: a muted row neither adapts nor
+    # leaks, and the per-sample masking runs only if some row is gated.
+    inactive = ws.inactive[:S]
+    frozen = ws.frozen[:S]
     if active is None:
-        ws.active[:S] = True
+        inactive.fill(False)
     else:
-        np.copyto(ws.active[:S], active)
-    adapt_mask = ws.adapt[:S]
-    active_mask = ws.active[:S]
-    inactive = np.logical_not(active_mask, out=ws.inactive[:S])
-    noadapt = np.logical_not(adapt_mask, out=ws.noadapt[:S])
+        np.logical_not(active, out=inactive)
+    if adapt is None:
+        frozen.fill(False)
+    else:
+        np.logical_not(adapt, out=frozen)
+    np.logical_or(frozen, inactive, out=frozen)
+    muted = bool(inactive.any())
+    gated = bool(frozen.any())
     ws.mu[:S] = mu
     mu_arr = ws.mu[:S]
 
     # Stacked, left-zero-padded reference segments: row s covers every
     # window of session s's block (same early-sample padding as the
-    # single-session path).
+    # single-session path); the window of sample i is SEG[s, i:i+n_taps].
     L = ws.seg_len
     SEG = ws.seg[:S]
     SEGF = ws.segf[:S]
@@ -281,45 +318,54 @@ def fxlms_block_batch(states, taps, d, mu, normalized=True, leak=0.0,
         if s_len > 1:
             opad[s, :s_len - 1] = st.y_recent[:s_len - 1][::-1]
 
-    W = sliding_window_view(SEG, n_taps, axis=1)    # (S, B, n_taps)
-    Wf = sliding_window_view(SEGF, n_taps, axis=1)
-    o_view = sliding_window_view(opad, s_len, axis=1)  # reads see writes
     taps_fwd = ws.taps_fwd[:S]
     taps_fwd[:, :] = taps[:, ::-1]
 
     steps = ws.steps[:S]
     if normalized:
-        powers = np.einsum("sbj,sbj->sb", Wf, Wf, out=ws.powers[:S])
-        powers += _EPS
-        np.divide(mu_arr[:, None], powers, out=steps)
+        _window_powers(SEGF, n_taps, ws.energy[:S], out=steps)
+        steps += _EPS
+        np.divide(mu_arr[:, None], steps, out=steps)
     else:
         steps[:, :] = mu_arr[:, None]
 
     errors = ws.errors[:S]
-    ws.decay[:S, 0] = 1.0 - leak
-    np.copyto(ws.decay[:S, 0], 1.0, where=noadapt)
-    decay_row = ws.decay[:S]
-    y, e, coef, tmp_taps = ws.y[:S], ws.e[:S], ws.coef[:S], ws.tmp_taps[:S]
+    decay = ws.decay[:S]
+    decay.fill(1.0 - leak)
+    np.copyto(decay[:, 0], 1.0, where=frozen)
+    coef, tmp_taps = ws.coef[:S], ws.tmp_taps[:S]
+    # (S, 1, n) @ (S, n, 1) views: one dot per row, written straight
+    # into its opad / errors column.
+    SEG3 = SEG[:, None, :]
+    taps_col = taps_fwd[:, :, None]
+    opad3 = opad[:, None, :]
+    s_col = S_REV[:, :, None]
+    err3 = errors[:, None, :]
     with np.errstate(all="ignore"):
         for i in range(B):
-            np.einsum("sj,sj->s", W[:, i, :], taps_fwd, out=y)
-            np.copyto(y, 0.0, where=inactive)
-            opad[:, i + s_len - 1] = y
-            np.einsum("sj,sj->s", o_view[:, i, :], S_REV, out=e)
+            c = i + s_len - 1
+            np.matmul(SEG3[:, :, i:i + n_taps], taps_col,
+                      out=opad3[:, :, c:c + 1])
+            if muted:
+                np.copyto(opad[:, c], 0.0, where=inactive)
+            np.matmul(opad3[:, :, i:i + s_len], s_col,
+                      out=err3[:, :, i:i + 1])
+            e = errors[:, i]
             e += d[:, i]
-            errors[:, i] = e
             np.multiply(steps[:, i], e, out=coef)
-            np.copyto(coef, 0.0, where=noadapt)
+            if gated:
+                np.copyto(coef, 0.0, where=frozen)
             if leak:
-                taps_fwd *= decay_row
-            np.multiply(coef[:, None], Wf[:, i, :], out=tmp_taps)
+                taps_fwd *= decay
+            np.einsum("s,sj->sj", coef, SEGF[:, i:i + n_taps],
+                      out=tmp_taps)
             taps_fwd -= tmp_taps
 
     taps[:, :] = taps_fwd[:, ::-1]
     bad = np.isfinite(errors, out=ws.bad[:S])
     np.logical_not(bad, out=bad)
-    np.abs(errors, out=ws.powers[:S])              # steps done; reuse
-    np.greater(ws.powers[:S], DIVERGENCE_LIMIT, out=ws.bad2[:S])
+    np.abs(errors, out=steps)                      # steps spent; reuse
+    np.greater(steps, DIVERGENCE_LIMIT, out=ws.bad2[:S])
     np.logical_or(bad, ws.bad2[:S], out=bad)
     diverged = np.any(bad, axis=1, out=ws.diverged[:S])
     for s, st in enumerate(states):

@@ -2,11 +2,12 @@
 
 :func:`repro.core.adaptive.kernels.fxlms_block_batch` needs a dozen
 ``(S, ·)`` scratch arrays per tick — stacked reference segments, the
-padded output timeline, step sizes, per-sample dot-product results,
-divergence masks.  Allocating them fresh every block dominated the
-serving steady state (in a stage profile of the tick): at 64
-sessions the kernel itself is a few fused einsums, and ``np.zeros`` of
-the big stacks was a measurable fraction of the tick.
+padded output timeline, the running sums behind the step sizes, the
+tap-update products, divergence masks.  Allocating them fresh every
+block dominated the serving steady state (in a stage profile of the
+tick): at 64 sessions each sample of the kernel is a handful of
+row-wise NumPy calls, and ``np.zeros`` of the big stacks was a
+measurable fraction of the tick.
 
 :class:`BatchWorkspace` owns all of them, sized once for a maximum
 batch geometry, and hands out capacity-sliced views per call.  The
@@ -81,21 +82,19 @@ class BatchWorkspace:
         self.taps_io = np.zeros((S, self.n_taps))
         self.d = np.zeros((S, B))
         self.mu = np.zeros(S)
-        # Per-call intermediates.
+        # Per-call intermediates.  ``energy`` holds the running sums of
+        # the window powers: whole chunks of ``n_taps`` covering the
+        # segment.
         self.errors = np.empty((S, B))
-        self.powers = np.empty((S, B))
         self.steps = np.empty((S, B))
+        self.energy = np.empty((S, -(-L // self.n_taps) * self.n_taps))
         self.decay = np.empty((S, 1))
         # Per-sample row vectors.
-        self.y = np.empty(S)
-        self.e = np.empty(S)
         self.coef = np.empty(S)
         self.tmp_taps = np.empty((S, self.n_taps))
-        # Masks and divergence scratch.
-        self.active = np.empty(S, dtype=bool)
-        self.adapt = np.empty(S, dtype=bool)
+        # Gates and divergence scratch.
         self.inactive = np.empty(S, dtype=bool)
-        self.noadapt = np.empty(S, dtype=bool)
+        self.frozen = np.empty(S, dtype=bool)
         self.bad = np.empty((S, B), dtype=bool)
         self.bad2 = np.empty((S, B), dtype=bool)
         self.diverged = np.empty(S, dtype=bool)
@@ -114,8 +113,7 @@ class BatchWorkspace:
         return sum(
             getattr(self, name).nbytes
             for name in ("seg", "segf", "s_rev", "opad", "taps_fwd",
-                         "taps_io", "d", "mu", "errors", "powers", "steps",
-                         "decay", "y", "e", "coef", "tmp_taps", "active",
-                         "adapt", "inactive", "noadapt", "bad", "bad2",
-                         "diverged")
+                         "taps_io", "d", "mu", "errors", "steps", "energy",
+                         "decay", "coef", "tmp_taps", "inactive", "frozen",
+                         "bad", "bad2", "diverged")
         )

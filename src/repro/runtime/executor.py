@@ -1,12 +1,11 @@
 """Parallel experiment executor: fan experiment runs out over processes.
 
 The experiment suite is embarrassingly parallel — every registered
-experiment (and every point of a parameter sweep) is an independent
-simulation.  :func:`run_experiments` fans them out over a
-``concurrent.futures`` process pool, with a serial in-process fallback
-whenever a pool is unavailable or ``jobs=1``, and folds each worker's
-:mod:`repro.obs` trace/metrics documents into one merged report
-(:class:`SuiteReport`).
+experiment is an independent simulation.  :func:`run_experiments` fans
+them out over a ``concurrent.futures`` process pool, with a serial
+in-process fallback whenever a pool is unavailable or ``jobs=1``, and
+folds each worker's :mod:`repro.obs` trace/metrics documents into one
+merged report (:class:`SuiteReport`).
 
 Run context travels as a :class:`~repro.runtime.request.RunRequest`:
 the request is pickled into each worker and applied *there* (seed,
@@ -14,8 +13,8 @@ duration, fault plan, obs switch), so parallel workers see exactly the
 context a serial run would.
 
 This is what backs ``repro run-all --jobs N``.  Determinism: a worker
-runs exactly the same registry entry point with exactly the same params
-and request as a serial call, so parallel results equal serial ones —
+runs exactly the same registry entry point with exactly the same
+request as a serial call, so parallel results equal serial ones —
 the property ``tests/test_runtime.py`` locks in.
 
 Worker loss and deadlines
@@ -128,7 +127,6 @@ class JobOutcome:
     """One experiment run plus the observability it recorded."""
 
     name: str
-    params: dict
     result: object        # the runner's ExperimentResult envelope
     trace: dict           # repro.obs.trace/v1
     metrics: dict         # repro.obs.metrics/v1
@@ -141,7 +139,7 @@ class JobOutcome:
         return self.error is None
 
 
-def _execute_job(name, params, request):
+def _execute_job(name, request):
     """Worker entry point (module-level so process pools can pickle it).
 
     Runs one registered experiment with a clean observability slate and
@@ -163,15 +161,14 @@ def _execute_job(name, params, request):
         entry = experiments.get(name)
         if request.with_obs:
             with obs.enabled_scope():
-                result = entry.run(request=request, **params)
+                result = entry.run(request=request)
         else:
-            result = entry.run(request=request, **params)
+            result = entry.run(request=request)
     except Exception:  # noqa: BLE001 — reported, not swallowed
         import traceback
         error = traceback.format_exc()
     outcome = JobOutcome(
         name=name,
-        params=dict(params),
         result=result,
         trace=obs.get_tracer().to_dict(),
         metrics=obs.get_registry().to_dict(),
@@ -242,7 +239,7 @@ class SuiteReport:
                     "schema": SUITE_SCHEMA,
                     "kind": "result",
                     "name": o.name,
-                    "params": o.params,
+                    "params": {},
                     "report": None,
                 }
             record.update(wall_s=o.wall_s, ok=o.ok, error=o.error)
@@ -298,7 +295,6 @@ class SuiteReport:
                 result = ExperimentResult.from_dict(envelope)
             outcomes.append(JobOutcome(
                 name=record["name"],
-                params=dict(record.get("params") or {}),
                 result=result,
                 trace={},
                 metrics={},
@@ -340,8 +336,7 @@ class SuiteReport:
 
 
 def _run_serial(jobs_list, request):
-    return [_execute_job(name, params, request)
-            for name, params in jobs_list]
+    return [_execute_job(name, request) for name in jobs_list]
 
 
 def _count_retry(event):
@@ -349,10 +344,10 @@ def _count_retry(event):
         obs.get_registry().counter(f"runtime.retry.{event}").inc()
 
 
-def _failed_outcome(name, params, error):
+def _failed_outcome(name, error):
     """A synthesized failure record (worker death / deadline / abort)."""
-    return JobOutcome(name=name, params=dict(params), result=None,
-                     trace={}, metrics={}, wall_s=0.0, error=error)
+    return JobOutcome(name=name, result=None, trace={}, metrics={},
+                      wall_s=0.0, error=error)
 
 
 class _PoolAborted(Exception):
@@ -386,9 +381,8 @@ def _run_pool(jobs_list, request, policy, n_workers):
         if rebuilds > policy.max_pool_rebuilds:
             for idx in range(total):
                 if outcomes[idx] is None:
-                    name, params = jobs_list[idx]
                     outcomes[idx] = _failed_outcome(
-                        name, params,
+                        jobs_list[idx],
                         f"suite aborted: {rebuilds} worker death(s) "
                         f"exceeded max_pool_rebuilds="
                         f"{policy.max_pool_rebuilds}")
@@ -421,11 +415,10 @@ def _run_pool(jobs_list, request, policy, n_workers):
             charged = []
             try:
                 for idx in pending:
-                    name, params = jobs_list[idx]
                     attempts[idx] += 1
                     charged.append(idx)
                     fut_by_idx[idx] = pool.submit(
-                        _execute_job, name, params, request)
+                        _execute_job, jobs_list[idx], request)
             except futures.BrokenExecutor:
                 # The pool died before this wave even started; nobody
                 # is a suspect — requeue everything uncharged, rebuild.
@@ -438,7 +431,7 @@ def _run_pool(jobs_list, request, policy, n_workers):
             wave = list(pending)
             while wave:
                 idx = wave.pop(0)
-                name, params = jobs_list[idx]
+                name = jobs_list[idx]
                 fut = fut_by_idx[idx]
                 try:
                     outcomes[idx] = fut.result(timeout=policy.timeout_s)
@@ -451,7 +444,7 @@ def _run_pool(jobs_list, request, policy, n_workers):
                     timed_out = True
                     _count_retry("timeouts")
                     outcomes[idx] = _failed_outcome(
-                        name, params,
+                        name,
                         f"deadline exceeded: job still running after "
                         f"{policy.timeout_s}s (JobRetryPolicy.timeout_s)")
                 except futures.BrokenExecutor:
@@ -468,7 +461,7 @@ def _run_pool(jobs_list, request, policy, n_workers):
                     else:
                         _count_retry("exhausted")
                         outcomes[idx] = _failed_outcome(
-                            name, params,
+                            name,
                             f"worker died running {name!r} "
                             f"({attempts[idx]} attempt(s); "
                             f"max_retries={policy.max_retries})")
@@ -482,24 +475,19 @@ def _run_pool(jobs_list, request, policy, n_workers):
     return outcomes, False
 
 
-def run_experiments(names, request=None, per_experiment=None, retry=None):
+def run_experiments(names, request=None, retry=None):
     """Run several experiments, optionally in parallel processes.
 
     Parameters
     ----------
     names:
-        Iterable of registry names, or ``(name, params)`` pairs for
-        per-run params (duplicates allowed — a sweep runs the same
-        experiment at many parameter points).
+        Iterable of registry names.
     request:
         A :class:`~repro.runtime.request.RunRequest` carrying the run
         context: worker count (``request.jobs``; ``1`` runs serially
         in-process), seed/duration/fault plan/extra params broadcast
         to every run (applied where each runner accepts them), and the
         obs switch.  ``None`` means the default request.
-    per_experiment:
-        ``name -> params dict`` merged per run (these are strict: an
-        unknown name raises ``UnknownParameterError``).
     retry:
         A :class:`JobRetryPolicy` governing worker-death retries,
         per-job deadlines, and the abort budget (defaults apply when
@@ -517,20 +505,12 @@ def run_experiments(names, request=None, per_experiment=None, retry=None):
     """
     request = request if request is not None else RunRequest()
     retry = retry or JobRetryPolicy()
-    jobs_list = []
-    for item in names:
-        if isinstance(item, str):
-            name, own = item, {}
-        else:
-            name, own = item
-        merged = dict((per_experiment or {}).get(name, {}))
-        merged.update(own)
-        jobs_list.append((name, merged))
+    jobs_list = list(names)
 
     # Validate every name up front — a typo should fail fast here, not
     # half-way through a worker fan-out.
     from ..eval import experiments
-    for name, __ in jobs_list:
+    for name in jobs_list:
         experiments.get(name)
 
     started = time.perf_counter()

@@ -325,9 +325,11 @@ class TestExecutor:
 
     def test_failure_captured_not_raised(self):
         # convergence's profile scheduler legitimately rejects a 0.5 s
-        # run — the suite must report it, not crash.
+        # run — the suite must report it, not crash (timing ignores
+        # the duration).
         suite = runtime.run_experiments(
-            [("convergence", {"duration_s": 0.5}), "timing"])
+            ["convergence", "timing"],
+            request=runtime.RunRequest(duration_s=0.5))
         assert set(suite.failures()) == {"convergence"}
         assert "timing" in suite.results()
         assert suite.to_dict()["runs"][0]["ok"] is False
@@ -340,12 +342,6 @@ class TestExecutor:
         with pytest.raises(ConfigurationError):
             runtime.run_experiments(
                 ["timing"], request=runtime.RunRequest(jobs=0))
-
-    def test_per_experiment_params(self):
-        suite = runtime.run_experiments(
-            ["timing"],
-            per_experiment={"timing": {"bench_lead_s": 6e-3}})
-        assert suite.results()["timing"]["params"]["bench_lead_s"] == 6e-3
 
 
 class TestRunRequest:

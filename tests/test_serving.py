@@ -120,6 +120,105 @@ class TestBatchKernelContract:
             np.testing.assert_allclose(taps[s], solo_taps,
                                        atol=self.TOL, rtol=0)
 
+    @staticmethod
+    def _fed_state(config, x):
+        state = kernels.KernelState(
+            config.n_future, config.n_past, config.secondary())
+        state.extend(np.concatenate([x, np.zeros(config.n_future)]))
+        return state
+
+    @pytest.mark.parametrize("adapt,active", [
+        (True, True), (True, False), (False, True), (False, False)])
+    def test_gate_pairs_match_single_session_kernel(self, adapt, active):
+        """A muted row freezes its taps, as fxlms_block's active=False."""
+        config = serving.SessionConfig()
+        workload, = _workloads(1, seed=3)
+        x, d = workload.reference, workload.disturbance
+        batch_state = self._fed_state(config, x)
+        solo_state = self._fed_state(config, x)
+        taps = np.zeros((1, config.n_future + config.n_past))
+        solo_taps = np.zeros(taps.shape[1])
+        for b, (ad, ac) in enumerate([(True, True), (adapt, active)]):
+            block = d[b * BLOCK:(b + 1) * BLOCK]
+            errors, __ = kernels.fxlms_block_batch(
+                [batch_state], taps, block[np.newaxis, :],
+                np.array([config.mu]), adapt=[ad], active=[ac])
+            solo_errors, __ = kernels.fxlms_block(
+                solo_state, solo_taps, block, config.mu,
+                adapt=ad, active=ac)
+            np.testing.assert_allclose(errors[0], solo_errors,
+                                       atol=self.TOL, rtol=0)
+        np.testing.assert_allclose(taps[0], solo_taps,
+                                   atol=self.TOL, rtol=0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_options_match_oracle(self, data):
+        """Per-row μ and gates, leak, plain LMS, on loud-then-quiet input.
+
+        Each row's reference drops from a loud level to a quiet one (or
+        to silence) at a drawn sample: there a window's power is tiny
+        next to the segment's total energy, which is where a power taken
+        as the difference of one running sum loses its accuracy.
+        """
+        config = serving.SessionConfig()
+        n_taps = config.n_future + config.n_past
+        n_blocks = 3
+        span = n_blocks * BLOCK
+        sessions = data.draw(st.integers(1, 4), label="sessions")
+        leak = data.draw(st.sampled_from([0.0, 1e-3]), label="leak")
+        normalized = data.draw(st.booleans(), label="normalized")
+        rng = np.random.default_rng(
+            data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        primary = np.array([0.0] * 12 + [0.5])
+        rows = []
+        for __ in range(sessions):
+            loud = data.draw(st.sampled_from([0.1, 1.0, 10.0]))
+            quiet = data.draw(st.sampled_from([0.0, 1e-6, 1e-5, 1e-4]))
+            onset = data.draw(st.integers(0, span))
+            x = loud * rng.standard_normal(span)
+            x[onset:] = quiet * rng.standard_normal(span - onset)
+            mu = data.draw(st.floats(0.05, 1.0))
+            if not normalized:              # plain LMS: stable at `loud`
+                mu /= 2 * n_taps * loud ** 2
+            gates = data.draw(st.lists(
+                st.tuples(st.booleans(), st.booleans()),
+                min_size=n_blocks, max_size=n_blocks))
+            floor = data.draw(st.sampled_from([0.0, 1e-3]))  # ear noise
+            d = (np.convolve(x, primary)[:span]
+                 + floor * rng.standard_normal(span))
+            rows.append((x, d, mu, gates))
+
+        states = [self._fed_state(config, x) for x, *__ in rows]
+        taps = np.zeros((sessions, n_taps))
+        mu = np.array([row[2] for row in rows])
+        batch_errors = []
+        for b in range(n_blocks):
+            d = np.stack([row[1][b * BLOCK:(b + 1) * BLOCK]
+                          for row in rows])
+            errors, diverged = kernels.fxlms_block_batch(
+                states, taps, d, mu, normalized=normalized, leak=leak,
+                adapt=[row[3][b][0] for row in rows],
+                active=[row[3][b][1] for row in rows])
+            assert not diverged.any()
+            batch_errors.append(errors)
+        batch_errors = np.concatenate(batch_errors, axis=1)
+
+        for s, (x, d, mu_s, gates) in enumerate(rows):
+            state = self._fed_state(config, x)
+            solo_taps = np.zeros(n_taps)
+            solo_errors = []
+            for b, (ad, ac) in enumerate(gates):
+                errors, __ = oracle.fxlms_block(
+                    state, solo_taps, d[b * BLOCK:(b + 1) * BLOCK], mu_s,
+                    normalized=normalized, leak=leak, adapt=ad, active=ac)
+                solo_errors.append(errors)
+            np.testing.assert_allclose(
+                batch_errors[s], np.concatenate(solo_errors),
+                atol=self.TOL, rtol=0)
+            np.testing.assert_allclose(taps[s], solo_taps,
+                                       atol=self.TOL, rtol=0)
+
     def test_dispatcher_validates_inputs(self):
         config = serving.SessionConfig()
         n_taps = config.n_future + config.n_past
