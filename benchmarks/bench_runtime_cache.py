@@ -5,8 +5,9 @@ Two measurements, one artifact (``BENCH_runtime.json``):
 * **cold vs warm** ``Scenario.build_channels()`` on the office scenario
   — the acceptance bar is warm >= 10x faster than cold, and warm output
   bit-identical to an uncached compute;
-* **serial vs ``--jobs 4``** wall time of a small experiment suite
-  through :func:`repro.runtime.run_experiments` — reported, not
+* **serial vs ``--jobs 2``** wall time of the full suite — every
+  registered experiment on its defaults, as ``repro run-all`` runs it —
+  through :func:`repro.runtime.run_experiments`.  Reported, not
   asserted: on a single-core host the pool adds fork overhead instead
   of speedup, and what the runtime *guarantees* is result equality
   (asserted here and in ``tests/test_runtime.py``), not a ratio.
@@ -26,12 +27,10 @@ from _bench_utils import run_once, write_bench_json
 
 from repro import runtime
 from repro.core.scenario import office_scenario
+from repro.eval import experiments
 from repro.runtime.cache import ChannelCache
 
 pytestmark = pytest.mark.runtime_bench
-
-#: Fast experiments only — the bench measures dispatch, not simulation.
-SUITE = ["timing", "fig13"]
 
 
 def measure_cache(warm_rounds=5):
@@ -68,18 +67,19 @@ def measure_cache(warm_rounds=5):
     }
 
 
-def measure_suite(jobs=4):
-    """Serial vs ``jobs``-worker wall time for the same fast suite."""
-    request = runtime.RunRequest(duration_s=1.0, seed=0)
-    serial = runtime.run_experiments(SUITE, request=request)
-    parallel = runtime.run_experiments(SUITE,
+def measure_suite(jobs=2):
+    """Serial vs ``jobs``-worker wall time of ``repro run-all``'s suite."""
+    names = experiments.experiment_names()
+    request = runtime.RunRequest()          # run-all's defaults
+    serial = runtime.run_experiments(names, request=request)
+    parallel = runtime.run_experiments(names,
                                        request=request.replace(jobs=jobs))
-    equal = all(
+    equal = not serial.failures() and not parallel.failures() and all(
         serial.results()[name].report() == parallel.results()[name].report()
-        for name in SUITE
+        for name in names
     )
     return {
-        "experiments": SUITE,
+        "experiments": names,
         "jobs": jobs,
         "serial_s": serial.wall_s,
         "parallel_s": parallel.wall_s,
@@ -102,10 +102,10 @@ def test_runtime_cache_and_executor(benchmark, report):
         f"  build_channels warm: {cache['warm_s'] * 1e3:8.2f} ms  "
         f"({cache['speedup']:.0f}x, bit-identical: "
         f"{cache['bit_identical']})",
-        f"  suite {suite['experiments']} serial:   "
+        f"  run-all ({len(suite['experiments'])} experiments) serial:    "
         f"{suite['serial_s']:6.2f} s",
-        f"  suite {suite['experiments']} --jobs {suite['jobs']}:  "
-        f"{suite['parallel_s']:6.2f} s  "
+        f"  run-all ({len(suite['experiments'])} experiments) --jobs "
+        f"{suite['jobs']}: {suite['parallel_s']:6.2f} s  "
         f"(pool used: {suite['pool_used']}, "
         f"results equal: {suite['results_equal']})",
         f"  [written to {path.name}]",

@@ -49,12 +49,31 @@ class AcousticChannel:
     """
 
     def __init__(self, impulse_response, name="channel"):
-        self.ir = check_impulse_response("impulse_response", impulse_response)
-        self.name = str(name)
-        self._state = np.zeros(max(self.ir.size - 1, 1))
+        self._attach(
+            check_impulse_response("impulse_response", impulse_response),
+            str(name))
+
+    @classmethod
+    def from_checked(cls, ir, name="channel"):
+        """A channel over ``ir``, a float64 response that has already
+        passed :func:`~repro.utils.validation.check_impulse_response`
+        and is handed over to the channel (not copied).
+
+        The channel cache builds every hit this way: re-checking a
+        response it validated on insert would cost more than the rest
+        of the hit.
+        """
+        channel = cls.__new__(cls)
+        channel._attach(ir, str(name))
+        return channel
+
+    def _attach(self, ir, name):
+        self.ir = ir
+        self.name = name
+        self._state = np.zeros(max(ir.size - 1, 1))
         # Shares the carry buffer with step(), so block and per-sample
         # streaming can interleave on one channel.
-        self._stream = fastconv.StreamingFir(self.ir, state=self._state)
+        self._stream = fastconv.StreamingFir(ir, state=self._state)
 
     def __len__(self):
         return self.ir.size

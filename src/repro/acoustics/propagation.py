@@ -21,6 +21,7 @@ __all__ = [
     "delay_samples",
     "spreading_gain",
     "fractional_delay_filter",
+    "windowed_sinc_kernels",
     "apply_delay",
 ]
 
@@ -49,6 +50,34 @@ def spreading_gain(distance_m, reference_m=1.0):
     return reference_m / max(distance_m, reference_m / 4.0)
 
 
+def windowed_sinc_kernels(delays, n_taps):
+    """Rows of unit-DC windowed-sinc kernels, one per entry of ``delays``.
+
+    Row ``i`` realizes a delay of ``center + frac(delays[i])`` samples
+    over ``n_taps`` (odd) taps, ``center = n_taps // 2``.  Returns
+    ``(kernels, shifts)`` with ``shifts[i] = floor(delays[i]) - center``:
+    the kernel belongs ``shifts[i]`` samples later than a filter that
+    starts at zero delay.  :func:`fractional_delay_filter` is one row of
+    this; the image-source builder evaluates every image's row at once,
+    and each row is bit-identical to evaluating it alone.
+    """
+    center = n_taps // 2
+    whole = np.floor(delays)
+    frac = delays - whole
+    # Symmetric windowed-sinc kernel realizing a delay of (center + frac):
+    # centering the window on the sinc peak keeps the group delay exact.
+    offset = np.arange(n_taps) - (center + frac)[..., None]
+    half_width = center + 1.0
+    window = np.where(
+        np.abs(offset) <= half_width,
+        0.5 * (1.0 + np.cos(np.pi * offset / half_width)),
+        0.0,
+    )
+    kernels = np.sinc(offset) * window
+    kernels /= kernels.sum(axis=-1, keepdims=True)   # unit DC gain
+    return kernels, whole - center
+
+
 def fractional_delay_filter(delay, n_taps=31):
     """Windowed-sinc FIR approximating a ``delay``-sample delay.
 
@@ -71,23 +100,9 @@ def fractional_delay_filter(delay, n_taps=31):
     n_taps = int(n_taps)
     if n_taps % 2 == 0:
         n_taps += 1
-    center = n_taps // 2
-    int_part = int(np.floor(delay))
-    frac = delay - int_part
-
-    # Symmetric windowed-sinc kernel realizing a delay of (center + frac):
-    # centering the window on the sinc peak keeps the group delay exact.
-    offset = np.arange(n_taps) - (center + frac)
-    half_width = center + 1.0
-    window = np.where(
-        np.abs(offset) <= half_width,
-        0.5 * (1.0 + np.cos(np.pi * offset / half_width)),
-        0.0,
-    )
-    kernel = np.sinc(offset) * window
-    kernel /= kernel.sum()   # unit DC gain
-
-    shift = int_part - center
+    kernels, shifts = windowed_sinc_kernels(np.array([delay]), n_taps)
+    kernel = kernels[0]
+    shift = int(shifts[0])
     if shift >= 0:
         return np.concatenate([np.zeros(shift), kernel])
     # Small delays: the causal constraint forces truncating the kernel's

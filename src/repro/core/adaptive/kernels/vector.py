@@ -23,6 +23,9 @@ restructured for throughput:
   loop, stripped to three raw BLAS calls per sample (``ddot`` for the
   output and the ringing, ``daxpy`` for the in-place tap update) so the
   per-call overhead of the ufunc machinery never enters the hot path.
+  The calls are positional, ``ddot(seg, taps, n, i)``: the wrapper
+  reads ``seg[i:i + n]`` in place from a contiguous float64 segment,
+  so no per-sample window view is built and no keyword is parsed.
   Each walk imports its BLAS routines from :mod:`scipy.linalg.blas`
   once per call, never per sample; the batched serving kernel uses
   NumPy only — per sample, two ``matmul`` row dots over plain row
@@ -83,9 +86,12 @@ def _ringing(opad, s_rev):
 def _segments(state, B):
     """Reference and filtered-reference segments covering ``B`` windows.
 
-    Row ``i`` of ``sliding_window_view(seg, state.n_taps)`` is the
-    forward window of sample ``t = state.time + i``; samples before the
-    signal's start read as zeros.
+    Row ``i`` of ``sliding_window_view(seg, state.n_taps)`` — equally,
+    ``seg[i:i + n_taps]`` — is the forward window of sample
+    ``t = state.time + i``; samples before the signal's start read as
+    zeros.  Both come back as contiguous float64 arrays, which the BLAS
+    wrappers read in place at an offset (any other layout is copied on
+    every call).
     """
     lo = state.time - (state.n_past - 1)
     hi = state.time + B + state.n_future
@@ -95,7 +101,8 @@ def _segments(state, B):
         pad = np.zeros(-lo)
         seg = np.concatenate([pad, seg])
         segf = np.concatenate([pad, segf])
-    return seg, segf
+    return (np.ascontiguousarray(seg, dtype=np.float64),
+            np.ascontiguousarray(segf, dtype=np.float64))
 
 
 def fxlms_block(state, taps, d, mu, normalized=True, leak=0.0, adapt=True,
@@ -132,12 +139,11 @@ def fxlms_block(state, taps, d, mu, normalized=True, leak=0.0, adapt=True,
         return errors, np.zeros(B)
 
     seg, segf = _segments(state, B)
-    W = sliding_window_view(seg, n_taps)           # row i ↔ t = time + i
     taps_fwd = np.ascontiguousarray(taps[::-1])
 
     if not adapt:
         # Frozen taps: pure filtering, no loop at all.
-        outputs = W @ taps_fwd
+        outputs = sliding_window_view(seg, n_taps) @ taps_fwd
         opad[s_len - 1:] = outputs
         errors = d + _ringing(opad, s_rev)
         _guard_block(errors, 0, B, context)
@@ -145,9 +151,7 @@ def fxlms_block(state, taps, d, mu, normalized=True, leak=0.0, adapt=True,
         state.time += B
         return errors, outputs
 
-    Wf = sliding_window_view(segf, n_taps)
-    steps = _steps(Wf, mu, normalized)
-    o_view = sliding_window_view(opad, s_len)      # reads reflect writes
+    steps = _steps(sliding_window_view(segf, n_taps), mu, normalized)
     errors = np.empty(B)
     d_list = d.tolist()                            # python floats: the hot
     step_list = steps.tolist()                     # loop dodges np scalars
@@ -157,14 +161,17 @@ def fxlms_block(state, taps, d, mu, normalized=True, leak=0.0, adapt=True,
     guard_at = GUARD_INTERVAL
     with np.errstate(all="ignore"):
         for i in range(B):
-            y = ddot(W[i], taps_fwd)
+            # Positional (n, offset) BLAS calls on the whole segments:
+            # the window seg[i:i + n_taps] without building a view, and
+            # no keyword parsing.  Same routine, same memory, same bits.
+            y = ddot(seg, taps_fwd, n_taps, i)
             opad[i + s_len - 1] = y
-            e = d_list[i] + ddot(o_view[i], s_rev)
+            e = d_list[i] + ddot(opad, s_rev, s_len, i)
             errors[i] = e
             if mask_list is None or mask_list[i]:
                 if leak:
                     taps_fwd *= decay
-                daxpy(Wf[i], taps_fwd, a=-(step_list[i] * e))
+                daxpy(segf, taps_fwd, n_taps, -(step_list[i] * e), i)
             if i + 1 == guard_at:
                 _guard_block(errors, guard_at - GUARD_INTERVAL, guard_at,
                              context)
@@ -387,10 +394,11 @@ def lms_run(x, d, taps, window, mu, normalized=True, leak=0.0,
     T = x.size
     n = taps.size
     # Extend with the shift-register history so mid-stream runs resume
-    # exactly; V[t] is the forward window after x[t] arrives.
-    ext = np.concatenate([window[::-1], x])
-    V = sliding_window_view(ext, n)[1:]
-    steps = _steps(V, mu, normalized)
+    # exactly; ext[t + 1:t + 1 + n] is the forward window after x[t]
+    # arrives.
+    ext = np.ascontiguousarray(np.concatenate([window[::-1], x]),
+                               dtype=np.float64)
+    steps = _steps(sliding_window_view(ext, n)[1:], mu, normalized)
     taps_fwd = np.ascontiguousarray(taps[::-1])
     predictions = np.empty(T)
     errors = np.empty(T)
@@ -400,14 +408,13 @@ def lms_run(x, d, taps, window, mu, normalized=True, leak=0.0,
     guard_at = GUARD_INTERVAL
     with np.errstate(all="ignore"):
         for t in range(T):
-            w = V[t]
-            y = ddot(w, taps_fwd)
+            y = ddot(ext, taps_fwd, n, t + 1)
             e = d_list[t] - y
             predictions[t] = y
             errors[t] = e
             if leak:
                 taps_fwd *= decay
-            daxpy(w, taps_fwd, a=step_list[t] * e)
+            daxpy(ext, taps_fwd, n, step_list[t] * e, t + 1)
             if t + 1 == guard_at:
                 _guard_block(errors, guard_at - GUARD_INTERVAL, guard_at,
                              context)
@@ -441,10 +448,11 @@ def rls_run(x, d, taps, window, P, forgetting, context="RlsFilter"):
 
     T = x.size
     n = taps.size
-    ext = np.concatenate([window[::-1], x])
-    V = sliding_window_view(ext, n)[1:]
+    ext = np.ascontiguousarray(np.concatenate([window[::-1], x]),
+                               dtype=np.float64)
     taps_fwd = np.ascontiguousarray(taps[::-1])
     P_fwd = np.asfortranarray(P[::-1, ::-1])
+    Pu = np.zeros(n)
     lam = float(forgetting)
     inv_lam = 1.0 / lam
     predictions = np.empty(T)
@@ -452,15 +460,18 @@ def rls_run(x, d, taps, window, P, forgetting, context="RlsFilter"):
     guard_at = GUARD_INTERVAL
     with np.errstate(all="ignore"):
         for t in range(T):
-            u = V[t]
-            y = ddot(taps_fwd, u)
+            # u = ext[t + 1:t + 1 + n]; every call positional, offsets
+            # included.  dsymv(alpha, a, x, beta, y, offx, incx, offy,
+            # incy, lower, overwrite_y) writes P·u into Pu in place.
+            y = ddot(taps_fwd, ext, n, 0, 1, t + 1)
             e = d[t] - y
             predictions[t] = y
             errors[t] = e
-            Pu = dsymv(1.0, P_fwd, u, lower=1)
-            denom = lam + ddot(u, Pu)
-            daxpy(Pu, taps_fwd, a=e / denom)
-            dsyr(-1.0 / denom, Pu, lower=1, a=P_fwd, overwrite_a=1)
+            dsymv(1.0, P_fwd, ext, 0.0, Pu, t + 1, 1, 0, 1, 1, 1)
+            denom = lam + ddot(ext, Pu, n, t + 1)
+            daxpy(Pu, taps_fwd, n, e / denom)
+            # dsyr(alpha, x, lower, incx, offx, n, a, overwrite_a)
+            dsyr(-1.0 / denom, Pu, 1, 1, 0, n, P_fwd, 1)
             P_fwd *= inv_lam
             if t + 1 == guard_at:
                 _guard_block(errors, guard_at - GUARD_INTERVAL, guard_at,
@@ -551,50 +562,47 @@ def multiref_run(states, taps_list, d, mu, normalized=True, leak=0.0,
     s_true = states[0].secondary_true
     s_len = s_true.size
     s_rev = np.ascontiguousarray(s_true[::-1])
-    segs = [_segments(st, T) for st in states]
-    Ws = [sliding_window_view(seg, st.n_taps)
-          for (seg, __), st in zip(segs, states)]
     taps_fwd = [np.ascontiguousarray(taps[::-1]) for taps in taps_list]
+    branches = [(tf, *_segments(st, T), st.n_taps)
+                for tf, st in zip(taps_fwd, states)]
 
     if not adapt:
         outputs = np.zeros(T)
-        for W, tf in zip(Ws, taps_fwd):
-            outputs += W @ tf
+        for tf, seg, __, n in branches:
+            outputs += sliding_window_view(seg, n) @ tf
         opad = np.concatenate([np.zeros(s_len - 1), outputs])
         errors = d + _ringing(opad, s_rev)
         _guard_block(errors, 0, T, context)
         return errors, outputs
 
-    Wfs = [sliding_window_view(segf, st.n_taps)
-           for (__, segf), st in zip(segs, states)]
     # Total filtered-window power across branches, summed branch order.
     total_power = np.zeros(T)
-    for Wf in Wfs:
+    for __, __, segf, n in branches:
+        Wf = sliding_window_view(segf, n)
         total_power += np.einsum("ij,ij->i", Wf, Wf)
     steps = (mu / (total_power + _EPS) if normalized
              else np.full(T, float(mu)))
 
     opad = np.zeros(T + s_len - 1)
-    o_view = sliding_window_view(opad, s_len)
     errors = np.empty(T)
     d_list = d.tolist()
     step_list = steps.tolist()
     decay = 1.0 - leak
-    pairs = list(zip(taps_fwd, Ws, Wfs))
     guard_at = GUARD_INTERVAL
     with np.errstate(all="ignore"):
         for t in range(T):
+            # Positional (n, offset) BLAS, as in fxlms_block.
             y = 0.0
-            for tf, W, __ in pairs:
-                y += ddot(W[t], tf)
+            for tf, seg, __, n in branches:
+                y += ddot(seg, tf, n, t)
             opad[t + s_len - 1] = y
-            e = d_list[t] + ddot(o_view[t], s_rev)
+            e = d_list[t] + ddot(opad, s_rev, s_len, t)
             errors[t] = e
             c = step_list[t] * e
-            for tf, __, Wf in pairs:
+            for tf, __, segf, n in branches:
                 if leak:
                     tf *= decay
-                daxpy(Wf[t], tf, a=-c)
+                daxpy(segf, tf, n, -c, t)
             if t + 1 == guard_at:
                 _guard_block(errors, guard_at - GUARD_INTERVAL, guard_at,
                              context)

@@ -12,8 +12,8 @@ to take that premise away — on a schedule, reproducibly:
   for one simulated run.
 
 Plans are *data*, never behavior: applying one is the job of
-:mod:`repro.faults.injector`, which wraps a relay's ``forward()`` (or an
-``RfChannel.apply``) without touching the wrapped object.  Because a
+:mod:`repro.faults.injector`, which wraps a relay's ``forward()``
+without touching the wrapped object.  Because a
 plan is a frozen value with a deterministic :meth:`FaultPlan.plan_key`,
 two processes given equal plans inject bit-identical faults — which is
 what keeps :mod:`repro.runtime`'s parallel executor and channel cache

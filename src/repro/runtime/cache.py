@@ -42,6 +42,7 @@ from .. import obs
 from ..acoustics.channels import AcousticChannel
 from ..errors import ConfigurationError
 from ..utils.store import Store, content_key
+from ..utils.validation import check_impulse_response
 
 __all__ = [
     "CHANNEL_KEY_VERSION",
@@ -212,15 +213,18 @@ class ChannelCache:
         # global cache, so the top level must not import scenario.
         from ..core.scenario import ScenarioChannels
 
+        # Entry arrays were validated on insert (cold build or disk
+        # load), so each hit hands the channels private copies unchecked.
         return ScenarioChannels(
-            h_ne=AcousticChannel(np.array(entry.h_ne, copy=True),
-                                 name="h_ne"),
+            h_ne=AcousticChannel.from_checked(np.array(entry.h_ne, copy=True),
+                                              "h_ne"),
             h_nr=tuple(
-                AcousticChannel(np.array(ir, copy=True), name=f"h_nr[{i}]")
+                AcousticChannel.from_checked(np.array(ir, copy=True),
+                                             f"h_nr[{i}]")
                 for i, ir in enumerate(entry.h_nr)
             ),
-            h_se=AcousticChannel(np.array(entry.h_se, copy=True),
-                                 name="h_se"),
+            h_se=AcousticChannel.from_checked(np.array(entry.h_se, copy=True),
+                                              "h_se"),
             acoustic_lead_samples=tuple(entry.lead),
             sample_rate=entry.sample_rate,
         )
@@ -256,8 +260,7 @@ class ChannelCache:
             if len(entry.lead) != n_relays:
                 raise ValueError("lead/relay count mismatch")
             for ir in (entry.h_ne, entry.h_se) + entry.h_nr:
-                if ir.ndim != 1 or not np.all(np.isfinite(ir)):
-                    raise ValueError("invalid impulse response")
+                check_impulse_response("cached impulse response", ir)
         except (KeyError, TypeError, ValueError):
             self._disk.quarantine(key)
             return None

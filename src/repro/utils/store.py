@@ -17,7 +17,7 @@ import hashlib
 import io
 import json
 import os
-import tempfile
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -72,25 +72,48 @@ def entry_digest(meta, arrays):
 def atomic_write(path, data):
     """Write ``data`` (bytes, or str as UTF-8) to ``path`` all or nothing.
 
-    The bytes go to a ``mkstemp`` file in the destination directory,
+    The bytes go to a fresh temp file in the destination directory,
     which is then renamed over ``path`` with ``os.replace``; on any
     failure the temp file is unlinked and an existing ``path`` keeps
-    its old bytes.  Like every ``mkstemp`` file, the result is readable
-    by its owner only.
+    its old bytes.  The file ends with the mode a plain ``open(path,
+    "wb")`` would leave: a new file gets ``0o666`` less the umask, and
+    a file it replaces keeps its mode.
     """
     path = Path(path)
     if isinstance(data, str):
         data = data.encode("utf-8")
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".",
-                               suffix=".tmp")
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        mode = None
+    fd, tmp = _create_temp(path)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
+        if mode is not None:
+            os.chmod(tmp, mode)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
     return path
+
+
+def _create_temp(path):
+    """Create and open a new, uniquely named file beside ``path``.
+
+    Made with mode ``0o666`` like any ``open(..., "w")``, so the umask
+    (and a default ACL) apply.  ``tempfile.mkstemp`` would make it
+    ``0o600``, and the rename would carry that mode over to ``path``.
+    """
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    for __ in range(100):
+        tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+        try:
+            return os.open(tmp, flags, 0o666), tmp
+        except FileExistsError:
+            continue
+    raise FileExistsError(f"no free temp-file name beside {path}")
 
 
 class Store:

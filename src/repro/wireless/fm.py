@@ -185,6 +185,7 @@ class FmDemodulator:
         product *= baseband[1:]
         audio_rf = np.empty(baseband.size)
         np.arctan2(product.imag, product.real, out=audio_rf[1:])
+        del product                  # not held through sosfiltfilt
         audio_rf[0] = audio_rf[1]
         audio_rf *= self.rf_rate / (2.0 * np.pi * self.deviation_hz)
         # Zero-phase filtering: the analog chain's fixed group delay

@@ -5,13 +5,22 @@ network, VCO (FM), PLL up-conversion to 900 MHz, PA, antenna.  The
 receiver reverses the chain and hands digital samples to the DSP.
 
 The design constraint the paper emphasizes — *no sample is ever stored*
-on the relay (privacy §4.4) — maps here to a stateless, purely
-functional ``forward()``: audio in, audio out, with the only latency
-being fixed analog/filter group delay.  That group delay is measured
-once at construction with a calibration chirp and exposed as
+on the relay (privacy §4.4) — maps here to a purely functional
+``forward()``: audio in, audio out, with the only latency being fixed
+analog/filter group delay.  That group delay is measured once at
+construction with a calibration chirp and exposed as
 ``latency_samples`` so the ear-device can account for it in its
 lookahead budget (it is microseconds–milliseconds, far below the
 acoustic lookahead).
+
+The relay's own noise is drawn once, not on every forward: the mic
+self-noise (``default_rng(seed + 1)``) and the RF channel's AWGN
+(``default_rng`` of the link seed) depend only on their seed and the
+block length, so each is kept read-only in a
+:class:`~repro.wireless.rf_channel.FrozenNoise` slot and redrawn only
+when the length changes.  Every forward adds exactly the noise a fresh
+draw would.  The slots hold noise the relay generated, never a sample
+of the audio it forwarded, so the §4.4 property still holds.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from .. import obs
 from ..errors import ConfigurationError
 from ..utils.validation import check_non_negative, check_positive, check_waveform
 from .fm import FmDemodulator, FmModulator
-from .rf_channel import RfChannel, RfChannelConfig
+from .rf_channel import FrozenNoise, RfChannel, RfChannelConfig
 
 __all__ = ["AnalogRelay", "IdealRelay"]
 
@@ -119,6 +128,7 @@ class AnalogRelay:
             channel_config or RfChannelConfig(snr_db=40.0, seed=seed),
             rf_rate=self.rf_rate,
         )
+        self._mic_noise = FrozenNoise(lambda rng, n: rng.standard_normal(n))
         self.latency_samples = self._calibrate_latency()
 
     def _chain(self, audio):
@@ -132,12 +142,11 @@ class AnalogRelay:
 
         shaped = sps.sosfilt(self._front_sos, audio)
         if self.mic_noise_rms > 0.0:
-            rng = np.random.default_rng(self.seed + 1)
-            shaped = shaped + self.mic_noise_rms * rng.standard_normal(
-                shaped.size
-            )
-        baseband = self.modulator.modulate(shaped)
-        impaired = self.channel.apply(baseband)
+            shaped += self.mic_noise_rms * self._mic_noise(self.seed + 1,
+                                                           shaped.size)
+        # The modulator's full-rate output is freed when the channel
+        # returns, not held through demodulation.
+        impaired = self.channel.apply(self.modulator.modulate(shaped))
         if obs.enabled():
             t_start = time.perf_counter()
             demodulated = self.demodulator.demodulate(impaired)

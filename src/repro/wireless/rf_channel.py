@@ -10,11 +10,20 @@ here:
 * carrier frequency offset between the relay's PLL and the receiver,
 * power-amplifier nonlinearity (tanh soft saturation),
 * a flat complex gain (path loss + phase rotation).
+
+The AWGN is a pure function of the configured seed and the block
+length: each call adds the draw a fresh ``default_rng(seed)`` makes.
+The channel therefore makes that draw once and keeps it, read-only, in
+a :class:`FrozenNoise` slot that is replaced when the seed or the
+length changes; repeated calls add the same bits they always did, and
+the slot holds only the link's own noise, never a sample of the signal
+it carries.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import numbers
 
 import numpy as np
 
@@ -22,7 +31,40 @@ from ..errors import ConfigurationError
 from ..utils.units import db_to_amplitude
 from ..utils.validation import check_waveform
 
-__all__ = ["RfChannelConfig", "RfChannel", "pa_nonlinearity"]
+__all__ = ["RfChannelConfig", "RfChannel", "FrozenNoise", "pa_nonlinearity"]
+
+
+class FrozenNoise:
+    """One object's noise draw, made once per ``(seed, length)`` and kept.
+
+    ``draw(rng, n)`` turns a fresh ``numpy.random.default_rng(seed)``
+    into ``n`` samples, so its result depends on nothing but the seed
+    and ``n``.  Calling the slot with the pair it last saw returns that
+    same read-only array; a new pair replaces it (the old draw is
+    released first).  A seed that is not an integer — ``None`` asks for
+    fresh entropy — is drawn on every call and never kept.
+    """
+
+    def __init__(self, draw):
+        self._draw = draw
+        self._key = None
+        self._value = None
+
+    def __call__(self, seed, n):
+        if not isinstance(seed, numbers.Integral):
+            return self._draw(np.random.default_rng(seed), n)
+        key = (int(seed), int(n))
+        if key != self._key:
+            self._key = self._value = None
+            value = self._draw(np.random.default_rng(seed), n)
+            value.flags.writeable = False
+            self._key, self._value = key, value
+        return self._value
+
+
+def _complex_normal(rng, n):
+    """Complex Gaussian draw: ``n`` real parts, then ``n`` imaginary parts."""
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
 def pa_nonlinearity(baseband, backoff_db=3.0):
@@ -76,19 +118,27 @@ class RfChannel:
         if rf_rate <= 0:
             raise ConfigurationError("rf_rate must be > 0")
         self.rf_rate = float(rf_rate)
+        self._awgn = FrozenNoise(_complex_normal)
 
     def apply(self, baseband):
-        """Pass a complex-baseband block through the channel."""
+        """Pass a complex-baseband block through the channel.
+
+        Returns a new complex128 array, also for a noiseless link.  The
+        flat gain is skipped when it is exactly 1 (``gain_db`` and
+        ``phase_rad`` both 0), and the noisy sum is built in the scaled
+        noise's buffer; both give the bits the plain formula gives.
+        """
         baseband = check_waveform("baseband", baseband, allow_complex=True,
                                   min_length=1)
         cfg = self.config
-        out = baseband.astype(np.complex128, copy=True)
+        out = baseband.astype(np.complex128, copy=False)
 
         if cfg.pa_backoff_db is not None:
             out = pa_nonlinearity(out, cfg.pa_backoff_db)
 
-        flat = db_to_amplitude(cfg.gain_db) * np.exp(1j * cfg.phase_rad)
-        out = out * flat
+        if cfg.gain_db != 0.0 or cfg.phase_rad != 0.0:
+            flat = db_to_amplitude(cfg.gain_db) * np.exp(1j * cfg.phase_rad)
+            out = out * flat
 
         if cfg.cfo_hz != 0.0:
             t = np.arange(out.size) / self.rf_rate
@@ -97,10 +147,8 @@ class RfChannel:
         signal_power = np.mean(np.abs(out) ** 2)
         if np.isfinite(cfg.snr_db) and signal_power > 0:
             noise_power = signal_power / (10.0 ** (cfg.snr_db / 10.0))
-            rng = np.random.default_rng(cfg.seed)
-            noise = (
-                rng.standard_normal(out.size)
-                + 1j * rng.standard_normal(out.size)
-            ) * np.sqrt(noise_power / 2.0)
-            out = out + noise
-        return out
+            noisy = np.multiply(self._awgn(cfg.seed, out.size),
+                                np.sqrt(noise_power / 2.0))
+            noisy += out
+            return noisy
+        return out.copy() if out is baseband else out

@@ -12,7 +12,7 @@ formulations they were derived from live here, verbatim, for two jobs:
 * **honest "before" legs** — ``benchmarks/bench_kernels.py`` and
   ``benchmarks/bench_pipeline.py`` time the product against them.
 
-Four groups:
+Five groups:
 
 * the per-sample adaptive walks (:func:`fxlms_block`, :func:`lms_run`,
   :func:`rls_run`, :func:`apa_run`, :func:`multiref_run`) — one sample
@@ -24,6 +24,13 @@ Four groups:
   :func:`streaming_fir_process` = ``lfilter`` with carried state,
   :func:`resample` = ``resample_poly`` with its default window, and the
   allocating FM/AM modulator and demodulator arithmetic);
+* the one-at-a-time simulation layers: the image-source room built
+  image by image (:func:`image_sources`, :func:`room_impulse_response`,
+  each kernel from :func:`fractional_delay_filter` on its own), and the
+  relay noise drawn from a fresh generator on every call
+  (:func:`rf_channel_apply`, :func:`analog_relay_chain`) — the product
+  must equal these bit for bit (``tests/test_rir.py``,
+  ``test_am_rf.py``, ``test_relay.py``);
 * the time-domain check of the closed-form Bose baseline
   (:func:`simulate_delay_limited_fxlms`, run by
   ``tests/test_baselines.py``).
@@ -39,24 +46,36 @@ exactly like the product kernels.
 from __future__ import annotations
 
 import contextlib
+import itertools
 
 import numpy as np
 from scipy import linalg
 from scipy import signal as sps
 
-from repro.acoustics.propagation import fractional_delay_filter
+from repro.acoustics.geometry import Point, Room
+from repro.acoustics.propagation import spreading_gain
+from repro.acoustics.rir import RirSettings
 from repro.core.adaptive.base import effective_step, guard_divergence
 from repro.core.adaptive.lanc import LancFilter
 from repro.errors import ConfigurationError
 from repro.utils.spectral import cancellation_spectrum_db
-from repro.utils.validation import check_positive, check_waveform
+from repro.utils.units import db_to_amplitude
+from repro.utils.validation import (
+    check_non_negative,
+    check_non_negative_int,
+    check_positive,
+    check_waveform,
+)
 from repro.wireless.fm import rational_ratio
+from repro.wireless.rf_channel import pa_nonlinearity
 
 __all__ = [
     "tap_window", "fxlms_block", "lms_run", "rls_run", "apa_run",
     "multiref_run", "lms_step", "rls_step", "apa_step", "fir_apply",
     "streaming_fir_process", "resample", "fm_modulate", "fm_demodulate",
-    "am_modulate", "am_demodulate", "reference_paths",
+    "am_modulate", "am_demodulate", "fractional_delay_filter",
+    "image_sources", "room_impulse_response", "rf_channel_apply",
+    "analog_relay_chain", "reference_paths",
     "simulate_delay_limited_fxlms",
 ]
 
@@ -459,6 +478,143 @@ def am_demodulate(self, baseband):
 
 
 # ----------------------------------------------------------------------
+# One-at-a-time simulation layers
+# ----------------------------------------------------------------------
+def fractional_delay_filter(delay, n_taps=31):
+    """Windowed-sinc fractional-delay FIR, one kernel evaluated alone."""
+    delay = check_non_negative("delay", delay)
+    if n_taps < 3:
+        raise ConfigurationError(f"n_taps must be >= 3, got {n_taps}")
+    n_taps = int(n_taps)
+    if n_taps % 2 == 0:
+        n_taps += 1
+    center = n_taps // 2
+    int_part = int(np.floor(delay))
+    frac = delay - int_part
+
+    offset = np.arange(n_taps) - (center + frac)
+    half_width = center + 1.0
+    window = np.where(
+        np.abs(offset) <= half_width,
+        0.5 * (1.0 + np.cos(np.pi * offset / half_width)),
+        0.0,
+    )
+    kernel = np.sinc(offset) * window
+    kernel /= kernel.sum()   # unit DC gain
+
+    shift = int_part - center
+    if shift >= 0:
+        return np.concatenate([np.zeros(shift), kernel])
+    taps = kernel[-shift:]
+    total = taps.sum()
+    if abs(total) > 1e-9:
+        taps = taps / total
+    return taps
+
+
+def image_sources(room, source, max_order):
+    """Yield ``(image_position, n_reflections)``, one candidate at a time."""
+    if not isinstance(room, Room):
+        raise ConfigurationError("room must be a Room")
+    room.require_inside("source", source)
+    max_order = check_non_negative_int("max_order", max_order)
+    dims = (room.length, room.width, room.height)
+    src = source.as_tuple()
+    index_range = range(-max_order, max_order + 1)
+    for nx, ny, nz in itertools.product(index_range, repeat=3):
+        for px, py, pz in itertools.product((0, 1), repeat=3):
+            coords = []
+            bounces = 0
+            for n, p, L, s in zip((nx, ny, nz), (px, py, pz), dims, src):
+                coords.append(2.0 * n * L + (s if p == 0 else -s))
+                bounces += abs(2 * n - p)
+            if bounces > max_order:
+                continue
+            yield Point(*coords), bounces
+
+
+def room_impulse_response(room, source, microphone, sample_rate,
+                          settings=None, normalize=False):
+    """Image-source room impulse response, added one image at a time."""
+    settings = settings or RirSettings()
+    sample_rate = check_positive("sample_rate", sample_rate)
+    room.require_inside("microphone", microphone)
+    reflection = room.reflection_coefficient
+
+    arrivals = []   # (delay_samples, amplitude)
+    max_delay = 0.0
+    for image, bounces in image_sources(room, source, settings.max_order):
+        dist = image.distance_to(microphone)
+        delay = dist / settings.speed_of_sound * sample_rate
+        amp = spreading_gain(dist) * (reflection ** bounces)
+        arrivals.append((delay, amp))
+        max_delay = max(max_delay, delay)
+
+    center = settings.sinc_taps // 2
+    length = int(np.ceil(max_delay)) + settings.sinc_taps + 1
+    ir = np.zeros(length)
+    for delay, amp in arrivals:
+        base = int(np.floor(delay))
+        frac = delay - base
+        taps = fractional_delay_filter(frac + center,
+                                       n_taps=settings.sinc_taps)
+        start = base - center
+        if start < 0:
+            taps = taps[-start:]
+            start = 0
+        end = min(start + taps.size, length)
+        ir[start:end] += amp * taps[: end - start]
+
+    if normalize:
+        peak = np.max(np.abs(ir))
+        if peak > 0:
+            ir = ir / peak
+    return ir
+
+
+def rf_channel_apply(self, baseband):
+    """``RfChannel.apply`` with a fresh ``default_rng(seed)`` per call."""
+    baseband = check_waveform("baseband", baseband, allow_complex=True,
+                              min_length=1)
+    cfg = self.config
+    out = baseband.astype(np.complex128, copy=True)
+
+    if cfg.pa_backoff_db is not None:
+        out = pa_nonlinearity(out, cfg.pa_backoff_db)
+
+    flat = db_to_amplitude(cfg.gain_db) * np.exp(1j * cfg.phase_rad)
+    out = out * flat
+
+    if cfg.cfo_hz != 0.0:
+        t = np.arange(out.size) / self.rf_rate
+        out = out * np.exp(2j * np.pi * cfg.cfo_hz * t)
+
+    signal_power = np.mean(np.abs(out) ** 2)
+    if np.isfinite(cfg.snr_db) and signal_power > 0:
+        noise_power = signal_power / (10.0 ** (cfg.snr_db / 10.0))
+        rng = np.random.default_rng(cfg.seed)
+        noise = (
+            rng.standard_normal(out.size)
+            + 1j * rng.standard_normal(out.size)
+        ) * np.sqrt(noise_power / 2.0)
+        out = out + noise
+    return out
+
+
+def analog_relay_chain(self, audio):
+    """``AnalogRelay._chain`` with a fresh mic-noise generator per call."""
+    shaped = sps.sosfilt(self._front_sos, audio)
+    if self.mic_noise_rms > 0.0:
+        rng = np.random.default_rng(self.seed + 1)
+        shaped = shaped + self.mic_noise_rms * rng.standard_normal(
+            shaped.size
+        )
+    baseband = self.modulator.modulate(shaped)
+    impaired = self.channel.apply(baseband)
+    return self.demodulator.demodulate(impaired)
+
+
+# ----------------------------------------------------------------------
 # The test double
 # ----------------------------------------------------------------------
 def _swaps():
@@ -466,7 +622,7 @@ def _swaps():
     from repro.core.adaptive import kernels
     from repro.core.adaptive.kernels import vector
     from repro.utils import fastconv
-    from repro.wireless import am, fm
+    from repro.wireless import am, fm, relay, rf_channel
 
     return [
         # Swapped behind kernels.fxlms_block, so the kernel layer's
@@ -484,6 +640,8 @@ def _swaps():
         (fm.FmDemodulator, "demodulate", fm_demodulate),
         (am.AmModulator, "modulate", am_modulate),
         (am.AmDemodulator, "demodulate", am_demodulate),
+        (rf_channel.RfChannel, "apply", rf_channel_apply),
+        (relay.AnalogRelay, "_chain", analog_relay_chain),
     ]
 
 

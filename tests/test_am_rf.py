@@ -15,6 +15,8 @@ from repro.wireless import (
     RfChannelConfig,
     pa_nonlinearity,
 )
+from repro.wireless.rf_channel import FrozenNoise
+from tests import oracle
 
 
 def _fit_and_snr(reference, recovered, margin=400):
@@ -108,3 +110,66 @@ class TestRfChannel:
     def test_rejects_bad_backoff(self):
         with pytest.raises(ConfigurationError):
             RfChannelConfig(pa_backoff_db=0.0)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint8)
+
+
+#: Links covering each branch of ``RfChannel.apply``.
+LINKS = {
+    "default": RfChannelConfig(),
+    "gain": RfChannelConfig(snr_db=30.0, gain_db=-4.0, seed=2),
+    "phase": RfChannelConfig(snr_db=30.0, phase_rad=-1.1, seed=2),
+    "all": RfChannelConfig(snr_db=20.0, cfo_hz=250.0, gain_db=3.0,
+                           phase_rad=0.6, pa_backoff_db=2.0, seed=7),
+}
+
+#: A first call, a repeat, a new length, then the first length again.
+LENGTHS = (4096, 4096, 6000, 4096)
+
+
+class TestKeptNoise:
+    """One kept draw per channel, bit for bit the per-call draw."""
+
+    @pytest.mark.parametrize("link", sorted(LINKS))
+    def test_apply_matches_fresh_draws(self, link):
+        product = RfChannel(LINKS[link])
+        reference = RfChannel(LINKS[link])
+        for n in LENGTHS:
+            phase = np.random.default_rng(n).uniform(0, 2 * np.pi, n)
+            baseband = 0.5 * np.exp(1j * phase)
+            got = product.apply(baseband)
+            want = oracle.rf_channel_apply(reference, baseband)
+            assert got.dtype == np.complex128
+            assert np.array_equal(_bits(got), _bits(want))
+
+    def test_slot_keeps_one_read_only_draw(self):
+        slot = FrozenNoise(lambda rng, n: rng.standard_normal(n))
+        first = slot(3, 100)
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 1.0
+        assert slot(3, 100) is first
+        np.testing.assert_array_equal(
+            first, np.random.default_rng(3).standard_normal(100))
+        assert slot(3, 50) is not first          # new length: redrawn
+        assert slot(4, 50) is not slot(3, 50)    # new seed: redrawn
+        # No integer seed, nothing to key on: every call draws afresh.
+        assert not np.array_equal(slot(None, 8), slot(None, 8))
+
+    def test_channel_draw_is_read_only(self):
+        channel = RfChannel(RfChannelConfig(seed=5))
+        channel.apply(np.ones(64, dtype=complex))
+        assert not channel._awgn(5, 64).flags.writeable
+
+    @pytest.mark.parametrize("baseband", [
+        np.exp(1j * np.linspace(0.0, 3.0, 32)),
+        np.linspace(-1.0, 1.0, 32),
+    ], ids=["complex", "real"])
+    def test_noiseless_link_returns_a_new_array(self, baseband):
+        out = RfChannel(RfChannelConfig(snr_db=float("inf"))).apply(baseband)
+        assert out is not baseband
+        assert not np.shares_memory(out, baseband)
+        assert out.dtype == np.complex128
+        np.testing.assert_array_equal(out, baseband)

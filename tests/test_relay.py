@@ -1,5 +1,7 @@
 """The analog relay end-to-end, and the link budget."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,14 @@ from repro.signals import MaleVoice, WhiteNoise
 from repro.wireless import (
     AnalogRelay,
     IdealRelay,
+    RfChannel,
     RfChannelConfig,
     band_occupancy_fraction,
     free_space_path_loss_db,
     received_snr_db,
     thermal_noise_dbm,
 )
+from tests import oracle
 
 
 class TestIdealRelay:
@@ -74,6 +78,29 @@ class TestAnalogRelay:
         margin = 200
         np.testing.assert_allclose(b[margin:-margin], 2 * a[margin:-margin],
                                    atol=5e-3)
+
+
+class TestRelayKeptNoise:
+    """Forwards with the kept draws equal forwards that redraw per call."""
+
+    @pytest.mark.parametrize("config", [
+        None,
+        RfChannelConfig(snr_db=25.0, cfo_hz=400.0, gain_db=-2.0,
+                        phase_rad=0.9, pa_backoff_db=3.0, seed=11),
+    ], ids=["default", "impaired"])
+    def test_forward_matches_fresh_draws(self, config):
+        product = AnalogRelay(seed=5, channel_config=config)
+        reference = AnalogRelay(seed=5, channel_config=config)
+        # A first call, a repeat, a new length, the first length again.
+        for n in (2000, 2000, 3000, 2000):
+            audio = 0.2 * np.random.default_rng(n).standard_normal(n)
+            got = product.forward(audio)
+            with mock.patch.object(AnalogRelay, "_chain",
+                                   oracle.analog_relay_chain), \
+                    mock.patch.object(RfChannel, "apply",
+                                      oracle.rf_channel_apply):
+                want = reference.forward(audio)
+            assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
 
 
 class TestLinkBudget:

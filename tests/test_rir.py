@@ -1,7 +1,11 @@
 """Image-source room impulse responses."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.acoustics import (
     Point,
@@ -11,8 +15,10 @@ from repro.acoustics import (
     room_impulse_response,
 )
 from repro.acoustics.constants import SPEED_OF_SOUND
+from repro.acoustics.propagation import fractional_delay_filter
 from repro.acoustics.rir import RirSettings
 from repro.errors import ConfigurationError
+from tests import oracle
 
 FS = 8000.0
 ROOM = Room(5.0, 4.0, 3.0, absorption=0.4)
@@ -117,3 +123,75 @@ class TestRirSettings:
     def test_rejects_tiny_sinc(self):
         with pytest.raises(ConfigurationError):
             RirSettings(sinc_taps=1)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint8)
+
+
+#: A direct path whose delay, 5.999999999999999 samples, has a fraction
+#: so close to 1 that ``frac + center`` rounds up to ``center + 1``.
+ROUND_UP = dict(room=Room(4.0, 3.0, 2.5, absorption=0.5),
+                source=Point(1.0, 1.0, 1.2), mic=Point(1.25, 1.0, 1.2),
+                fs=8000.0, speed=333.33333333333337)
+
+
+class TestArrayBuilderMatchesOracle:
+    """The array room builder equals the per-image loop bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dims=st.tuples(*[st.floats(1.5, 12.0)] * 3),
+           absorption=st.floats(0.0, 0.95),
+           src=st.tuples(*[st.floats(0.0, 1.0)] * 3),
+           mic=st.tuples(*[st.floats(0.0, 1.0)] * 3),
+           fs=st.sampled_from([8000.0, 16000.0, 44100.0, 11025.5]),
+           max_order=st.integers(0, 4),
+           sinc_taps=st.integers(3, 40))
+    def test_room_impulse_response(self, dims, absorption, src, mic, fs,
+                                   max_order, sinc_taps):
+        room = Room(*dims, absorption=absorption)
+        source = Point(*(f * d for f, d in zip(src, dims)))
+        microphone = Point(*(f * d for f, d in zip(mic, dims)))
+        cfg = RirSettings(max_order=max_order, sinc_taps=sinc_taps)
+        got = room_impulse_response(room, source, microphone, fs,
+                                    settings=cfg)
+        want = oracle.room_impulse_response(room, source, microphone, fs,
+                                            settings=cfg)
+        assert got.shape == want.shape
+        assert np.array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("sinc_taps", [30, 31])
+    def test_fraction_rounding_up_to_the_next_sample(self, sinc_taps):
+        case = ROUND_UP
+        center = sinc_taps // 2
+        delay = (case["source"].distance_to(case["mic"]) / case["speed"]
+                 * case["fs"])
+        frac = delay - math.floor(delay)
+        assert math.floor(frac + center) == center + 1   # the branch
+        cfg = RirSettings(max_order=1, sinc_taps=sinc_taps,
+                          speed_of_sound=case["speed"])
+        for normalize in (False, True):
+            got = room_impulse_response(case["room"], case["source"],
+                                        case["mic"], case["fs"],
+                                        settings=cfg, normalize=normalize)
+            want = oracle.room_impulse_response(
+                case["room"], case["source"], case["mic"], case["fs"],
+                settings=cfg, normalize=normalize)
+            assert np.array_equal(_bits(got), _bits(want))
+
+    @settings(max_examples=40, deadline=None)
+    @given(delay=st.floats(0.0, 200.0), n_taps=st.integers(3, 40))
+    @example(delay=16.0, n_taps=31)     # whole delay: one leading zero
+    @example(delay=0.3, n_taps=30)      # truncated left tail
+    def test_fractional_delay_filter(self, delay, n_taps):
+        got = fractional_delay_filter(delay, n_taps=n_taps)
+        want = oracle.fractional_delay_filter(delay, n_taps=n_taps)
+        assert np.array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("max_order", [0, 1, 2, 3])
+    def test_image_sources(self, max_order):
+        got = [(p.as_tuple(), b)
+               for p, b in image_sources(ROOM, SRC, max_order)]
+        want = [(p.as_tuple(), b)
+                for p, b in oracle.image_sources(ROOM, SRC, max_order)]
+        assert got == want

@@ -16,6 +16,7 @@ from repro.core.scenario import office_scenario
 from repro.errors import ConfigurationError
 from repro.eval import experiments
 from repro.runtime.cache import ChannelCache, scenario_cache_key
+from repro.utils.store import Store
 
 
 def _assert_channels_equal(a, b):
@@ -193,6 +194,22 @@ class TestDiskCache:
         (entry_path,) = tmp_path.glob("*.npz")
         blob = entry_path.read_bytes()
         entry_path.write_bytes(blob[: len(blob) // 2])
+
+        reader = ChannelCache(disk_dir=tmp_path)
+        channels = reader.get_or_build(scenario)
+        _assert_channels_equal(channels, scenario.compute_channels())
+        assert reader.stats()["disk_discards"] == 1
+
+    def test_unusable_response_on_disk_rebuilt(self, tmp_path):
+        """A verified entry whose response fails the channel check is
+        quarantined and rebuilt: hits do not re-check what they hand out."""
+        scenario = office_scenario()
+        ChannelCache(disk_dir=tmp_path).get_or_build(scenario)
+        store = Store(tmp_path, "channels")
+        key = scenario_cache_key(scenario)
+        meta, arrays = store.get(key)
+        arrays["h_se"] = np.zeros_like(arrays["h_se"])    # no energy
+        store.put(key, meta, arrays)
 
         reader = ChannelCache(disk_dir=tmp_path)
         channels = reader.get_or_build(scenario)

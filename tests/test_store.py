@@ -9,6 +9,7 @@ counted, and — on disk — keep its bad bytes under ``.quarantine/``.
 import errno
 import io
 import os
+import stat
 import subprocess
 import sys
 
@@ -78,6 +79,25 @@ class TestAtomicWrite:
             atomic_write(path, b"new bytes")
         assert path.read_bytes() == b"old bytes"
         assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644),
+                                             (0o002, 0o664)],
+                             ids=["umask-022", "umask-002"])
+    def test_new_file_gets_the_mode_open_gives(self, tmp_path, umask, mode):
+        previous = os.umask(umask)
+        try:
+            path = atomic_write(tmp_path / "new.json", b"{}")
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(path.stat().st_mode) == mode
+
+    def test_replaced_file_keeps_its_mode(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_bytes(b"old bytes")
+        path.chmod(0o640)
+        atomic_write(path, b"new bytes")
+        assert path.read_bytes() == b"new bytes"
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
 
 
 META = {"label": "office", "lead": [3, -1], "rate": 8000.0,
