@@ -8,21 +8,23 @@ image-source RIR builder, GCC-PHAT, and the FM chain.
 product kernels against the test oracle's per-sample reference walks
 (``tests/oracle.py``, see ``docs/KERNELS.md``) and writes the speedup
 table to ``BENCH_kernels.json``; the LANC row must clear the 3x
-contract.
+contract.  ``test_resample_sweep`` times the relay's two rate changes
+against ``resample_poly`` and adds its rows to the same file.
 """
 
 import contextlib
+import json
 
 import numpy as np
 import pytest
 
-from _bench_utils import time_call, write_bench_json
+from _bench_utils import BENCH_DIR, time_call, write_bench_json
 from repro.acoustics import Point, Room, room_impulse_response
 from repro.core import (ApaFilter, LancFilter, LmsFilter,
                         MultiRefLancFilter, RlsFilter, StreamingLanc,
                         gcc_phat)
 from repro.signals import WhiteNoise
-from repro.wireless import FmDemodulator, FmModulator
+from repro.wireless import FmDemodulator, FmModulator, resample
 from tests import oracle
 
 #: The product kernel must beat the oracle's per-sample walk by at
@@ -32,6 +34,10 @@ LANC_SPEEDUP_FLOOR = 3.0
 #: And on the RLS walk, whose kernel rides BLAS ``dsymv`` / ``dsyr``
 #: symmetric rank-1 updates (see docs/PERFORMANCE.md).
 RLS_SPEEDUP_FLOOR = 2.0
+
+#: And the relay's rate changes (8 <-> 96 kHz, 4 s of audio) on the
+#: chunked BLAS products must beat ``resample_poly`` by this much.
+RESAMPLE_SPEEDUP_FLOOR = 2.0
 
 #: The two arithmetics a sweep row times: the oracle's reference walks
 #: (the "before" leg, labeled ``loop``) and the product (``vector``).
@@ -120,7 +126,7 @@ def test_kernel_backend_sweep(white_second, report):
         })
         assert max_dev <= 1e-10, f"{name}: kernel vs oracle ({max_dev})"
 
-    path = write_bench_json("kernels", {
+    path = _update_kernels_json({
         "schema": "repro.bench.kernels/v1",
         "workload": "1 s of white noise at 8 kHz",
         "loop": "tests/oracle.py per-sample reference walk",
@@ -143,6 +149,66 @@ def test_kernel_backend_sweep(white_second, report):
     assert by_engine["rls"]["speedup"] >= RLS_SPEEDUP_FLOOR, \
         f"RLS kernel speedup {by_engine['rls']['speedup']:.2f}x < " \
         f"{RLS_SPEEDUP_FLOOR}x"
+
+
+def _update_kernels_json(fields):
+    """Write ``fields`` over the keys of ``BENCH_kernels.json``.
+
+    The engine sweep and the resample sweep each own their keys of the
+    one file, so either can run alone without dropping the other's.
+    """
+    try:
+        document = json.loads((BENCH_DIR / "BENCH_kernels.json").read_text())
+    except (OSError, ValueError):
+        document = {}
+    document.pop("stamp", None)
+    return write_bench_json("kernels", dict(document, **fields))
+
+
+def test_resample_sweep(report):
+    """``resample`` vs the oracle's ``resample_poly``, both directions."""
+    audio = WhiteNoise(seed=0, level_rms=0.2).generate(4.0)
+    rf = resample(audio, 8000, 96000)
+    rows = []
+    for rate_in, rate_out, x in ((8000, 96000, audio), (96000, 8000, rf)):
+        timings = {
+            label: time_call(lambda f=f: f(x, rate_in, rate_out),
+                             repeats=7, warmup=1)
+            for label, f in (("oracle", oracle.resample),
+                             ("product", resample))
+        }
+        scale = max(1.0, float(np.max(np.abs(x))))
+        max_dev = float(np.max(np.abs(timings["product"].result
+                                      - timings["oracle"].result))) / scale
+        rows.append({
+            "rates": f"{rate_in} -> {rate_out}",
+            "oracle_s": timings["oracle"].best_s,
+            "product_s": timings["product"].best_s,
+            "speedup": (timings["oracle"].best_s
+                        / timings["product"].best_s),
+            "max_rel_deviation": max_dev,
+        })
+
+    path = _update_kernels_json({"resample": {
+        "workload": "4 s of white noise at 8 kHz, and its 96 kHz upsample",
+        "oracle": "tests/oracle.py resample (scipy resample_poly)",
+        "product": "repro.wireless.fm.resample",
+        "speedup_floor": RESAMPLE_SPEEDUP_FLOOR,
+        "rows": rows,
+    }})
+    lines = [f"{'rates':<16} {'oracle':>9} {'product':>9} {'speedup':>8}"]
+    for row in rows:
+        lines.append(f"{row['rates']:<16} {row['oracle_s'] * 1e3:>7.2f}ms "
+                     f"{row['product_s'] * 1e3:>7.2f}ms "
+                     f"{row['speedup']:>7.2f}x")
+    report("\n".join(lines) + f"\n[written to {path}]")
+
+    for row in rows:
+        assert row["max_rel_deviation"] <= 1e-12, \
+            f"{row['rates']}: resample vs oracle ({row['max_rel_deviation']})"
+        assert row["speedup"] >= RESAMPLE_SPEEDUP_FLOOR, \
+            f"{row['rates']}: resample speedup {row['speedup']:.2f}x < " \
+            f"{RESAMPLE_SPEEDUP_FLOOR}x"
 
 
 def test_rir_build(benchmark):

@@ -22,7 +22,11 @@ import math
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..utils.validation import check_non_negative_int, check_positive
+from ..utils.validation import (
+    check_int,
+    check_non_negative_int,
+    check_positive,
+)
 from .constants import SPEED_OF_SOUND
 from .geometry import Point, Room
 from .propagation import (
@@ -44,7 +48,7 @@ class RirSettings:
 
     def __post_init__(self):
         check_non_negative_int("max_order", self.max_order)
-        if self.sinc_taps < 3:
+        if check_int("sinc_taps", self.sinc_taps) < 3:
             raise ConfigurationError("sinc_taps must be >= 3")
         check_positive("speed_of_sound", self.speed_of_sound)
 

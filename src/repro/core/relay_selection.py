@@ -60,6 +60,10 @@ def gcc_phat(forwarded, ear_signal, sample_rate, max_lag_s=0.05,
     spec_a = np.fft.rfft(a, n)
     spec_b = np.fft.rfft(b, n)
     cross = spec_b * np.conj(spec_a)
+    # Bin 0 carries no delay, and a mean-removed stream (the FM
+    # demodulator's output) leaves only roundoff there, which PHAT
+    # would weight like any other bin.
+    cross[0] = 0.0
     cross /= np.maximum(np.abs(cross), epsilon)   # PHAT weighting
     corr = np.fft.irfft(cross, n)
     max_lag = min(int(max_lag_s * sample_rate), a.size - 1)

@@ -115,7 +115,10 @@ def check_waveform(name, signal, min_length=1, allow_complex=False):
         signal = signal.astype(np.complex128, copy=False)
     else:
         signal = signal.astype(np.float64, copy=False)
-    if not np.all(np.isfinite(signal)):
+    # A NaN or inf makes the sum of squares non-finite; finite samples
+    # whose squares overflow (1e200) take the exact elementwise check.
+    if (not np.isfinite(np.vdot(signal, signal))
+            and not np.all(np.isfinite(signal))):
         raise SignalError(f"{name} contains non-finite samples")
     return signal
 

@@ -16,13 +16,18 @@ Audio at ``audio_rate`` is upsampled to ``rf_rate`` for modulation and
 decimated back after demodulation.
 
 Perf note: :func:`resample` is the relay chain's hot edge — the 12x
-oversampled mod/demod path crosses it four times per relay hop.  The
-fast path caches the polyphase (Kaiser) design per reduced ``(up,
-down)`` pair, reproducing scipy's default design **bit-identically**,
-and the rate pair itself is reduced with :class:`fractions.Fraction`,
-so exact rational (including non-integer) rate pairs work.  The
-modulator/demodulator avoid full-rate intermediate copies by running
-their arithmetic in place on buffers they own.
+oversampled mod/demod path crosses it twice per relay hop.  Each
+reduced ``(up, down)`` pair is planned once from scipy's default
+(Kaiser) design: interpolation by ``up`` is a product of input windows
+with a ``(taps, up)`` phase matrix, and decimation by ``down`` a
+product of ``(rows, down)`` phase rows with the input's frames plus a
+sum of shifted rows — the sums ``resample_poly`` makes, as BLAS
+products, within 1e-12 of it.  Pairs with both factors above 1 keep
+``resample_poly``.  The rate pair itself is reduced with
+:class:`fractions.Fraction`, so exact rational (including non-integer)
+rate pairs work.  The modulator/demodulator avoid full-rate
+intermediate copies by running their arithmetic in place on buffers
+they own.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from ..errors import ConfigurationError
 from ..utils.validation import check_positive, check_waveform
@@ -42,8 +48,17 @@ __all__ = ["FmModulator", "FmDemodulator", "resample", "rational_ratio"]
 #: genuinely irrational ratios.
 MAX_RATIO_DENOMINATOR = 1 << 20
 
-#: Cached polyphase designs, keyed by the reduced ``(up, down)`` pair.
+#: Largest ``m·n·k`` of one resampling product: OpenBLAS runs a GEMM
+#: on one thread up to this size (``SMP_THRESHOLD_MIN`` times its default
+#: ``GEMM_MULTITHREAD_THRESHOLD``).  Chunks this size keep the
+#: intermediates small and the bits independent of
+#: ``OPENBLAS_NUM_THREADS``, and never wait for a second core.
+MAX_PRODUCT_SIZE = 65536 * 4
+
+#: Cached polyphase designs and product plans, keyed by the reduced
+#: ``(up, down)`` pair.
 _design_cache = {}
+_plan_cache = {}
 
 
 def rational_ratio(rate_in, rate_out):
@@ -88,17 +103,102 @@ def _polyphase_design(up, down):
     return window
 
 
-def resample(signal, rate_in, rate_out):
-    """Polyphase resampling between exact-rational-ratio rates."""
-    from scipy import signal as sps
+def _plan(up, down):
+    """The product matrix for ``(up, down)``, built once per pair.
 
+    scipy's ``resample_poly`` pads its ``2·half + 1``-tap design ``h``
+    (``half = 10·max(up, down)``, a multiple of both factors) so that
+    output ``k`` is ``up · Σ_i x[i] h[half + k·down − i·up]``.  For
+    ``down == 1`` that is, with output ``k = q·up + p``,
+    ``Σ_s phases[s, p] · x[q + s − half/up]``; for ``up == 1`` it is
+    ``Σ_c Σ_r rows[c, r] · x[(k + c)·down + r − half]``.
+    """
+    key = (up, down)
+    plan = _plan_cache.get(key)
+    if plan is None:
+        h = _polyphase_design(up, down)
+        last = h.size - 1                      # 2·half
+        rate = max(up, down)
+        row = np.arange(last // rate + 1)[:, None]
+        phase = np.arange(rate)
+        if down == 1:     # phases[s, p] = up · h[2·half + p − s·up]
+            index = last + phase - up * row
+        else:             # rows[c, r] = h[2·half − c·down − r]
+            index = last - down * row - phase
+        plan = np.where((index >= 0) & (index <= last),
+                        up * h[np.clip(index, 0, last)], 0.0)
+        _plan_cache[key] = plan
+    return plan
+
+
+def _interpolate(x, up):
+    """Interpolate by ``up``: chunks of input windows times the phases."""
+    phases = _plan(up, 1)
+    taps = phases.shape[0]
+    padded = np.zeros(x.size + taps)    # one spare zero: never too short
+    padded[taps // 2: taps // 2 + x.size] = x
+    windows = sliding_window_view(padded, taps)
+    out = np.empty((x.size, up))
+    step = max(1, MAX_PRODUCT_SIZE // phases.size)
+    block = np.empty((min(step, x.size), taps))
+    for start in range(0, x.size, step):
+        stop = min(start + step, x.size)
+        np.copyto(block[: stop - start], windows[start:stop])
+        np.matmul(block[: stop - start], phases, out=out[start:stop])
+    return out.ravel()
+
+
+def _decimate(x, down):
+    """Decimate by ``down``: phase rows times input frames, rows summed.
+
+    Output ``k`` adds ``sums[c, k + c]`` over the plan's rows ``c``, so
+    a chunk of outputs reads ``rows − 1`` frames past its end; frames
+    before the start or past the end of ``x`` are zeros.
+    """
+    rows = _plan(1, down)
+    n_rows = rows.shape[0]
+    n_out = -(-x.size // down)
+    out = np.empty(n_out)
+    step = max(1, MAX_PRODUCT_SIZE // rows.size - (n_rows - 1))
+    for start in range(0, n_out, step):
+        stop = min(start + step, n_out)
+        low = (start - n_rows // 2) * down
+        high = (stop + n_rows // 2) * down
+        if low >= 0 and high <= x.size:
+            segment = x[low:high]
+        else:
+            segment = np.zeros(high - low)
+            inside = slice(max(low, 0), min(high, x.size))
+            segment[inside.start - low: inside.stop - low] = x[inside]
+        sums = rows @ segment.reshape(-1, down).T
+        diagonals = as_strided(sums, shape=(n_rows, stop - start),
+                               strides=(sums.strides[0] + sums.strides[1],
+                                        sums.strides[1]))
+        np.sum(diagonals, axis=0, out=out[start:stop])
+    return out
+
+
+def resample(signal, rate_in, rate_out):
+    """Polyphase resampling between exact-rational-ratio rates.
+
+    Same length, alignment and filter as ``scipy.signal.resample_poly``
+    with its default window; a 1-D real signal with one factor 1 goes
+    through chunked BLAS products (within 1e-12 of it), anything else
+    through ``resample_poly`` itself.
+    """
     rate_in = check_positive("rate_in", rate_in)
     rate_out = check_positive("rate_out", rate_out)
     if rate_in == rate_out:
         return np.asarray(signal, dtype=np.float64).copy()
     up, down = rational_ratio(rate_in, rate_out)
-    return sps.resample_poly(signal, up, down,
-                             window=_polyphase_design(up, down))
+    x = np.asarray(signal)
+    if min(up, down) > 1 or x.ndim != 1 or np.iscomplexobj(x):
+        from scipy import signal as sps
+
+        return sps.resample_poly(x, up, down,
+                                 window=_polyphase_design(up, down))
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    return _interpolate(x, up) if down == 1 else _decimate(x, down)
 
 
 class FmModulator:

@@ -1,5 +1,10 @@
 """FM modulation/demodulation chain."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +22,8 @@ from repro.wireless import (
 )
 from repro.wireless.fm import rational_ratio
 from tests import oracle
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _roundtrip_snr(audio, **kwargs):
@@ -61,11 +68,73 @@ class TestResample:
         assert rational_ratio(8000, 96000) == (12, 1)
         assert rational_ratio(44100, 8000) == (80, 441)
 
-    def test_cached_window_bit_identical_to_default(self):
-        x = WhiteNoise(seed=3, level_rms=0.3).generate(0.25)
-        slow = oracle.resample(x, 8000, 96000)
-        fast = resample(x, 8000, 96000)
-        np.testing.assert_array_equal(slow, fast)
+    # The resampler's contract: ``resample_poly`` with its default
+    # window (the oracle), to 1e-12 of the signal's scale, at the same
+    # length.  44100 -> 8000 is the (80, 441) pair, which keeps
+    # ``resample_poly``; the others run as chunked BLAS products.
+    PAIRS = [(8000, 96000), (96000, 8000), (8000, 16000), (16000, 8000),
+             (44100, 8000)]
+
+    @staticmethod
+    def _assert_matches_oracle(x, rate_in, rate_out):
+        expected = oracle.resample(x, rate_in, rate_out)
+        got = resample(x, rate_in, rate_out)
+        assert got.shape == expected.shape
+        bound = 1e-12 * max(1.0, float(np.max(np.abs(x))))
+        assert np.max(np.abs(got - expected), initial=0.0) <= bound
+
+    @settings(max_examples=60, deadline=None)
+    @given(pair=st.sampled_from(PAIRS), data=st.data())
+    def test_matches_resample_poly(self, pair, data):
+        up, down = rational_ratio(*pair)
+        filter_taps = 20 * max(up, down) + 1
+        n = data.draw(st.integers(1, 3 * filter_taps), label="n")
+        seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+        scale = data.draw(st.sampled_from([1e-3, 1.0, 1e3]), label="scale")
+        x = scale * np.random.default_rng(seed).standard_normal(n)
+        self._assert_matches_oracle(x, *pair)
+
+    # Around the chunk edges: 1,040 input rows per interpolation product
+    # and 1,020 outputs per decimation product at MAX_PRODUCT_SIZE.
+    @pytest.mark.parametrize("rate_in, rate_out, n", [
+        (8000, 96000, 1039), (8000, 96000, 1040), (8000, 96000, 1041),
+        (8000, 96000, 32000),
+        (96000, 8000, 12 * 1020 - 1), (96000, 8000, 12 * 1020),
+        (96000, 8000, 12 * 1020 + 1), (96000, 8000, 384000),
+    ])
+    def test_matches_resample_poly_across_chunks(self, rate_in, rate_out, n):
+        x = np.random.default_rng(n).standard_normal(n)
+        self._assert_matches_oracle(x, rate_in, rate_out)
+
+    def test_repeat_calls_bit_identical(self):
+        x = WhiteNoise(seed=3, level_rms=0.3).generate(4.0)
+        up = resample(x, 8000, 96000)
+        np.testing.assert_array_equal(up, resample(x.copy(), 8000, 96000))
+        down = resample(up, 96000, 8000)
+        np.testing.assert_array_equal(down, resample(up.copy(), 96000, 8000))
+
+    def test_relay_bits_do_not_depend_on_blas_threads(self, tmp_path):
+        # Every product stays under OpenBLAS's one-thread size, so a
+        # 4 s forward is the same with one BLAS thread as with the
+        # library's default thread count.
+        child = ("import sys, numpy as np\n"
+                 "from repro.signals import WhiteNoise\n"
+                 "from repro.wireless import AnalogRelay\n"
+                 "x = WhiteNoise(seed=3, level_rms=0.2).generate(4.0)\n"
+                 "np.save(sys.argv[1], AnalogRelay(seed=5).forward(x))\n")
+        outputs = []
+        for threads in ("1", None):
+            env = {key: value for key, value in os.environ.items()
+                   if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                  "GOTO_NUM_THREADS")}
+            env["PYTHONPATH"] = str(ROOT / "src")
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            path = tmp_path / f"threads-{threads}.npy"
+            subprocess.run([sys.executable, "-c", child, str(path)],
+                           check=True, env=env, cwd=ROOT, timeout=120)
+            outputs.append(np.load(path))
+        np.testing.assert_array_equal(outputs[0], outputs[1])
 
 
 class TestFmModulator:

@@ -74,6 +74,24 @@ class TestMeasureLookahead:
         m = measure_lookahead(fwd, ear, FS)
         assert not m.is_positive
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_roundoff_in_a_mean_removed_stream_moves_nothing(self, seed):
+        # The FM demodulator removes the mean, so bin 0 of the forwarded
+        # spectrum is roundoff; a 1e-15 relative perturbation must not
+        # move the measurement through it.
+        x = WhiteNoise(sample_rate=FS, level_rms=0.2, seed=seed) \
+            .generate(1.0)
+        ear = np.zeros_like(x)
+        ear[24:] = x[:-24]
+        fwd = x - np.mean(x)
+        rng = np.random.default_rng(seed)
+        perturbed = fwd * (1.0 + 1e-15 * rng.standard_normal(fwd.size))
+        a = measure_lookahead(fwd, ear, FS)
+        b = measure_lookahead(perturbed, ear, FS)
+        assert b.lag_s == a.lag_s
+        assert b.peak_value == pytest.approx(a.peak_value, rel=1e-9)
+        assert b.confidence == pytest.approx(a.confidence, rel=1e-9)
+
     def test_uncorrelated_low_confidence(self):
         a = WhiteNoise(sample_rate=FS, seed=1).generate(1.0)
         b = WhiteNoise(sample_rate=FS, seed=2).generate(1.0)

@@ -124,6 +124,21 @@ class TestRirSettings:
         with pytest.raises(ConfigurationError):
             RirSettings(sinc_taps=1)
 
+    @pytest.mark.parametrize("bad", [31.0, True, "31"],
+                             ids=["float", "bool", "str"])
+    def test_rejects_non_integer_sinc_taps(self, bad):
+        with pytest.raises(ConfigurationError):
+            RirSettings(sinc_taps=bad)
+
+    def test_accepts_numpy_integer_sinc_taps(self):
+        room = Room(4.0, 3.0, 2.5, absorption=0.5)
+        args = (room, Point(1.0, 1.0, 1.2), Point(3.0, 2.0, 1.2), FS)
+        numpy_taps = RirSettings(max_order=1, sinc_taps=np.int64(31))
+        np.testing.assert_array_equal(
+            room_impulse_response(*args, settings=numpy_taps),
+            room_impulse_response(*args,
+                                  settings=RirSettings(max_order=1)))
+
 
 def _bits(a):
     return np.ascontiguousarray(a).view(np.uint8)

@@ -99,6 +99,28 @@ class TestCheckWaveform:
         with pytest.raises(SignalError):
             v.check_waveform("x", [1.0, np.nan])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_real_sample(self, bad):
+        with pytest.raises(SignalError):
+            v.check_waveform("x", [0.5, bad, -0.5])
+
+    @pytest.mark.parametrize("bad", [
+        complex(np.nan, 0.5), complex(np.inf, 0.5), complex(-np.inf, 0.0),
+        complex(0.5, np.nan), complex(0.5, np.inf), complex(0.0, -np.inf),
+    ], ids=["nan-real", "inf-real", "-inf-real", "nan-imag", "inf-imag",
+            "-inf-imag"])
+    def test_rejects_non_finite_complex_part(self, bad):
+        with pytest.raises(SignalError):
+            v.check_waveform("x", np.array([0.5 + 0.5j, bad, 0.0j]),
+                             allow_complex=True)
+
+    def test_accepts_finite_samples_whose_squares_overflow(self):
+        real = v.check_waveform("x", [1e200, -1e200, 1.0])
+        np.testing.assert_array_equal(real, [1e200, -1e200, 1.0])
+        big = np.array([1e200 + 1e200j, 1.0j])
+        np.testing.assert_array_equal(
+            v.check_waveform("x", big, allow_complex=True), big)
+
     def test_rejects_complex_by_default(self):
         with pytest.raises(SignalError):
             v.check_waveform("x", np.array([1j, 2j]))
