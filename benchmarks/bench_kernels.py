@@ -9,7 +9,9 @@ product kernels against the test oracle's per-sample reference walks
 (``tests/oracle.py``, see ``docs/KERNELS.md``) and writes the speedup
 table to ``BENCH_kernels.json``; the LANC row must clear the 3x
 contract.  ``test_resample_sweep`` times the relay's two rate changes
-against ``resample_poly`` and adds its rows to the same file.
+against ``resample_poly``, and ``test_demod_sweep`` the receivers'
+zero-phase filter and decimation against ``sosfiltfilt`` then
+``resample_poly``; each adds its rows to the same file.
 """
 
 import contextlib
@@ -24,7 +26,8 @@ from repro.core import (ApaFilter, LancFilter, LmsFilter,
                         MultiRefLancFilter, RlsFilter, StreamingLanc,
                         gcc_phat)
 from repro.signals import WhiteNoise
-from repro.wireless import FmDemodulator, FmModulator, resample
+from repro.wireless import (FmDemodulator, FmModulator, ZeroPhaseDecimator,
+                            resample)
 from tests import oracle
 
 #: The product kernel must beat the oracle's per-sample walk by at
@@ -38,6 +41,11 @@ RLS_SPEEDUP_FLOOR = 2.0
 #: And the relay's rate changes (8 <-> 96 kHz, 4 s of audio) on the
 #: chunked BLAS products must beat ``resample_poly`` by this much.
 RESAMPLE_SPEEDUP_FLOOR = 2.0
+
+#: And the receivers' zero-phase low-pass and decimation by 12 (1 s and
+#: 4 s at 96 kHz) must beat ``sosfiltfilt`` then ``resample_poly`` by
+#: this much.
+DEMOD_SPEEDUP_FLOOR = 1.5
 
 #: The two arithmetics a sweep row times: the oracle's reference walks
 #: (the "before" leg, labeled ``loop``) and the product (``vector``).
@@ -209,6 +217,58 @@ def test_resample_sweep(report):
         assert row["speedup"] >= RESAMPLE_SPEEDUP_FLOOR, \
             f"{row['rates']}: resample speedup {row['speedup']:.2f}x < " \
             f"{RESAMPLE_SPEEDUP_FLOOR}x"
+
+
+def test_demod_sweep(report):
+    """``ZeroPhaseDecimator`` vs the oracle's ``resample_poly(sosfiltfilt)``."""
+    demodulator = FmDemodulator()
+    decimator = ZeroPhaseDecimator(demodulator.rf_rate,
+                                   demodulator.audio_rate)
+    sos = oracle.receiver_sos(demodulator)
+    rows = []
+    for seconds in (1.0, 4.0):
+        x = np.random.default_rng(0).standard_normal(int(96000 * seconds))
+        timings = {
+            label: time_call(f, repeats=7, warmup=1)
+            for label, f in (
+                ("oracle", lambda: oracle.zero_phase_decimate(
+                    sos, x, 96000.0, 8000.0)),
+                ("product", lambda: decimator(x)))
+        }
+        scale = max(1.0, float(np.max(np.abs(x))))
+        max_dev = float(np.max(np.abs(timings["product"].result
+                                      - timings["oracle"].result))) / scale
+        rows.append({
+            "seconds": seconds,
+            "oracle_s": timings["oracle"].best_s,
+            "product_s": timings["product"].best_s,
+            "speedup": (timings["oracle"].best_s
+                        / timings["product"].best_s),
+            "max_rel_deviation": max_dev,
+        })
+
+    path = _update_kernels_json({"demod": {
+        "workload": "white noise at 96 kHz, decimated to 8 kHz",
+        "oracle": "tests/oracle.py zero_phase_decimate "
+                  "(scipy sosfiltfilt, then resample_poly)",
+        "product": "repro.wireless.fm.ZeroPhaseDecimator",
+        "speedup_floor": DEMOD_SPEEDUP_FLOOR,
+        "rows": rows,
+    }})
+    lines = [f"{'input':<8} {'oracle':>9} {'product':>9} {'speedup':>8}"]
+    for row in rows:
+        lines.append(f"{row['seconds']:>6.0f} s {row['oracle_s'] * 1e3:>7.2f}ms "
+                     f"{row['product_s'] * 1e3:>7.2f}ms "
+                     f"{row['speedup']:>7.2f}x")
+    report("\n".join(lines) + f"\n[written to {path}]")
+
+    for row in rows:
+        assert row["max_rel_deviation"] <= 1e-12, \
+            f"{row['seconds']} s: decimator vs oracle " \
+            f"({row['max_rel_deviation']})"
+        assert row["speedup"] >= DEMOD_SPEEDUP_FLOOR, \
+            f"{row['seconds']} s: decimator speedup {row['speedup']:.2f}x " \
+            f"< {DEMOD_SPEEDUP_FLOOR}x"
 
 
 def test_rir_build(benchmark):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..utils import fastconv
+from ..utils import fastconv, filters
 from ..utils.validation import check_positive, check_waveform
 
 __all__ = ["TransducerResponse", "cheap_transducer", "flat_transducer"]
@@ -85,12 +85,10 @@ class TransducerResponse:
         return 20.0 * np.log10(np.maximum(self.magnitude(freqs), 1e-12))
 
     def _design_fir(self):
-        from scipy import signal as sps
-
         grid = np.linspace(0.0, self.sample_rate / 2.0, 256)
         mags = self.magnitude(grid)
         mags[0] = 0.0
-        return sps.firwin2(self.n_taps, grid, mags, fs=self.sample_rate)
+        return filters.firwin2(self.n_taps, grid, mags, fs=self.sample_rate)
 
     @property
     def impulse_response(self):

@@ -115,9 +115,12 @@ def check_waveform(name, signal, min_length=1, allow_complex=False):
         signal = signal.astype(np.complex128, copy=False)
     else:
         signal = signal.astype(np.float64, copy=False)
-    # A NaN or inf makes the sum of squares non-finite; finite samples
-    # whose squares overflow (1e200) take the exact elementwise check.
-    if (not np.isfinite(np.vdot(signal, signal))
+    # A NaN or inf makes the sum non-finite; finite samples whose sum
+    # overflows take the exact elementwise check.  einsum's own loop, not
+    # a BLAS dot (OpenBLAS splits long dots over threads, whose hand-offs
+    # cost milliseconds on a busy host), nor np.add.reduce, which warns
+    # on opposite infinities and on an overflowing sum.
+    if (not np.isfinite(np.einsum("i->", signal))
             and not np.all(np.isfinite(signal))):
         raise SignalError(f"{name} contains non-finite samples")
     return signal

@@ -8,7 +8,7 @@ from .privacy import (
     minimum_tx_power_dbm,
     received_audio_snr_db,
 )
-from .fm import FmDemodulator, FmModulator, resample
+from .fm import FmDemodulator, FmModulator, ZeroPhaseDecimator, resample
 from .link_budget import (
     ISM_900_BANDWIDTH_HZ,
     band_occupancy_fraction,
@@ -31,6 +31,7 @@ __all__ = [
     "AmModulator",
     "FmDemodulator",
     "FmModulator",
+    "ZeroPhaseDecimator",
     "resample",
     "ISM_900_BANDWIDTH_HZ",
     "band_occupancy_fraction",

@@ -12,7 +12,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..utils.validation import check_in_range, check_positive, check_waveform
-from .fm import resample
+from .fm import ZeroPhaseDecimator, resample
 
 __all__ = ["AmModulator", "AmDemodulator"]
 
@@ -54,31 +54,27 @@ class AmModulator:
 
 
 class AmDemodulator:
-    """Envelope detector: magnitude, DC removal, low-pass, decimate."""
+    """Envelope detector: magnitude, DC removal, then the FM receiver's
+    zero-phase low-pass and decimation (:class:`ZeroPhaseDecimator`)."""
 
     def __init__(self, audio_rate=8000.0, rf_rate=96000.0,
                  modulation_index=0.8):
-        from scipy import signal as sps
-
         self.audio_rate = check_positive("audio_rate", audio_rate)
         self.rf_rate = check_positive("rf_rate", rf_rate)
         self.modulation_index = check_positive(
             "modulation_index", modulation_index
         )
-        cutoff = min(self.audio_rate / 2.0, self.rf_rate / 2.0 * 0.9)
-        self._sos = sps.butter(
-            6, cutoff / (self.rf_rate / 2.0), btype="lowpass", output="sos"
-        )
+        self._decimator = ZeroPhaseDecimator(self.rf_rate, self.audio_rate)
+        #: Shortest baseband the receive filter accepts.
+        self.min_samples = self._decimator.min_samples
 
     def demodulate(self, baseband):
         """Recover audio from the AM envelope."""
-        from scipy import signal as sps
-
-        baseband = check_waveform("baseband", baseband, min_length=2,
+        baseband = check_waveform("baseband", baseband,
+                                  min_length=self.min_samples,
                                   allow_complex=True)
         envelope = np.abs(baseband)
         envelope -= np.mean(envelope)
-        envelope = sps.sosfiltfilt(self._sos, envelope)
-        audio = resample(envelope, self.rf_rate, self.audio_rate)
+        audio = self._decimator(envelope)
         audio /= self.modulation_index
         return audio

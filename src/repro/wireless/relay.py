@@ -30,9 +30,10 @@ import time
 import numpy as np
 
 from .. import obs
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, SignalError
+from ..utils import fastconv, filters
 from ..utils.validation import check_non_negative, check_positive, check_waveform
-from .fm import FmDemodulator, FmModulator
+from .fm import FmDemodulator, FmModulator, rational_ratio
 from .rf_channel import FrozenNoise, RfChannel, RfChannelConfig
 
 __all__ = ["AnalogRelay", "IdealRelay"]
@@ -95,27 +96,27 @@ class AnalogRelay:
     mic_noise_rms:
         Self-noise of the cheap MEMS microphone, at the audio level.
     lpf_cutoff_hz:
-        Anti-alias low-pass in the analog front end.
+        Anti-alias low-pass in the analog front end: an order-4
+        Butterworth, applied as its impulse response
+        (:func:`~repro.utils.filters.butter_fir`).
     """
 
     def __init__(self, audio_rate=8000.0, rf_rate=96000.0,
                  deviation_hz=12000.0, channel_config=None,
                  mic_noise_rms=1e-3, lpf_cutoff_hz=None, seed=0):
-        from scipy import signal as sps
-
         self.audio_rate = check_positive("audio_rate", audio_rate)
         self.rf_rate = check_positive("rf_rate", rf_rate)
         self.mic_noise_rms = check_non_negative("mic_noise_rms", mic_noise_rms)
         self.seed = seed
         cutoff = lpf_cutoff_hz or self.audio_rate / 2.0 * 0.95
-        if not 0 < cutoff <= self.audio_rate / 2.0:
+        if not 0 < cutoff < self.audio_rate / 2.0:
             raise ConfigurationError(
-                f"lpf_cutoff_hz must be in (0, {self.audio_rate / 2}], "
+                f"lpf_cutoff_hz must be in (0, {self.audio_rate / 2}), "
                 f"got {cutoff}"
             )
-        self._front_sos = sps.butter(
-            4, cutoff / (self.audio_rate / 2.0), btype="lowpass", output="sos"
-        )
+        self.lpf_cutoff_hz = cutoff
+        self._front_fir = filters.butter_fir(4,
+                                             cutoff / (self.audio_rate / 2.0))
         self.modulator = FmModulator(
             audio_rate=self.audio_rate, rf_rate=self.rf_rate,
             deviation_hz=deviation_hz,
@@ -129,6 +130,11 @@ class AnalogRelay:
             rf_rate=self.rf_rate,
         )
         self._mic_noise = FrozenNoise(lambda rng, n: rng.standard_normal(n))
+        # n audio samples become ceil(n·up/down) at the RF rate.
+        up, down = rational_ratio(self.audio_rate, self.rf_rate)
+        #: Shortest block :meth:`forward` accepts: the receiver's
+        #: zero-phase filter needs ``demodulator.min_samples`` RF samples.
+        self.min_samples = (self.demodulator.min_samples - 1) * down // up + 1
         self.latency_samples = self._calibrate_latency()
 
     def _chain(self, audio):
@@ -138,9 +144,7 @@ class AnalogRelay:
         ``relay.demod_s{relay=analog}`` histogram — the dominant
         receive-side cost of the chain.
         """
-        from scipy import signal as sps
-
-        shaped = sps.sosfilt(self._front_sos, audio)
+        shaped = fastconv.fir_apply(audio, self._front_fir)
         if self.mic_noise_rms > 0.0:
             shaped += self.mic_noise_rms * self._mic_noise(self.seed + 1,
                                                            shaped.size)
@@ -164,14 +168,15 @@ class AnalogRelay:
         and resamplers leave a sub-sample offset that would otherwise
         read as high-frequency error.
         """
-        from scipy import signal as sps
-
         n = int(self.audio_rate * 0.25)
         t = np.arange(n) / self.audio_rate
-        probe = sps.chirp(t, f0=100.0, f1=self.audio_rate * 0.4, t1=t[-1])
+        # A linear chirp from f0 to f1 over the probe, as scipy's chirp.
+        f0, f1 = 100.0, self.audio_rate * 0.4
+        sweep = (f1 - f0) / t[-1]
+        probe = np.cos(2 * np.pi * (f0 * t + 0.5 * sweep * t * t))
         out = self._chain(probe)
         m = min(probe.size, out.size)
-        corr = sps.correlate(out[:m], probe[:m], mode="full")
+        corr = np.correlate(out[:m], probe[:m], mode="full")
         peak = int(np.argmax(np.abs(corr)))
         lag = float(peak - (m - 1))
         if 0 < peak < corr.size - 1:
@@ -191,6 +196,12 @@ class AnalogRelay:
         distortions intact.
         """
         audio = check_waveform("audio", audio)
+        if audio.size < self.min_samples:
+            raise SignalError(
+                f"audio must have at least {self.min_samples} samples, got "
+                f"{audio.size}: the receiver's zero-phase filter needs "
+                f"{self.demodulator.min_samples} samples at "
+                f"{self.rf_rate:g} Hz")
         with obs.span("relay.forward", relay="analog", samples=audio.size):
             out = self._chain(audio)
             aligned = _advance(out, self.latency_samples)

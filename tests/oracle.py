@@ -22,8 +22,11 @@ Five groups:
   self-check (the walks must equal them bit for bit);
 * the slow signal paths (:func:`fir_apply` = ``fftconvolve``,
   :func:`streaming_fir_process` = ``lfilter`` with carried state,
-  :func:`resample` = ``resample_poly`` with its default window, and the
-  allocating FM/AM modulator and demodulator arithmetic);
+  :func:`resample` = ``resample_poly`` with its default window, the
+  receivers' :func:`zero_phase_decimate` = ``sosfiltfilt`` then
+  ``resample_poly`` on the SciPy design :func:`receiver_sos`, the relay
+  :func:`front_end` = ``sosfilt``, and the allocating FM/AM modulator
+  and demodulator arithmetic);
 * the one-at-a-time simulation layers: the image-source room built
   image by image (:func:`image_sources`, :func:`room_impulse_response`,
   each kernel from :func:`fractional_delay_filter` on its own), and the
@@ -58,6 +61,7 @@ from repro.acoustics.rir import RirSettings
 from repro.core.adaptive.base import effective_step, guard_divergence
 from repro.core.adaptive.lanc import LancFilter
 from repro.errors import ConfigurationError
+from repro.utils import fastconv
 from repro.utils.spectral import cancellation_spectrum_db
 from repro.utils.units import db_to_amplitude
 from repro.utils.validation import (
@@ -73,9 +77,10 @@ __all__ = [
     "tap_window", "fxlms_block", "lms_run", "rls_run", "apa_run",
     "multiref_run", "lms_step", "rls_step", "apa_step", "fir_apply",
     "streaming_fir_process", "resample", "fm_modulate", "fm_demodulate",
-    "am_modulate", "am_demodulate", "fractional_delay_filter",
-    "image_sources", "room_impulse_response", "rf_channel_apply",
-    "analog_relay_chain", "reference_paths",
+    "am_modulate", "am_demodulate", "receiver_sos", "zero_phase_decimate",
+    "front_end", "fractional_delay_filter", "image_sources",
+    "room_impulse_response", "rf_channel_apply", "analog_relay_chain",
+    "reference_paths",
     "simulate_delay_limited_fxlms",
 ]
 
@@ -440,6 +445,18 @@ def fm_modulate(self, audio):
     return self.amplitude * np.exp(1j * phase)
 
 
+def receiver_sos(self):
+    """The FM/AM receivers' order-6 low-pass, designed by ``scipy.signal``."""
+    cutoff = min(self.audio_rate / 2.0, self.rf_rate / 2.0 * 0.9)
+    return sps.butter(6, cutoff / (self.rf_rate / 2.0), btype="lowpass",
+                      output="sos")
+
+
+def zero_phase_decimate(sos, x, rate_in, rate_out):
+    """``ZeroPhaseDecimator``: ``sosfiltfilt``, then ``resample_poly``."""
+    return resample(sps.sosfiltfilt(sos, x), rate_in, rate_out)
+
+
 def fm_demodulate(self, baseband):
     """``FmDemodulator.demodulate`` via ``np.angle`` of the product."""
     baseband = check_waveform("baseband", baseband, min_length=2,
@@ -448,8 +465,8 @@ def fm_demodulate(self, baseband):
     inst_freq = np.angle(product) * self.rf_rate / (2.0 * np.pi)
     inst_freq = np.concatenate([[inst_freq[0]], inst_freq])
     audio_rf = inst_freq / self.deviation_hz
-    audio_rf = sps.sosfiltfilt(self._sos, audio_rf)
-    audio = resample(audio_rf, self.rf_rate, self.audio_rate)
+    audio = zero_phase_decimate(receiver_sos(self), audio_rf, self.rf_rate,
+                                self.audio_rate)
     if self.remove_dc:
         audio = audio - np.mean(audio)
     return audio
@@ -472,8 +489,8 @@ def am_demodulate(self, baseband):
                               allow_complex=True)
     envelope = np.abs(baseband)
     envelope = envelope - np.mean(envelope)
-    envelope = sps.sosfiltfilt(self._sos, envelope)
-    audio = resample(envelope, self.rf_rate, self.audio_rate)
+    audio = zero_phase_decimate(receiver_sos(self), envelope, self.rf_rate,
+                                self.audio_rate)
     return audio / self.modulation_index
 
 
@@ -572,6 +589,13 @@ def room_impulse_response(room, source, microphone, sample_rate,
     return ir
 
 
+def front_end(self, audio):
+    """``AnalogRelay``'s front-end low-pass as ``scipy.signal.sosfilt``."""
+    sos = sps.butter(4, self.lpf_cutoff_hz / (self.audio_rate / 2.0),
+                     btype="lowpass", output="sos")
+    return sps.sosfilt(sos, audio)
+
+
 def rf_channel_apply(self, baseband):
     """``RfChannel.apply`` with a fresh ``default_rng(seed)`` per call."""
     baseband = check_waveform("baseband", baseband, allow_complex=True,
@@ -602,8 +626,12 @@ def rf_channel_apply(self, baseband):
 
 
 def analog_relay_chain(self, audio):
-    """``AnalogRelay._chain`` with a fresh mic-noise generator per call."""
-    shaped = sps.sosfilt(self._front_sos, audio)
+    """``AnalogRelay._chain`` with a fresh mic-noise generator per call.
+
+    The front end is the product's FIR, so this pins the kept noise
+    alone; ``front_end`` is SciPy's recursion for the filter pins.
+    """
+    shaped = fastconv.fir_apply(audio, self._front_fir)
     if self.mic_noise_rms > 0.0:
         rng = np.random.default_rng(self.seed + 1)
         shaped = shaped + self.mic_noise_rms * rng.standard_normal(
@@ -621,7 +649,6 @@ def _swaps():
     """``(owner, attribute, reference)`` for every product hot path."""
     from repro.core.adaptive import kernels
     from repro.core.adaptive.kernels import vector
-    from repro.utils import fastconv
     from repro.wireless import am, fm, relay, rf_channel
 
     return [

@@ -1,15 +1,20 @@
 """Cold start: ``import repro`` loads NumPy only, never SciPy.
 
 SciPy is imported inside the functions that call it, so a process pays
-for it only when it runs the relay, room or spectral code.  Each check
-runs in a fresh interpreter with ``PYTHONPATH=src`` and a meta-path
-finder that notes the ``repro`` frame behind every SciPy import; on
-failure the message names that file and line.
+for it only when it runs the room, relay, spectral or kernel code.  Each
+check runs in a fresh interpreter with ``PYTHONPATH=src`` and a
+meta-path finder that notes the ``repro`` frame behind every SciPy (or
+``scipy.signal``) import; on failure the message names that file and
+line.
 
 * ``import repro``, ``repro list`` and ``repro --help`` load no SciPy.
 * The serving runtime (sessions, checkpoints, chaos) calls no SciPy
   function: with the finder refusing SciPy, ``serve-bench --check`` and
   ``chaos-soak`` still pass.
+* The relay paths design and run their filters in NumPy
+  (``repro.utils.filters``): with the finder refusing ``scipy.signal``
+  alone, a relay decision in the Figure 19 room and a
+  ``MuteSystem.run`` with an ``AnalogRelay`` still pass.
 """
 
 import os
@@ -21,42 +26,91 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
-#: The child: ``python -c CHILD watch|refuse import|<cli args>``.  It
-#: prints ``scipy-importer: <file:line>`` (or ``none``) to stderr last.
+#: The child: ``python -c CHILD watch|refuse|refuse-signal
+#: import|exec <code>|<cli args>``.  ``watch`` and ``refuse`` watch every
+#: SciPy module, ``refuse-signal`` only ``scipy.signal``.  It prints
+#: ``scipy-importer: <file:line>`` (or ``none``) to stderr last.
 CHILD = """
 import os, runpy, sys, traceback
 
 mode, command = sys.argv[1], sys.argv[2:]
+watched = "scipy.signal" if mode == "refuse-signal" else "scipy"
 importers = []
 
 
 class ScipyWatch:
     def find_spec(self, name, path=None, target=None):
-        if name.partition(".")[0] != "scipy":
+        if name != watched and not name.startswith(watched + "."):
             return None
         frames = [f"{f.filename}:{f.lineno}"
                   for f in traceback.extract_stack()
                   if f"{os.sep}repro{os.sep}" in f.filename]
         importers.append(frames[-1] if frames else name)
-        if mode == "refuse":
-            raise ImportError(f"SciPy refused: {name} from {importers[-1]}")
+        if mode != "watch":
+            raise ImportError(f"{watched} refused: {name} from "
+                              f"{importers[-1]}")
         return None
 
 
 sys.meta_path.insert(0, ScipyWatch())
 code = 0
-if command == ["import"]:
-    import repro
-else:
-    sys.argv = ["repro", *command]
-    try:
+try:
+    if command == ["import"]:
+        import repro
+    elif command[0] == "exec":
+        exec(command[1], {})
+    else:
+        sys.argv = ["repro", *command]
         runpy.run_module("repro", run_name="__main__")
-    except SystemExit as exc:
-        code = exc.code
+except SystemExit as exc:
+    code = exc.code
+except Exception:
+    traceback.print_exc()
+    code = 1
 print("scipy-importer:", importers[0] if importers else "none",
       file=sys.stderr)
 sys.exit(code)
 """
+
+#: One relay-association decision in the Figure 19 room (§4.2).
+RELAY_DECISION = """
+from repro.core.relay_selection import RelaySelector
+from repro.core.system import MuteConfig, MuteSystem
+from repro.eval.experiments.fig19_relay_map import relay_map_scenario
+from repro.signals import WhiteNoise
+from repro.wireless import AnalogRelay
+
+relay = AnalogRelay(audio_rate=8000.0, seed=1)
+system = MuteSystem(relay_map_scenario(8000.0),
+                    MuteConfig(probe_secondary=False, relay=relay))
+noise = WhiteNoise(sample_rate=8000.0, level_rms=0.1, seed=1).generate(0.5)
+forwarded, ear = system.forwarded_and_ear_signals(noise)
+best, measured = RelaySelector(sample_rate=8000.0).select(
+    forwarded, ear, max_lag_s=0.02)
+assert measured, "no relay measured"
+"""
+
+#: The headline path: ``MuteSystem.run`` on the bench with the FM relay.
+HEADLINE_RUN = """
+import numpy as np
+
+from repro.core.system import MuteSystem
+from repro.eval.experiments.common import bench_scenario, default_config
+from repro.signals import WhiteNoise
+from repro.wireless import AnalogRelay
+
+scenario = bench_scenario()
+relay = AnalogRelay(audio_rate=scenario.sample_rate, seed=1)
+system = MuteSystem(scenario, default_config(relay=relay, seed=1))
+noise = WhiteNoise(sample_rate=scenario.sample_rate, level_rms=0.1,
+                   seed=1).generate(1.0)
+assert np.all(np.isfinite(system.run(noise).residual))
+"""
+
+
+def _importer(proc):
+    """The ``file:line`` (or ``none``) the child printed last."""
+    return proc.stderr.strip().splitlines()[-1].split(": ", 1)[1]
 
 
 def _child(mode, *command):
@@ -89,3 +143,13 @@ def test_serving_runs_without_scipy():
                   "--duration", "0.3", "--crash-prob", "1.0")
     assert soak.returncode == 0, soak.stderr
     assert " 0 mismatch(es)" in soak.stdout
+
+
+@pytest.mark.parametrize("flow", [RELAY_DECISION, HEADLINE_RUN],
+                         ids=["relay-decision", "headline-run"])
+def test_relay_paths_run_without_scipy_signal(flow):
+    proc = _child("refuse-signal", "exec", flow)
+    assert _importer(proc) == "none", (
+        f"the relay path imported scipy.signal from {_importer(proc)}:\n"
+        f"{proc.stderr}")
+    assert proc.returncode == 0, proc.stderr

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import signal as sps
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SignalError
 from repro.signals import Tone, WhiteNoise
 from repro.utils.units import snr_db
 from repro.wireless import (
@@ -18,6 +19,8 @@ from repro.wireless import (
     AmModulator,
     FmDemodulator,
     FmModulator,
+    ZeroPhaseDecimator,
+    fm,
     resample,
 )
 from repro.wireless.fm import rational_ratio
@@ -59,6 +62,27 @@ class TestResample:
         assert (up, down) == (192000, 16001)
         out = resample(np.zeros(16001), 8000.5, 96000)
         assert out.size == 192000
+
+    def test_unit_ratio_of_unequal_rates_is_a_copy(self):
+        # 8000·(1 + 1e-13) is not 8000, but their exact ratio snaps to
+        # 1/1: the float64 copy equal rates get.
+        x = np.arange(10)
+        out = resample(x, 8000, 8000 * (1 + 1e-13))
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, x)
+
+    def test_both_factor_fallback_keeps_no_design(self):
+        # (192000, 16001) would cache a 3.84M-tap window; resample_poly
+        # designs the same window itself.
+        x = np.zeros(16001)
+        out = resample(x, 8000.5, 96000)
+        assert (192000, 16001) not in fm._design_cache
+        np.testing.assert_array_equal(out, oracle.resample(x, 8000.5, 96000))
+
+    def test_both_factor_fallback_is_resample_poly(self):
+        x = np.random.default_rng(7).standard_normal(3000)
+        np.testing.assert_array_equal(resample(x, 44100, 8000),
+                                      oracle.resample(x, 44100, 8000))
 
     def test_rejects_irrational_rate_ratio(self):
         with pytest.raises(ConfigurationError):
@@ -135,6 +159,77 @@ class TestResample:
                            check=True, env=env, cwd=ROOT, timeout=120)
             outputs.append(np.load(path))
         np.testing.assert_array_equal(outputs[0], outputs[1])
+
+
+class TestZeroPhaseDecimator:
+    """The receivers' filter-and-decimate against SciPy's
+    ``resample_poly(sosfiltfilt(sos, x))`` (the oracle), within
+    1e-12 × max(1, max|x|), at the same length."""
+
+    RECEIVER = ZeroPhaseDecimator(96000.0, 8000.0)
+
+    @staticmethod
+    def _assert_matches_oracle(decimator, x):
+        sos = sps.butter(decimator.order,
+                         decimator.cutoff_hz / (decimator.rate_in / 2.0),
+                         output="sos")
+        want = oracle.zero_phase_decimate(sos, x, decimator.rate_in,
+                                          decimator.rate_out)
+        got = decimator(x)
+        assert got.shape == want.shape
+        bound = 1e-12 * max(1.0, float(np.max(np.abs(x))))
+        assert np.max(np.abs(got - want)) <= bound
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(22, 480000), seed=st.integers(0, 2 ** 32 - 1),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]))
+    def test_matches_sosfiltfilt_then_resample_poly(self, n, seed, scale):
+        x = scale * np.random.default_rng(seed).standard_normal(n)
+        self._assert_matches_oracle(self.RECEIVER, x)
+
+    # The shortest input; the first length with an interior output
+    # (1486); lengths around an output's 12-sample frame and the 901
+    # outputs of one overlap-save block; 1 s, 4 s and 5 s.
+    @pytest.mark.parametrize("n", [
+        22, 23, 34, 35, 100, 1485, 1486, 1487, 1497, 1498,
+        12 * (62 + 901 + 62) - 1, 12 * (62 + 901 + 62),
+        12 * (62 + 901 + 62) + 1, 12 * (62 + 2 * 901 + 62) + 11,
+        96000, 384000, 480000,
+    ])
+    def test_matches_oracle_at_edge_lengths(self, n):
+        x = np.random.default_rng(n).standard_normal(n)
+        self._assert_matches_oracle(self.RECEIVER, x)
+
+    @pytest.mark.parametrize("rate_in, rate_out", [
+        (96000.0, 16000.0), (48000.0, 8000.0), (96000.0, 44100.0),
+        (8000.0, 16000.0),
+    ], ids=["down-6", "48k-down-6", "fallback-147/320", "fallback-up-2"])
+    def test_other_rate_pairs(self, rate_in, rate_out):
+        decimator = ZeroPhaseDecimator(rate_in, rate_out)
+        for n in (22, 999, 20000):
+            x = np.random.default_rng(n).standard_normal(n)
+            self._assert_matches_oracle(decimator, x)
+
+    def test_relay_receiver_has_a_22_sample_minimum(self):
+        assert self.RECEIVER.padlen == 21
+        assert self.RECEIVER.min_samples == 22
+        with pytest.raises(SignalError, match="22 samples"):
+            self.RECEIVER(np.ones(21))
+
+    @pytest.mark.parametrize("n", [2, 10, 21])
+    @pytest.mark.parametrize("demodulator", [FmDemodulator, AmDemodulator],
+                             ids=["fm", "am"])
+    def test_short_baseband_raises_signal_error(self, demodulator, n):
+        baseband = np.exp(0.1j * np.arange(n))
+        with pytest.raises(SignalError, match="at least 22 samples"):
+            demodulator().demodulate(baseband)
+
+    @pytest.mark.parametrize("demodulator", [FmDemodulator, AmDemodulator],
+                             ids=["fm", "am"])
+    def test_shortest_baseband_demodulates(self, demodulator):
+        out = demodulator().demodulate(np.exp(0.1j * np.arange(22)))
+        assert out.shape == (2,)
+        assert np.all(np.isfinite(out))
 
 
 class TestFmModulator:

@@ -5,7 +5,9 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from repro.errors import ConfigurationError, SignalError
 from repro.signals import MaleVoice, WhiteNoise
+from repro.utils import fastconv
 from repro.wireless import (
     AnalogRelay,
     IdealRelay,
@@ -78,6 +80,44 @@ class TestAnalogRelay:
         margin = 200
         np.testing.assert_allclose(b[margin:-margin], 2 * a[margin:-margin],
                                    atol=5e-3)
+
+
+class TestRelayFilters:
+    """The relay's front end against SciPy's ``sosfilt`` of the same
+    Butterworth design, within 1e-12 of the signal's scale."""
+
+    @pytest.mark.parametrize("cutoff", [None, 1000.0, 3000.0])
+    def test_front_end_matches_sosfilt(self, cutoff):
+        relay = AnalogRelay(seed=1, lpf_cutoff_hz=cutoff)
+        for n in (50, 2000, 32000):
+            x = 30.0 * np.random.default_rng(n).standard_normal(n)
+            got = fastconv.fir_apply(x, relay._front_fir)
+            want = oracle.front_end(relay, x)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(x))
+
+    def test_rejects_a_cutoff_at_nyquist(self):
+        with pytest.raises(ConfigurationError):
+            AnalogRelay(lpf_cutoff_hz=4000.0)
+
+
+class TestRelayShortBlocks:
+    """A block too short for the receiver's zero-phase filter (22 RF
+    samples) raises ``SignalError`` naming that minimum."""
+
+    @pytest.mark.parametrize("rf_rate, n", [(96000.0, 1), (48000.0, 1),
+                                            (48000.0, 3)])
+    def test_too_short_raises(self, rf_rate, n):
+        relay = AnalogRelay(rf_rate=rf_rate, seed=1)
+        with pytest.raises(SignalError, match="needs 22 samples"):
+            relay.forward(np.full(n, 0.1))
+
+    @pytest.mark.parametrize("rf_rate, n", [(96000.0, 2), (48000.0, 4)])
+    def test_shortest_block_forwards(self, rf_rate, n):
+        relay = AnalogRelay(rf_rate=rf_rate, seed=1)
+        assert relay.min_samples == n
+        out = relay.forward(np.full(n, 0.1))
+        assert out.shape == (n,)
+        assert np.all(np.isfinite(out))
 
 
 class TestRelayKeptNoise:

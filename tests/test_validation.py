@@ -121,6 +121,17 @@ class TestCheckWaveform:
         np.testing.assert_array_equal(
             v.check_waveform("x", big, allow_complex=True), big)
 
+    def test_accepts_finite_samples_whose_sum_overflows(self):
+        huge = np.full(3, 1.5e308)
+        np.testing.assert_array_equal(v.check_waveform("x", huge), huge)
+        mixed = np.array([1.5e308 - 1.5e308j, 1.5e308 - 1.5e308j])
+        np.testing.assert_array_equal(
+            v.check_waveform("x", mixed, allow_complex=True), mixed)
+
+    def test_rejects_opposite_infinities(self):
+        with pytest.raises(SignalError):
+            v.check_waveform("x", [np.inf, 1.0, -np.inf])
+
     def test_rejects_complex_by_default(self):
         with pytest.raises(SignalError):
             v.check_waveform("x", np.array([1j, 2j]))
