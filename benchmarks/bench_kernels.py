@@ -86,10 +86,10 @@ def _sweep_workloads(x, d, s):
 
     def streaming():
         f = LancFilter(n_future=64, n_past=512, secondary_path=s, mu=0.1)
-        st = StreamingLanc(f)
-        st.feed(np.concatenate([x, np.zeros(f.n_future)]))
-        out = [st.process(d[i:i + 160]) for i in range(0, d.size, 160)]
-        return np.concatenate(out)
+        session = StreamingLanc(f, x)
+        for i in range(0, d.size, 160):
+            session.process(d[i:i + 160])
+        return session.residual()
 
     def lms():
         return LmsFilter(n_taps=128, mu=0.1).run(x, d).error

@@ -11,13 +11,20 @@ optimal solution ``h_AF = -h_se^{-1} * h_ne * h_nr^{-1}`` (paper Eq. 2).
 
 Indexing contract
 -----------------
-The ``reference`` given to :meth:`LancFilter.run` must be *aligned to
-the error microphone's time base*: ``reference[t]`` is the reference-mic
-sample whose wavefront reaches the error mic at time ``t``.  (The
-:class:`repro.core.system.MuteSystem` performs that alignment with the
-measured acoustic lead, exactly the role of the paper's GCC-PHAT
-synchronization.)  Under this alignment, "N future samples" are
-physically available whenever ``N ≤ acoustic lead − pipeline latency``.
+The ``reference`` given to :meth:`LancFilter.run` and to a
+:class:`StreamingLanc` session must be *aligned to the error
+microphone's time base*: ``reference[t]`` is the reference-mic sample
+whose wavefront reaches the error mic at time ``t``.  The paper's
+device finds that alignment with GCC-PHAT, as
+:class:`repro.core.OnlineMuteDevice` does;
+:class:`repro.core.system.MuteSystem` instead shifts by the acoustic
+lead of its image-source geometry (``channels.acoustic_lead_samples``).
+Under this alignment, "N future samples" are physically available
+whenever ``N ≤ acoustic lead − pipeline latency``.
+
+:meth:`LancFilter.run` walks the whole signal as one block;
+:class:`StreamingLanc` walks the same state block by block, for every
+driver that acts between blocks.
 
 With ``n_future = 0`` the class *is* conventional causal FxLMS — the
 baselines use it that way.
@@ -208,59 +215,58 @@ class FxlmsFilter(LancFilter):
 
 
 class StreamingLanc:
-    """Streaming driver for a :class:`LancFilter`.
+    """One LANC session: a filter walked block by block over one reference.
 
-    Decouples *feeding* the aligned reference (which the relay delivers
-    ``n_future`` samples ahead of acoustic time) from *processing* error
-    samples, so callers can act between blocks — the predictive profile
-    switcher swaps taps here, exactly when the lookahead buffer says the
-    sound is about to change.
+    Every block driver runs the paper's Algorithm 1 through a session:
+    ``MuteSystem.run_resilient``, the serving runtime's
+    ``DeviceSession``, ``OnlineMuteDevice`` (one session per relay
+    assignment) and the profile-switching experiments.  The session
+    owns the :class:`~.kernels.KernelState`, fed ``reference ⊕
+    zeros(n_future)`` up front — the ``x ⊕ 0`` that :meth:`LancFilter.run`
+    walks, so any split of the disturbance into blocks gives ``run``'s
+    residual and taps bit for bit — and a residual bank preallocated to
+    the reference's length.  Drivers act only between blocks: a
+    degradation controller gates the next block, a profile switcher or
+    a relay handoff loads cached taps into :attr:`filter`.
 
     Typical loop::
 
-        stream = StreamingLanc(filter, secondary_path_true=s)
-        stream.feed(reference[:n_future])              # prime the lookahead
-        for t0 in range(0, T, block):
-            stream.feed(reference[t0 + n_future : t0 + block + n_future])
-            err = stream.process(disturbance[t0 : t0 + block])
+        session = StreamingLanc(lanc_filter, reference,
+                                secondary_path_true=s)
+        for t0 in range(0, reference.size, block):
+            session.process(disturbance[t0 : t0 + block])
+        residual = session.residual()
 
-    (or simply ``feed`` everything up front; ``process`` never reads past
-    ``time + n_future``.)
+    Parameters
+    ----------
+    lanc_filter : LancFilter
+        The filter whose taps the session adapts in place.
+    reference : array_like
+        The whole error-mic-time-aligned reference (see the module
+        docstring).
+    secondary_path_true : array_like, optional
+        Physical ``h_se``; defaults to the filter's estimate.
     """
 
-    def __init__(self, lanc_filter, secondary_path_true=None):
+    def __init__(self, lanc_filter, reference, secondary_path_true=None):
         if not isinstance(lanc_filter, LancFilter):
             raise ConfigurationError("lanc_filter must be a LancFilter")
+        x = check_waveform("reference", reference)
         self.filter = lanc_filter
-        self.s_true = (
-            lanc_filter.secondary_path if secondary_path_true is None
-            else check_impulse_response("secondary_path_true",
-                                        secondary_path_true)
-        )
-        # All signal history (reference, filtered reference, ringing
-        # anti-noise, the acoustic clock) lives in the kernel state.
-        self._state = kernels.KernelState(
+        #: Signal history: the fed reference, its filtered-x companion,
+        #: the ringing anti-noise and the acoustic clock.
+        self.state = kernels.KernelState(
             lanc_filter.n_future, lanc_filter.n_past,
-            lanc_filter.secondary_path, self.s_true,
+            lanc_filter.secondary_path, secondary_path_true,
         )
-        self.errors = []
+        self.state.extend(np.concatenate([x, np.zeros(lanc_filter.n_future)]))
+        self._residual = np.zeros(x.size)
+        self._banked = 0
 
     @property
     def time(self):
         """Number of acoustic samples processed so far."""
-        return self._state.time
-
-    def feed(self, reference_block):
-        """Deliver newly arrived aligned-reference samples."""
-        self._state.extend(reference_block)
-
-    def peek_future(self, n_samples):
-        """The next ``n_samples`` of not-yet-processed reference.
-
-        This is the lookahead buffer's glimpse of what is about to reach
-        the ear — the input to profile classification.
-        """
-        return self._state.peek_future(n_samples)
+        return self.state.time
 
     def process(self, disturbance_block, adapt=True, active=True):
         """Process a block of acoustic time; returns the error block.
@@ -276,8 +282,7 @@ class StreamingLanc:
             If false, the anti-noise speaker is not driven this block:
             the filter output is zero, though anti-noise already in
             flight still rings through the secondary path (the
-            controller's *passive* mode).  The reference must still
-            have been fed — time advances regardless.
+            controller's *passive* mode).  Time advances regardless.
 
         Notes
         -----
@@ -292,18 +297,29 @@ class StreamingLanc:
         t_start = time.perf_counter() if enabled else None
         f = self.filter
         errors, __ = kernels.fxlms_block(
-            self._state, f.taps, d, f.mu,
+            self.state, f.taps, d, f.mu,
             normalized=f.normalized, leak=f.leak, adapt=adapt,
             active=active, context="StreamingLanc",
         )
-        self.errors.append(errors)
+        self.record(errors)
         if enabled:
             record_block_metrics("streaminglanc",
                                  time.perf_counter() - t_start, d.size)
         return errors
 
-    def error_signal(self):
-        """All processed error samples as one array."""
-        if not self.errors:
-            return np.zeros(0)
-        return np.concatenate(self.errors)
+    def record(self, errors):
+        """Bank the residual block that ends at the current time.
+
+        :meth:`process` banks its own blocks.  The batched server calls
+        this after :func:`~.kernels.fxlms_block_batch` has advanced
+        :attr:`state`, and a checkpoint restore calls it once with the
+        whole residual banked before the checkpoint.  ``errors`` may be
+        a view into a reused buffer: the bank copies it.
+        """
+        end = self.state.time
+        self._residual[end - np.size(errors): end] = errors
+        self._banked = end
+
+    def residual(self):
+        """View of the residual banked so far."""
+        return self._residual[: self._banked]

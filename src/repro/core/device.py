@@ -10,8 +10,9 @@ device the way it would actually operate:
   relay against the ear and (re)select the best positive-lookahead
   relay — the *measured* correlation lag doubles as the alignment the
   canceler needs;
-* on a handoff (or when the lag drifts), rebuild the streaming canceler
-  for the new relay/alignment, warm-starting from a per-relay tap cache;
+* on a handoff (or when the lag drifts), start a new LANC session
+  (:class:`~repro.core.adaptive.lanc.StreamingLanc`) for the new
+  relay/alignment, warm-starting from a per-assignment tap cache;
 * when no relay offers usable lookahead, output silence (the residual is
   simply the ambient noise) until one does.
 
@@ -31,7 +32,6 @@ from ..errors import ConfigurationError
 from ..hardware.dsp_board import tms320c6713
 from ..utils.validation import check_positive, check_waveform
 from .adaptive.lanc import LancFilter, StreamingLanc
-from .profiles import PredictiveProfileSwitcher, ProfileClassifier
 from .relay_selection import RelaySelector
 from .scenario import Scenario
 from .secondary_path import estimate_secondary_path
@@ -82,22 +82,11 @@ class OnlineMuteDevice:
         How often the device re-runs GCC-PHAT (the paper's "periodic").
     correlation_window_s:
         How much recent audio each correlation uses.
-    classifier:
-        Optional pre-trained :class:`ProfileClassifier` (e.g. loaded via
-        :func:`repro.core.load_learned_state`).  When given, the device
-        also runs predictive profile switching on each block's lookahead
-        window, with one filter cache per relay assignment.
     """
 
     def __init__(self, scenario, n_future_max=64, n_past=384, mu=0.15,
                  block_s=0.05, reselect_interval_s=0.5,
-                 correlation_window_s=0.5, dsp=None, seed=0,
-                 classifier=None):
-        if classifier is not None and not isinstance(classifier,
-                                                     ProfileClassifier):
-            raise ConfigurationError(
-                "classifier must be a ProfileClassifier (or None)")
-        self.classifier = classifier
+                 correlation_window_s=0.5, dsp=None, seed=0):
         if not isinstance(scenario, Scenario):
             raise ConfigurationError("scenario must be a Scenario")
         self.scenario = scenario
@@ -119,7 +108,6 @@ class OnlineMuteDevice:
                                       min_confidence=3.0)
 
         # Secondary path is a property of the (static) client position.
-        self._channels_cache = {}
         base = scenario.build_channels()
         self._h_se = base.h_se.ir
         estimate = estimate_secondary_path(
@@ -132,13 +120,6 @@ class OnlineMuteDevice:
     # ------------------------------------------------------------------
     # Simulation-side signal synthesis
     # ------------------------------------------------------------------
-    def _channels_for(self, source):
-        key = source.as_tuple()
-        if key not in self._channels_cache:
-            self._channels_cache[key] = \
-                self.scenario.with_source(source).build_channels()
-        return self._channels_cache[key]
-
     def _synthesize(self, schedule):
         """Per-relay forwarded streams + ear stream for a schedule."""
         captures = [[] for __ in self.scenario.relays]
@@ -146,7 +127,7 @@ class OnlineMuteDevice:
         boundaries = [0]
         for source, waveform in schedule:
             waveform = check_waveform("segment waveform", waveform)
-            channels = self._channels_for(source)
+            channels = self.scenario.with_source(source).build_channels()
             ear.append(channels.h_ne.apply(waveform))
             for i, h_nr in enumerate(channels.h_nr):
                 captures[i].append(h_nr.apply(waveform))
@@ -179,8 +160,8 @@ class OnlineMuteDevice:
             return None
         return best, lag
 
-    def _build_stream(self, forwarded, relay, lag, T, cache):
-        """Aligned reference + streaming canceler for one assignment."""
+    def _build_session(self, forwarded, relay, lag, T, cache):
+        """The LANC session for one assignment, over its aligned reference."""
         n_future = min(int(lag - np.floor(self._pipeline_samples)),
                        self.n_future_max)
         reference = np.zeros(T)
@@ -191,9 +172,9 @@ class OnlineMuteDevice:
         warm = cached is not None
         if warm:
             lanc.set_taps(cached)
-        stream = StreamingLanc(lanc, secondary_path_true=self._h_se)
-        stream.feed(np.concatenate([reference, np.zeros(n_future)]))
-        return stream, lanc, n_future, warm
+        session = StreamingLanc(lanc, reference,
+                                secondary_path_true=self._h_se)
+        return session, warm
 
     def run_session(self, schedule):
         """Run the device over a (source, waveform) schedule.
@@ -211,9 +192,7 @@ class OnlineMuteDevice:
         handoffs = []
         cache = {}
 
-        stream = None
-        lanc = None
-        switcher = None
+        session = None
         assignment = None        # (relay, lag)
         since_reselect = self.reselect_every   # force a check at t=0
 
@@ -230,22 +209,17 @@ class OnlineMuteDevice:
                     and abs(assignment[1] - new_assignment[1]) <= 2
                 )
                 if new_assignment != assignment and not drift:
-                    if assignment is not None and lanc is not None:
-                        cache[assignment] = lanc.get_taps()
+                    if session is not None:
+                        cache[assignment] = session.filter.get_taps()
                     if new_assignment is None:
-                        stream, lanc, switcher = None, None, None
+                        session = None
                     else:
-                        stream, lanc, __, warm = self._build_stream(
+                        session, warm = self._build_session(
                             forwarded, new_assignment[0],
                             new_assignment[1], T, cache)
-                        switcher = (
-                            PredictiveProfileSwitcher(
-                                self.classifier, lanc, min_dwell_blocks=4)
-                            if self.classifier is not None else None
-                        )
-                        # Skip the stream ahead to the current time.
+                        # Skip the session ahead to the current time.
                         if t > 0:
-                            stream.process(ear[:t], adapt=False)
+                            session.process(ear[:t], adapt=False)
                         handoffs.append(HandoffEvent(
                             sample_index=t, relay=new_assignment[0],
                             lag_samples=new_assignment[1],
@@ -256,17 +230,10 @@ class OnlineMuteDevice:
                             sample_index=t, relay=None, lag_samples=0,
                             warm_start=False))
 
-            if stream is None:
+            if session is None:
                 residual[t:stop] = ear[t:stop]     # no anti-noise
             else:
-                if switcher is not None:
-                    lookahead_window = np.concatenate([
-                        forwarded[assignment[0]][max(t - 128, 0): t],
-                        stream.peek_future(
-                            min(lanc.n_future, stop - t)),
-                    ])
-                    switcher.observe(lookahead_window, t)
-                residual[t:stop] = stream.process(ear[t:stop])
+                residual[t:stop] = session.process(ear[t:stop])
                 timeline[t:stop] = assignment[0]
             since_reselect += stop - t
             t = stop

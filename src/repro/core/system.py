@@ -399,8 +399,7 @@ class MuteSystem:
                 obs.get_registry().counter("mute.runs").inc()
         return run_result
 
-    def run_resilient(self, noise, fault_plan=None, block_size=256,
-                      monitor=None):
+    def run_resilient(self, noise, fault_plan=None, block_size=256):
         """Simulate the system under relay-path faults, degrading gracefully.
 
         The fault-injected counterpart of :meth:`run`: the configured
@@ -422,8 +421,6 @@ class MuteSystem:
         block_size : int
             Samples per health-assessment block (the degradation
             controller's reaction granularity).
-        monitor : ReferenceHealthMonitor, optional
-            Custom watchdog thresholds; sensible defaults otherwise.
 
         Returns
         -------
@@ -454,18 +451,13 @@ class MuteSystem:
                       plan=plan_key or "none") as sp:
             prepared = self.prepare(noise, relay=relay)
             lanc = self.make_filter(n_future=prepared.n_future)
-            stream = StreamingLanc(
-                lanc, secondary_path_true=prepared.secondary_path_true
+            reference = prepared.reference
+            session = StreamingLanc(
+                lanc, reference,
+                secondary_path_true=prepared.secondary_path_true,
             )
             controller = DegradationController(
-                lanc, monitor=monitor, sample_rate=self.sample_rate
-            )
-            # Feed everything up front plus n_future zeros — the x ⊕ 0
-            # that `run` feeds — so the final block's anti-causal taps
-            # read what the whole-signal run reads.
-            reference = prepared.reference
-            stream.feed(np.concatenate(
-                [reference, np.zeros(prepared.n_future)]))
+                lanc, sample_rate=self.sample_rate)
             with obs.span("mute.adapt", engine="resilient-lanc",
                           n_future=prepared.n_future,
                           n_past=self.config.n_past):
@@ -474,9 +466,9 @@ class MuteSystem:
                     t1 = min(t0 + block_size, reference.size)
                     mode = controller.observe(reference[t0:t1], t0)
                     adapt, active = DegradationController.gates(mode)
-                    stream.process(d[t0:t1], adapt=adapt, active=active)
+                    session.process(d[t0:t1], adapt=adapt, active=active)
             with obs.span("mute.collect"):
-                residual = stream.error_signal()
+                residual = session.residual()
                 run_result = ResilientRunResult(
                     residual=residual,
                     disturbance_open=prepared.disturbance_open,

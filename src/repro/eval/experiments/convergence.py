@@ -18,13 +18,12 @@ import dataclasses
 
 import numpy as np
 
-from ...core.adaptive.lanc import LancFilter, StreamingLanc
-from ...core.profiles import PredictiveProfileSwitcher, ProfileClassifier
+from ...core.adaptive.lanc import LancFilter
 from ...signals import MachineHum, segments_from_mask
 from ..metrics import convergence_envelope
 from ..reporting import format_table, sparkline
 from .common import bench_scenario, build_system
-from .fig17_profiling import _train_classifier, build_two_source_scene
+from .fig17_profiling import build_two_source_scene, run_switching
 from .registry import experiment_result
 
 __all__ = ["ConvergenceResult", "run_convergence"]
@@ -104,26 +103,7 @@ def run_convergence(duration_s=12.0, *, seed=41, scenario=None):
     res_single = single.run(scene.reference, scene.disturbance,
                             secondary_path_true=scene.secondary_true)
 
-    classifier = ProfileClassifier(sample_rate=fs, n_bands=12,
-                                   max_distance=1.2, energy_floor=1e-5)
-    _train_classifier(classifier, scene.reference, scene.speech_mask, fs)
-    switched = LancFilter(n_future=scene.n_future, n_past=n_past,
-                          secondary_path=scene.secondary_estimate, mu=0.1)
-    switcher = PredictiveProfileSwitcher(classifier, switched,
-                                         min_dwell_blocks=4)
-    stream = StreamingLanc(switched,
-                           secondary_path_true=scene.secondary_true)
-    stream.feed(np.concatenate([scene.reference, np.zeros(scene.n_future)]))
-    block = max(int(0.02 * fs), 1)
-    for start in range(0, scene.reference.size, block):
-        window = np.concatenate([
-            scene.reference[max(start - 128, 0): start],
-            stream.peek_future(scene.n_future),
-        ])
-        switcher.observe(window, start)
-        stop = min(start + block, scene.reference.size)
-        stream.process(scene.disturbance[start:stop])
-    res_switching = stream.error_signal()
+    res_switching, __ = run_switching(scene, n_past, mu=0.1)
 
     t_single, env_single = convergence_envelope(res_single.error, fs)
     t_switch, env_switch = convergence_envelope(res_switching, fs)

@@ -30,7 +30,8 @@ from ..reporting import format_curves
 from .registry import experiment_result
 from .common import bench_scenario
 
-__all__ = ["Fig17Result", "run_fig17", "TwoSourceScene", "build_two_source_scene"]
+__all__ = ["Fig17Result", "run_fig17", "run_switching", "TwoSourceScene",
+           "build_two_source_scene"]
 
 
 @dataclasses.dataclass
@@ -146,47 +147,54 @@ def _train_classifier(classifier, reference, mask, sample_rate):
     classifier.register("background", reference[quiet_idx[: min_len * 3]])
 
 
+def run_switching(scene, n_past, mu, block_s=0.02):
+    """LANC with predictive profile switching over ``scene``.
+
+    Trains the classifier on the scene's labeled reference, then walks
+    one session in ``block_s`` blocks.  Before each block the switcher
+    classifies what is about to arrive — the physically available
+    ``n_future`` samples of lookahead plus a short recent window — and
+    loads the incoming profile's cached taps on a change.  Returns
+    ``(residual, switcher)``.
+    """
+    fs = scene.sample_rate
+    classifier = ProfileClassifier(sample_rate=fs, n_bands=12,
+                                   max_distance=1.2, energy_floor=1e-5)
+    _train_classifier(classifier, scene.reference, scene.speech_mask, fs)
+    switched = LancFilter(n_future=scene.n_future, n_past=n_past,
+                          secondary_path=scene.secondary_estimate, mu=mu)
+    switcher = PredictiveProfileSwitcher(classifier, switched,
+                                         min_dwell_blocks=4)
+    session = StreamingLanc(switched, scene.reference,
+                            secondary_path_true=scene.secondary_true)
+    block = max(int(block_s * fs), 1)
+    for start in range(0, scene.reference.size, block):
+        window = np.concatenate([
+            scene.reference[max(start - 128, 0): start],
+            session.state.peek_future(scene.n_future),
+        ])
+        switcher.observe(window, start)
+        session.process(scene.disturbance[start: start + block])
+    return session.residual(), switcher
+
+
 def run_fig17(duration_s=16.0, *, seed=31, scenario=None, block_s=0.02,
               settle_fraction=0.35, mu=0.1):
     """Run single-filter and switching conditions over one scene."""
     scene, n_past = build_two_source_scene(duration_s=duration_s, seed=seed,
                                            scenario=scenario)
-    fs = scene.sample_rate
-    n_future = scene.n_future
 
     # --- Condition A: one filter, no profiling -----------------------
-    single = LancFilter(n_future=n_future, n_past=n_past,
+    single = LancFilter(n_future=scene.n_future, n_past=n_past,
                         secondary_path=scene.secondary_estimate, mu=mu)
     res_single = single.run(scene.reference, scene.disturbance,
                             secondary_path_true=scene.secondary_true)
 
     # --- Condition B: predictive profile switching --------------------
-    classifier = ProfileClassifier(sample_rate=fs, n_bands=12,
-                                   max_distance=1.2, energy_floor=1e-5)
-    _train_classifier(classifier, scene.reference, scene.speech_mask, fs)
+    res_switching, switcher = run_switching(scene, n_past, mu, block_s)
 
-    switched = LancFilter(n_future=n_future, n_past=n_past,
-                          secondary_path=scene.secondary_estimate, mu=mu)
-    switcher = PredictiveProfileSwitcher(classifier, switched,
-                                         min_dwell_blocks=4)
-    stream = StreamingLanc(switched,
-                           secondary_path_true=scene.secondary_true)
-    stream.feed(np.concatenate([scene.reference, np.zeros(n_future)]))
-
-    block = max(int(block_s * fs), 1)
-    T = scene.reference.size
-    for start in range(0, T, block):
-        # Classify what is about to arrive: the physically available
-        # n_future samples of lookahead plus a short recent window.
-        future = stream.peek_future(n_future)
-        recent_start = max(start - 128, 0)
-        window = np.concatenate([scene.reference[recent_start:start], future])
-        switcher.observe(window, start)
-        stop = min(start + block, T)
-        stream.process(scene.disturbance[start:stop])
-    res_switching = stream.error_signal()
-
-    kwargs = dict(sample_rate=fs, settle_fraction=settle_fraction)
+    kwargs = dict(sample_rate=scene.sample_rate,
+                  settle_fraction=settle_fraction)
     curve_single = measure_cancellation(
         scene.disturbance, res_single.error,
         label="single filter", **kwargs)

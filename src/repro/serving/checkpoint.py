@@ -55,7 +55,7 @@ def checkpoint_payload(session):
     it holds any).  Every array is a private copy — the session keeps
     running, the payload stays frozen.
     """
-    state = session.state.snapshot()
+    state = session.stream.state.snapshot()
     controller = session.controller.snapshot()
     snapshot_taps = controller.pop("snapshot_taps")
     meta = {
@@ -71,7 +71,7 @@ def checkpoint_payload(session):
     }
     arrays = {
         "taps": session.filter.taps.copy(),
-        "residuals": session.banked_residual().copy(),
+        "residuals": session.stream.residual().copy(),
         "x": state["x"],
         "xf": state["xf"],
         "y_recent": state["y_recent"],

@@ -271,7 +271,7 @@ class SessionServer:
         S = len(batch)
         adapt = [g[0] for __, g in prepped]
         act = [g[1] for __, g in prepped]
-        states = [session.state for session in batch]
+        states = [session.stream.state for session in batch]
         ws = self._workspace
         taps = ws.taps_io[:S]
         d = ws.d[:S]

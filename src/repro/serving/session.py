@@ -2,8 +2,8 @@
 
 One :class:`DeviceSession` is one MUTE ear-device being served: its
 workload (the aligned reference the relay delivers and the disturbance
-at the error mic), its adaptive state (a :class:`LancFilter` plus a
-:class:`KernelState`), and its own
+at the error mic), its adaptive state (a :class:`LancFilter` walked by
+one :class:`~repro.core.adaptive.lanc.StreamingLanc` session), and its own
 :class:`~repro.faults.DegradationController` watching the reference it
 actually received — faults are injected per session through a
 :class:`~repro.faults.FaultyRelay`, so one user behind a failing relay
@@ -22,8 +22,7 @@ import dataclasses
 
 import numpy as np
 
-from ..core.adaptive import kernels
-from ..core.adaptive.lanc import LancFilter
+from ..core.adaptive.lanc import LancFilter, StreamingLanc
 from ..errors import CheckpointError, ConfigurationError
 from ..faults import DegradationController, FaultyRelay
 from ..faults.monitor import MODE_LEVEL
@@ -213,19 +212,12 @@ class DeviceSession:
         )
         self.controller = DegradationController(
             self.filter, sample_rate=config.sample_rate)
-        # The kernel state is fed the whole delivered reference up front
-        # (also the ragged tail past the last whole block: the final
-        # block's anti-causal taps read it) plus n_future zeros.
-        self.state = kernels.KernelState(
-            config.n_future, config.n_past, config.secondary())
-        self.state.extend(np.concatenate(
-            [reference, np.zeros(config.n_future)]))
+        # The session is built over the whole delivered reference, also
+        # the ragged tail past the last whole block: the final block's
+        # anti-causal taps read it.  The server advances its kernel
+        # state in batches and banks each block through `record_block`.
+        self.stream = StreamingLanc(self.filter, reference)
         self.block_index = 0
-        # Residual bank, preallocated to the whole workload span: blocks
-        # are written in place (no per-tick list append + copy), and the
-        # batched kernel may hand `record_block` views into a reused
-        # scratch arena, so the bank must own its bytes.
-        self._residual = np.zeros(span)
         # Resilience attachments, wired by the server at admission:
         # a chaos injector (repro.chaos) carrying this session's
         # scheduled crash/stall events, and a deadline circuit breaker
@@ -270,18 +262,13 @@ class DeviceSession:
         """Bank one processed block of residual and advance the cursor.
 
         ``errors`` may be a borrowed view into the server's kernel
-        arena; the slice assignment copies it into the session-owned
-        bank before the arena is reused next tick.
+        arena; the session's bank copies it before the arena is reused
+        next tick.
         """
-        lo = self.block_index * self.block_size
-        self._residual[lo: lo + self.block_size] = errors
+        self.stream.record(errors)
         self.block_index += 1
         if self.done and self.status == ACTIVE:
             self.status = DONE
-
-    def banked_residual(self):
-        """View of the residual banked so far (read-only by convention)."""
-        return self._residual[: self.block_index * self.block_size]
 
     def fail(self, reason):
         """Isolate the session after divergence; the batch moves on."""
@@ -290,7 +277,7 @@ class DeviceSession:
 
     def result(self):
         """The session's :class:`SessionResult` (any status)."""
-        residual = self.banked_residual().copy()
+        residual = self.stream.residual().copy()
         return SessionResult(
             session_id=self.session_id,
             name=self.workload.name,
@@ -338,7 +325,7 @@ class DeviceSession:
                 f"checkpoint taps have shape {taps.shape}; this session "
                 f"expects {self.filter.taps.shape} (geometry mismatch)")
 
-        self.state.restore({
+        self.stream.state.restore({
             "x": arrays["x"],
             "xf": arrays["xf"],
             "time": meta["kernel_time"],
@@ -353,6 +340,5 @@ class DeviceSession:
         self.block_index = int(meta["block_index"])
         self.status = meta["status"]
         self.error = meta["error"]
-        residuals = np.asarray(arrays["residuals"], dtype=np.float64)
-        self._residual[: residuals.size] = residuals
-        self._residual[residuals.size:] = 0.0
+        # The banked residual ends at the restored kernel time.
+        self.stream.record(arrays["residuals"])

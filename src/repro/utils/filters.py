@@ -16,7 +16,9 @@ short closed forms, so they live here:
 * :func:`sos_impulse_response` — a stable cascade's impulse response,
   cut where the rest of its absolute mass falls below
   :data:`IMPULSE_RTOL` of the whole, so that one FIR stands in for the
-  recursion; :func:`butter_fir` caches it per Butterworth design.
+  recursion; :func:`butter_fir` caches it per Butterworth design.  A
+  design that rings longer than :data:`MAX_IMPULSE_SPAN` samples is
+  refused rather than built.
 
 Each design matches its SciPy counterpart within 1e-14
 (``tests/test_filters.py``).
@@ -40,9 +42,12 @@ __all__ = ["butter_sos", "kaiser_lowpass", "firwin2",
 #: the FIR and the recursion differ by rounding alone.
 IMPULSE_RTOL = 1e-18
 
-#: Longest impulse response :func:`sos_impulse_response` computes before
-#: it gives up on a cascade that decays too slowly.
-MAX_IMPULSE_SPAN = 1 << 20
+#: Longest impulse response :func:`sos_impulse_response` computes or
+#: returns.  The relay's designs keep 684 and 622 taps; a corner near
+#: Nyquist rings far longer (an order-4 low-pass at 0.9975 of Nyquist
+#: keeps 13,613 taps, at 0.99975 136,106), and every forward would
+#: convolve with it.
+MAX_IMPULSE_SPAN = 1 << 14
 
 #: The Kaiser window's shape parameter in ``resample_poly``'s design.
 KAISER_BETA = 5.0
@@ -185,6 +190,11 @@ def butter_fir(order, wn):
     8 kHz keeps 684 taps, the receiver's order-6, 4 kHz low-pass at
     96 kHz keeps 622.
     """
-    h = sos_impulse_response(butter_sos(order, wn))
+    try:
+        h = sos_impulse_response(butter_sos(order, wn))
+    except ConfigurationError as exc:
+        raise ConfigurationError(
+            f"order-{order} Butterworth low-pass at {wn} of Nyquist: {exc}"
+        ) from None
     h.flags.writeable = False
     return h

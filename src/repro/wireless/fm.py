@@ -433,11 +433,10 @@ class FmDemodulator:
     """
 
     def __init__(self, audio_rate=8000.0, rf_rate=96000.0,
-                 deviation_hz=12000.0, remove_dc=True):
+                 deviation_hz=12000.0):
         self.audio_rate = check_positive("audio_rate", audio_rate)
         self.rf_rate = check_positive("rf_rate", rf_rate)
         self.deviation_hz = check_positive("deviation_hz", deviation_hz)
-        self.remove_dc = bool(remove_dc)
         self._decimator = ZeroPhaseDecimator(self.rf_rate, self.audio_rate)
         #: Shortest baseband the receive filter accepts.
         self.min_samples = self._decimator.min_samples
@@ -461,6 +460,5 @@ class FmDemodulator:
         # (~0.15 ms) is accounted in the relay's latency budget, so the
         # simulation removes it here rather than re-aligning downstream.
         audio = self._decimator(audio_rf)
-        if self.remove_dc:
-            audio -= np.mean(audio)
+        audio -= np.mean(audio)
         return audio

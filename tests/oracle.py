@@ -467,9 +467,7 @@ def fm_demodulate(self, baseband):
     audio_rf = inst_freq / self.deviation_hz
     audio = zero_phase_decimate(receiver_sos(self), audio_rf, self.rf_rate,
                                 self.audio_rate)
-    if self.remove_dc:
-        audio = audio - np.mean(audio)
-    return audio
+    return audio - np.mean(audio)
 
 
 def am_modulate(self, audio):

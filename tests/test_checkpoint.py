@@ -56,7 +56,7 @@ def _advance(session, blocks):
         d = np.stack([session.next_block()[1]])
         mu = np.array([session.filter.mu])
         errors, diverged = kernels.fxlms_block_batch(
-            [session.state], taps, d, mu,
+            [session.stream.state], taps, d, mu,
             normalized=config.normalized, leak=config.leak,
             adapt=np.array([adapt]), active=np.array([active]),
         )

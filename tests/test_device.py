@@ -93,6 +93,28 @@ class TestNoUsableRelay:
         assert np.all(result.active_relay_timeline == -1)
 
 
+class TestChannelCache:
+    def test_repeated_source_hits_the_process_cache(self, handoff_scenario):
+        """Segments at one position share the process-wide channel cache
+        (the device keeps no copy of its own) and get identical rooms."""
+        from repro import runtime
+        from repro.runtime.cache import ChannelCache
+
+        device = OnlineMuteDevice(handoff_scenario, mu=0.15)
+        src = Point(0.9, 1.0, 1.3)
+        segment = _noise(3, 0.5)
+        cache = ChannelCache()
+        previous = runtime.set_channel_cache(cache)
+        try:
+            __, ear, bounds = device._synthesize([(src, segment),
+                                                  (src, segment)])
+        finally:
+            runtime.set_channel_cache(previous)
+        assert cache.stats()["misses"] == 1
+        assert cache.stats()["hits"] == 1
+        np.testing.assert_array_equal(ear[:bounds[1]], ear[bounds[1]:])
+
+
 class TestValidation:
     def test_empty_schedule_rejected(self, device):
         with pytest.raises(ConfigurationError):
@@ -101,48 +123,3 @@ class TestValidation:
     def test_requires_scenario(self):
         with pytest.raises(ConfigurationError):
             OnlineMuteDevice("nope")
-
-
-class TestDeviceWithProfileSwitching:
-    """The capstone integration: handoff + predictive switching."""
-
-    @pytest.fixture(scope="class")
-    def classifier(self, handoff_scenario):
-        from repro.core import ProfileClassifier
-        from repro.signals import MaleVoice
-
-        fs = handoff_scenario.sample_rate
-        clf = ProfileClassifier(sample_rate=fs, n_bands=12,
-                                max_distance=1.5, level_weight=1.0,
-                                energy_floor=1e-5)
-        clf.register("noise", WhiteNoise(sample_rate=fs, level_rms=0.1,
-                                         seed=1).generate(1.0))
-        clf.register("speech", MaleVoice(sample_rate=fs, level_rms=0.12,
-                                         seed=2, speech_fraction=1.0)
-                     .generate(1.0))
-        return clf
-
-    def test_runs_and_cancels_across_profile_change(self, handoff_scenario,
-                                                    classifier):
-        from repro.signals import MaleVoice
-
-        fs = handoff_scenario.sample_rate
-        device = OnlineMuteDevice(handoff_scenario, mu=0.2,
-                                  classifier=classifier)
-        src = Point(0.9, 1.0, 1.3)
-        w1 = WhiteNoise(sample_rate=fs, level_rms=0.1, seed=3).generate(3.0)
-        w2 = MaleVoice(sample_rate=fs, level_rms=0.12, seed=4,
-                       speech_fraction=1.0).generate(3.0)
-        result = device.run_session([(src, w1), (src, w2)])
-        T1 = w1.size
-        assert result.segment_cancellation_db(T1 // 2, T1) < -12.0
-        assert result.segment_cancellation_db(T1 + T1 // 2, 2 * T1) < -12.0
-        assert np.all(np.isfinite(result.residual))
-
-    def test_classifier_optional(self, handoff_scenario):
-        device = OnlineMuteDevice(handoff_scenario, mu=0.2)
-        assert device.classifier is None
-
-    def test_rejects_wrong_classifier_type(self, handoff_scenario):
-        with pytest.raises(ConfigurationError):
-            OnlineMuteDevice(handoff_scenario, classifier="not one")

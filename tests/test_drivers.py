@@ -24,8 +24,8 @@ Differences kept on purpose:
   (``residual − disturbance``), not the speaker drive ``run`` returns;
 * ``OnlineMuteDevice`` aligns the reference by the lag it measures with
   GCC-PHAT rather than the known acoustic lead, so it does not see this
-  workload's reference; it drives the same ``StreamingLanc`` that
-  ``run_resilient`` covers here.
+  workload's reference; it walks the same ``StreamingLanc`` session
+  that ``run_resilient`` covers here, one session per relay assignment.
 """
 
 import numpy as np

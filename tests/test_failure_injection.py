@@ -114,10 +114,9 @@ class TestStrictFailures:
 
     def test_streaming_underrun(self):
         f = LancFilter(8, 8, SECONDARY)
-        stream = StreamingLanc(f)
-        stream.feed(np.zeros(4))
+        stream = StreamingLanc(f, np.zeros(4))
         with pytest.raises(ConfigurationError, match="underrun"):
-            stream.process(np.zeros(4))
+            stream.process(np.zeros(5))
 
     def test_negative_lookahead_refused(self, fast_scenario):
         import dataclasses

@@ -110,6 +110,37 @@ class TestImpulseResponse:
         with pytest.raises(ValueError):
             h[0] = 0.0
 
+    @pytest.mark.parametrize("order, wn, taps", DESIGNS,
+                             ids=["receiver", "front-end"])
+    def test_cap_keeps_the_relay_designs(self, order, wn, taps,
+                                         monkeypatch):
+        """The span cap refuses long designs only: the relay's two keep
+        their taps bit for bit."""
+        capped = filters.butter_fir(order, wn)
+        monkeypatch.setattr(filters, "MAX_IMPULSE_SPAN", 1 << 20)
+        uncapped = filters.sos_impulse_response(filters.butter_sos(order, wn))
+        assert capped.size == taps
+        np.testing.assert_array_equal(capped, uncapped)
+
+    def test_refuses_a_corner_near_nyquist_within_the_cap(self,
+                                                          monkeypatch):
+        """A 3999 Hz front end at 8 kHz would keep 136,106 taps: the
+        design is refused, by name, before any span past the cap."""
+        from repro.wireless.relay import AnalogRelay
+
+        spans = []
+        recursion = filters._recursion
+
+        def spy(v, a1, a2):
+            spans.append(v.size)
+            return recursion(v, a1, a2)
+
+        monkeypatch.setattr(filters, "_recursion", spy)
+        with pytest.raises(ConfigurationError,
+                           match="order-4 Butterworth low-pass at 0.99975"):
+            AnalogRelay(lpf_cutoff_hz=3999.0)
+        assert max(spans) <= filters.MAX_IMPULSE_SPAN
+
     def test_rejects_an_unstable_cascade(self):
         growing = np.array([[1.0, 0.0, 0.0, 1.0, -2.0, 1.01]])
         with pytest.raises(ConfigurationError):

@@ -274,16 +274,6 @@ class TestRoundTrip:
         err = out[margin: tone.size - margin] - tone[margin:-margin]
         assert snr_db(tone[margin:-margin], err) > 35.0
 
-    def test_no_dc_removal_keeps_cfo_offset(self):
-        tone = Tone(440.0, level_rms=0.2).generate(0.5)
-        mod = FmModulator()
-        dem = FmDemodulator(remove_dc=False)
-        bb = mod.modulate(tone)
-        t = np.arange(bb.size) / 96000.0
-        out = dem.demodulate(bb * np.exp(2j * np.pi * 3000.0 * t))
-        # CFO of 3 kHz over a 12 kHz deviation → DC offset of 0.25.
-        assert np.mean(out[400:-400]) == pytest.approx(0.25, abs=0.02)
-
 
 class TestFastSlowEquivalence:
     """The in-place mod/demod paths vs the oracle's allocating ones.

@@ -94,9 +94,8 @@ class TestStreamingWithProfileSwitch:
         prepared = fast_system.prepare(noise)
         lanc = fast_system.make_filter(n_future=prepared.n_future)
         stream = StreamingLanc(
-            lanc, secondary_path_true=prepared.secondary_path_true)
-        stream.feed(np.concatenate([prepared.reference,
-                                    np.zeros(prepared.n_future)]))
+            lanc, prepared.reference,
+            secondary_path_true=prepared.secondary_path_true)
         block = 800
         T = prepared.reference.size
         for start in range(0, T, block):
@@ -105,7 +104,7 @@ class TestStreamingWithProfileSwitch:
                 lanc.set_taps(np.zeros_like(saved))
                 lanc.set_taps(saved)     # swap away and back
             stream.process(prepared.disturbance_at_ear[start:start + block])
-        error = stream.error_signal()
+        error = stream.residual()
         assert error.size == T
         assert np.all(np.isfinite(error))
         tail_rms = np.sqrt(np.mean(error[-4000:] ** 2))

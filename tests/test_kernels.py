@@ -101,16 +101,14 @@ class TestBackendEquivalence:
 
         def build():
             f = LancFilter(n_future, 32, S_HAT, mu=0.3)
-            stream = StreamingLanc(f, secondary_path_true=S_TRUE)
-            stream.feed(np.concatenate([x, np.zeros(n_future)]))
-            return stream
+            return StreamingLanc(f, x, secondary_path_true=S_TRUE)
 
         def run(stream):
             for t0 in range(0, x.size, block):
                 stream.process(d[t0: t0 + block])
 
         (ref, __), (fast, ___) = _on_both(build, run)
-        np.testing.assert_allclose(fast.error_signal(), ref.error_signal(),
+        np.testing.assert_allclose(fast.residual(), ref.residual(),
                                    atol=TOL, rtol=0)
         np.testing.assert_allclose(fast.filter.taps, ref.filter.taps,
                                    atol=TOL, rtol=0)
@@ -213,15 +211,15 @@ class TestLoopIsReference:
 
 
 class TestStreamingEdgeCases:
-    def _stream(self, n_future=4, n_past=16):
+    def _stream(self, reference, n_future=4, n_past=16):
         f = LancFilter(n_future, n_past, S_HAT, mu=0.2)
-        return StreamingLanc(f, secondary_path_true=S_TRUE)
+        return StreamingLanc(f, reference, secondary_path_true=S_TRUE)
 
     def test_underrun_error_message(self):
         x, d = _scene(0, T=200)
         for path in PATHS.values():
-            stream = self._stream()
-            stream.feed(x[:100])
+            # 96 reference samples plus the n_future = 4 zeros.
+            stream = self._stream(x[:96])
             with path():
                 with pytest.raises(ConfigurationError,
                                    match=r"reference underrun: need 104 "
@@ -234,14 +232,15 @@ class TestStreamingEdgeCases:
 
     def test_peek_future_past_fed_horizon(self):
         x, __ = _scene(1, T=50)
-        stream = self._stream()
-        stream.feed(x)
-        np.testing.assert_array_equal(stream.peek_future(20), x[:20])
+        stream = self._stream(x)
+        fed = np.r_[x, np.zeros(4)]          # x ⊕ 0, n_future = 4
+        np.testing.assert_array_equal(stream.state.peek_future(20), x[:20])
         # Asking beyond what was fed returns only what exists.
-        assert stream.peek_future(80).size == 50
-        np.testing.assert_array_equal(stream.peek_future(80), x)
+        assert stream.state.peek_future(80).size == 54
+        np.testing.assert_array_equal(stream.state.peek_future(80), fed)
         stream.process(np.zeros(30))
-        np.testing.assert_array_equal(stream.peek_future(80), x[30:])
+        np.testing.assert_array_equal(stream.state.peek_future(80),
+                                      fed[30:])
 
     def test_inactive_ringing_equivalent_across_backends(self):
         # Converge, then mute the speaker: the anti-noise already in
@@ -250,9 +249,7 @@ class TestStreamingEdgeCases:
         x, d = _scene(2, T=900)
 
         def build():
-            stream = self._stream()
-            stream.feed(x)
-            return stream
+            return self._stream(x)
 
         def run(stream):
             stream.process(d[:600])

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import FxlmsFilter, LancFilter, StreamingLanc
+from repro.core.adaptive import kernels
 from repro.errors import ConfigurationError, ConvergenceError
 
 
@@ -131,45 +134,88 @@ class TestMechanics:
         assert result.converged_error() < 0.2 * disturb_rms
 
 
+@st.composite
+def _session_case(draw):
+    """A random geometry, signal and split of it into blocks."""
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    n_future = draw(st.integers(0, 24))
+    n_past = draw(st.integers(1, 48))
+    # A secondary path led by its main tap, and a mismatched estimate
+    # close enough to it that normalized FxLMS stays stable.
+    s_true = np.r_[1.0, 0.3 * rng.standard_normal(draw(st.integers(0, 11)))]
+    s_hat = s_true + 0.05 * rng.standard_normal(s_true.size)
+    T = draw(st.integers(1, 1500))
+    x = rng.standard_normal(T)
+    d = np.convolve(x, rng.standard_normal(6))[:T]
+    blocks = draw(st.lists(st.integers(1, 400), min_size=1, max_size=12))
+    return dict(n_future=n_future, n_past=n_past, s_hat=s_hat,
+                s_true=s_true, x=x, d=d, blocks=blocks,
+                mu=draw(st.floats(0.05, 0.5)),
+                leak=draw(st.sampled_from([0.0, 1e-4])))
+
+
 class TestStreamingLanc:
-    def test_matches_batch_except_boundary(self, rng):
-        x, d = _nonminphase_scene(rng, T=4000)
-        f1 = LancFilter(n_future=8, n_past=32, secondary_path=SECONDARY,
-                        mu=0.5)
-        batch = f1.run(x, d)
-        f2 = LancFilter(n_future=8, n_past=32, secondary_path=SECONDARY,
-                        mu=0.5)
-        stream = StreamingLanc(f2)
-        stream.feed(np.concatenate([x, np.zeros(8)]))
-        out = []
-        for start in range(0, 4000, 333):
-            out.append(stream.process(d[start: start + 333]))
-        streamed = np.concatenate(out)
-        np.testing.assert_allclose(batch.error, streamed, atol=1e-9)
+    @settings(max_examples=40, deadline=None)
+    @given(_session_case())
+    def test_any_block_split_matches_run(self, case):
+        """Blocks through the session give ``run``'s residual and taps
+        bit for bit, however the disturbance is split."""
+        def make():
+            return LancFilter(case["n_future"], case["n_past"],
+                              case["s_hat"], mu=case["mu"],
+                              leak=case["leak"])
+
+        x, d = case["x"], case["d"]
+        whole = make().run(x, d, secondary_path_true=case["s_true"])
+        session = StreamingLanc(make(), x,
+                                secondary_path_true=case["s_true"])
+        t0, sizes = 0, iter(case["blocks"])
+        while t0 < d.size:
+            size = next(sizes, d.size - t0)
+            session.process(d[t0: t0 + size])
+            t0 += size
+        assert np.array_equal(session.residual(), whole.error)
+        assert np.array_equal(session.filter.taps, whole.taps)
 
     def test_underrun_detected(self, rng):
         f = LancFilter(n_future=8, n_past=16, secondary_path=SECONDARY)
-        stream = StreamingLanc(f)
-        stream.feed(np.zeros(10))
+        stream = StreamingLanc(f, np.zeros(10))
+        stream.process(np.zeros(10))
         with pytest.raises(ConfigurationError, match="underrun"):
-            stream.process(np.zeros(10))
+            stream.process(np.zeros(1))
 
     def test_peek_future(self, rng):
         f = LancFilter(n_future=4, n_past=8, secondary_path=SECONDARY)
-        stream = StreamingLanc(f)
-        stream.feed(np.arange(20.0))
-        np.testing.assert_array_equal(stream.peek_future(3), [0.0, 1.0, 2.0])
+        stream = StreamingLanc(f, np.arange(20.0))
+        np.testing.assert_array_equal(stream.state.peek_future(3),
+                                      [0.0, 1.0, 2.0])
         stream.process(np.zeros(5))
-        np.testing.assert_array_equal(stream.peek_future(3), [5.0, 6.0, 7.0])
+        np.testing.assert_array_equal(stream.state.peek_future(3),
+                                      [5.0, 6.0, 7.0])
 
-    def test_error_signal_accumulates(self, rng):
+    def test_residual_accumulates(self, rng):
         f = LancFilter(n_future=2, n_past=8, secondary_path=SECONDARY)
-        stream = StreamingLanc(f)
-        stream.feed(np.zeros(100))
-        stream.process(np.ones(10))
+        stream = StreamingLanc(f, np.zeros(100))
+        first = stream.process(np.ones(10)).copy()
         stream.process(np.ones(20))
-        assert stream.error_signal().size == 30
+        assert stream.residual().size == 30
+        np.testing.assert_array_equal(stream.residual()[:10], first)
+
+    def test_record_banks_the_block_ending_now(self, rng):
+        """A block advanced outside ``process`` (the batched server's
+        path) banks where ``process`` would have put it."""
+        x, d = _nonminphase_scene(rng, T=600)
+        own, banked = (
+            StreamingLanc(LancFilter(n_future=8, n_past=32,
+                                     secondary_path=SECONDARY, mu=0.5), x)
+            for __ in range(2))
+        for t0 in range(0, 600, 200):
+            own.process(d[t0: t0 + 200])
+            errors, __ = kernels.fxlms_block(
+                banked.state, banked.filter.taps, d[t0: t0 + 200], 0.5)
+            banked.record(errors)
+        assert np.array_equal(banked.residual(), own.residual())
 
     def test_requires_lanc_filter(self):
         with pytest.raises(ConfigurationError):
-            StreamingLanc("not a filter")
+            StreamingLanc("not a filter", np.zeros(4))

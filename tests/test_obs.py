@@ -396,9 +396,8 @@ class TestEngineHooks:
     def test_streaming_lanc_block_histogram(self):
         x, d, s = self._signals()
         lanc = LancFilter(n_future=4, n_past=16, secondary_path=s, mu=0.2)
-        stream = StreamingLanc(lanc, secondary_path_true=s)
+        stream = StreamingLanc(lanc, x, secondary_path_true=s)
         obs.enable()
-        stream.feed(x)
         for start in range(0, 1024, 128):
             stream.process(d[start:start + 128])
         obs.disable()
