@@ -2,11 +2,13 @@
 
 "MUTE embraces an analog design to bypass delays from digitization and
 processing."  This bench quantifies the claim: the same bench scene and
-noise, forwarded by (a) the analog FM relay (~0.1 ms group delay),
-(b) an aggressive 2 ms-frame digital link, and (c) a Bluetooth-class
-10 ms-frame link.  Every millisecond of relay latency is subtracted from
-the lookahead budget, shrinking LANC's anti-causal tap count — and past
-the acoustic lead, the system cannot run at all.
+noise, forwarded by (a) the analog FM relay, which removes its ~0.1 ms
+group delay and delivers an aligned stream, (b) an aggressive 2 ms-frame
+digital link, and (c) a Bluetooth-class 10 ms-frame link.  The delay a
+link leaves in its stream is charged once, against the acoustic lead:
+the reference stays aligned and LANC loses anti-causal taps, not
+cancellation — until the delay eats the lead and the system cannot run
+at all.
 """
 
 import numpy as np
@@ -59,7 +61,7 @@ def run_ablation(duration_s=8.0, seed=7):
                          "-", "cannot run"))
             outcomes[label] = (0, np.inf)
     table = format_table(
-        ["relay", "relay latency (ms)", "usable lookahead (ms)",
+        ["relay", "delivered delay (ms)", "usable lookahead (ms)",
          "N future taps", "cancellation (dB)"],
         rows,
         title="Ablation — analog vs digital forwarding",

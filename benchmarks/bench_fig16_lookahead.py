@@ -13,7 +13,6 @@ def test_fig16_lookahead_sweep(benchmark, report):
     # The Eq.-3 lower bound (zero anti-causal taps) is clearly the worst
     # setting, and the largest extra lookahead is clearly better.
     assert means[0] > means[-1] + 2.0
-    # Future taps grow along the sweep exactly as injected delay shrinks.
-    taps = list(result.future_taps.values())
-    assert taps == sorted(taps)
-    assert taps[0] == 0
+    # The delayed line buffer holds whole samples: +0, 0.38, 0.75 and
+    # 1.13 ms leave 0, 3, 6 and 9 future taps at 8 kHz.
+    assert list(result.future_taps.values()) == [0, 3, 6, 9]

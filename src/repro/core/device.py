@@ -28,10 +28,11 @@ import dataclasses
 
 import numpy as np
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, LookaheadError
 from ..hardware.dsp_board import tms320c6713
 from ..utils.validation import check_positive, check_waveform
 from .adaptive.lanc import LancFilter, StreamingLanc
+from .lookahead import align
 from .relay_selection import RelaySelector
 from .scenario import Scenario
 from .secondary_path import estimate_secondary_path
@@ -75,7 +76,7 @@ class OnlineMuteDevice:
         Room/relay/client layout (source positions come per segment).
     n_future_max / n_past / mu:
         LANC sizing; ``n_future`` is set per handoff from the measured
-        lag minus the pipeline latency.
+        lag minus the pipeline latency (:func:`~repro.core.lookahead.align`).
     block_s:
         Processing block (also the granularity of handoffs).
     reselect_interval_s:
@@ -115,7 +116,6 @@ class OnlineMuteDevice:
             probe_duration_s=1.0, sample_rate=self.fs,
             ambient_noise_rms=0.002, seed=seed)
         self._s_hat = estimate.impulse_response
-        self._pipeline_samples = self.dsp.total_latency_s * self.fs
 
     # ------------------------------------------------------------------
     # Simulation-side signal synthesis
@@ -156,16 +156,17 @@ class OnlineMuteDevice:
         if best is None:
             return None
         lag = int(round(measurements[best].lag_s * self.fs))
-        if lag - self._pipeline_samples < 1:
+        try:    # Eq. 3 through the ledger: N = 0 still runs
+            align(window[best], lag, self.dsp.total_latency_s, self.fs, 0)
+        except LookaheadError:
             return None
         return best, lag
 
-    def _build_session(self, forwarded, relay, lag, T, cache):
+    def _build_session(self, forwarded, relay, lag, cache):
         """The LANC session for one assignment, over its aligned reference."""
-        n_future = min(int(lag - np.floor(self._pipeline_samples)),
-                       self.n_future_max)
-        reference = np.zeros(T)
-        reference[lag:] = forwarded[relay][: T - lag]
+        reference, n_future = align(forwarded[relay], lag,
+                                    self.dsp.total_latency_s, self.fs,
+                                    self.n_future_max)
         lanc = LancFilter(n_future=n_future, n_past=self.n_past,
                           secondary_path=self._s_hat, mu=self.mu)
         cached = cache.get((relay, lag))
@@ -216,7 +217,7 @@ class OnlineMuteDevice:
                     else:
                         session, warm = self._build_session(
                             forwarded, new_assignment[0],
-                            new_assignment[1], T, cache)
+                            new_assignment[1], cache)
                         # Skip the session ahead to the current time.
                         if t > 0:
                             session.process(ear[:t], adapt=False)

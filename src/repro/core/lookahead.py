@@ -2,26 +2,32 @@
 
 Two numbers rule the system:
 
-* the **acoustic lead**: how much earlier the relay hears the wavefront
-  than the ear, ``(d_e − d_r) / v`` (Eq. 4);
+* the **lag**: how far the reference the relay delivers leads the ear,
+  the acoustic lead ``(d_e − d_r) / v`` (Eq. 4) less any delay the relay
+  leaves in its stream;
 * the **pipeline latency**: ADC + DSP + DAC + speaker (Eq. 3's right
-  side), plus any relay chain group delay.
+  side).
 
-Their difference, in samples, is the number of anti-causal taps ``N``
-that LANC can physically realize.  The Figure 16 experiment shrinks the
-lead artificially with a *delayed line buffer*; :class:`LookaheadBudget`
-models that with ``injected_delay_s``.
+Every driver aligns through one ledger, :func:`align`: ``N = ⌊lag −
+pipeline⌋`` anti-causal taps, and no run at all when the lag cannot
+cover the pipeline.  The Figure 16 *delayed line buffer* keeps the
+alignment and lowers the tap cap.  :class:`LookaheadBudget` reports the
+same ledger in seconds.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
+
+import numpy as np
 
 from ..acoustics.constants import SPEED_OF_SOUND
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, LookaheadError
 from ..utils.validation import check_non_negative, check_positive
 
-__all__ = ["lookahead_seconds", "lookahead_samples", "LookaheadBudget"]
+__all__ = ["lookahead_seconds", "lookahead_samples", "align",
+           "LookaheadBudget"]
 
 
 def lookahead_seconds(de_m, dr_m, speed=SPEED_OF_SOUND):
@@ -40,54 +46,70 @@ def lookahead_seconds(de_m, dr_m, speed=SPEED_OF_SOUND):
 def lookahead_samples(de_m, dr_m, sample_rate, speed=SPEED_OF_SOUND):
     """Eq. 4 in whole samples (floor — partial samples don't buy a tap)."""
     sample_rate = check_positive("sample_rate", sample_rate)
-    import math
-
     return math.floor(lookahead_seconds(de_m, dr_m, speed) * sample_rate)
+
+
+def align(forwarded, lag, pipeline_latency_s, sample_rate, n_future_max):
+    """Paper Eq. 3: the reference a ``lag``-sample lead buys, and its N.
+
+    ``forwarded`` (the stream as the relay delivers it) is delayed by
+    ``lag`` whole samples, zeros before the shift: all zeros when ``lag``
+    is at least its length.  ``N = min(n_future_max, ⌊lag − pipeline⌋)``
+    never exceeds the usable lead, and ``N = 0`` still runs.  Raises
+    :class:`~repro.errors.LookaheadError` when ``lag`` is shorter than
+    the pipeline.  Returns ``(reference, n_future)``.
+    """
+    forwarded = np.asarray(forwarded, dtype=np.float64)
+    lag = int(lag)
+    sample_rate = check_positive("sample_rate", sample_rate)
+    pipeline = check_non_negative("pipeline_latency_s",
+                                  pipeline_latency_s) * sample_rate
+    if lag < pipeline:
+        raise LookaheadError(
+            f"usable lookahead {(lag - pipeline) / sample_rate * 1e3:.2f} "
+            "ms is negative — reposition the relay (or let relay "
+            "selection reject it)"
+        )
+    reference = np.zeros_like(forwarded)
+    if lag < forwarded.size:
+        reference[lag:] = forwarded[: forwarded.size - lag]
+    return reference, min(int(n_future_max), math.floor(lag - pipeline))
 
 
 @dataclasses.dataclass(frozen=True)
 class LookaheadBudget:
-    """Full lookahead ledger for one relay↔ear configuration.
+    """The lookahead ledger of one relay↔ear configuration, in seconds.
+
+    The report form of :func:`align`: ``summary``, ``obs-report`` and
+    the timing experiment read it.
 
     Parameters
     ----------
     acoustic_lead_s:
-        The Eq. 4 lead (possibly negative).
+        How far the delivered reference leads the ear (possibly
+        negative): the Eq. 4 lead less any relay delay.
     pipeline_latency_s:
         The Eq. 3 sum for the ear device.
-    relay_latency_s:
-        Fixed group delay of the relay chain (analog: ~0.1 ms).
-    injected_delay_s:
-        Artificial delay inserted in the reference path (the Figure 16
-        "delayed line buffer"); shrinks the usable lookahead.
     """
 
     acoustic_lead_s: float
     pipeline_latency_s: float = 0.0
-    relay_latency_s: float = 0.0
-    injected_delay_s: float = 0.0
 
     def __post_init__(self):
-        if self.pipeline_latency_s < 0 or self.relay_latency_s < 0 \
-                or self.injected_delay_s < 0:
+        if self.pipeline_latency_s < 0:
             raise ConfigurationError(
-                "latency terms must be >= 0 "
-                f"(got pipeline={self.pipeline_latency_s}, "
-                f"relay={self.relay_latency_s}, "
-                f"injected={self.injected_delay_s})"
+                "pipeline latency must be >= 0, "
+                f"got {self.pipeline_latency_s}"
             )
 
     @property
     def usable_lookahead_s(self):
-        """Lookahead left after every latency is paid."""
-        return (self.acoustic_lead_s - self.pipeline_latency_s
-                - self.relay_latency_s - self.injected_delay_s)
+        """Lookahead left after the pipeline is paid."""
+        return self.acoustic_lead_s - self.pipeline_latency_s
 
     def usable_future_taps(self, sample_rate):
         """``N`` — anti-causal taps LANC may use (≥ 0)."""
         sample_rate = check_positive("sample_rate", sample_rate)
-        import math
-
         return max(math.floor(self.usable_lookahead_s * sample_rate), 0)
 
     @property
@@ -103,7 +125,3 @@ class LookaheadBudget:
         conventional headphones (Figure 5a).
         """
         return max(-self.usable_lookahead_s, 0.0)
-
-    def with_injected_delay(self, injected_delay_s):
-        """A copy with a different Figure 16 injected delay."""
-        return dataclasses.replace(self, injected_delay_s=injected_delay_s)

@@ -22,9 +22,10 @@ import numpy as np
 
 from ..acoustics.channels import AcousticChannel
 from ..acoustics.rir import room_impulse_response
-from ..errors import ConfigurationError, LookaheadError
+from ..errors import ConfigurationError
 from ..hardware.dsp_board import tms320c6713
 from ..utils.validation import check_waveform
+from .lookahead import align, lookahead_samples
 from .secondary_path import estimate_secondary_path
 
 __all__ = ["MultiSourceScene", "build_multisource_scene"]
@@ -93,7 +94,6 @@ def build_multisource_scene(scenario, sources, waveforms, dsp=None,
 
     dsp = dsp or tms320c6713()
     fs = scenario.sample_rate
-    pipeline_samples = dsp.total_latency_s * fs
 
     T = waveforms[0].size
     disturbance = np.zeros(T)
@@ -131,21 +131,13 @@ def build_multisource_scene(scenario, sources, waveforms, dsp=None,
                 .apply(other_wave)
 
         # Align this relay's stream on its *own* source's direct path.
-        de = source.distance_to(scenario.client)
-        dr = source.distance_to(relay)
-        lead = int(np.floor(
-            (de - dr) / scenario.rir_settings.speed_of_sound * fs))
-        if lead <= pipeline_samples:
-            raise LookaheadError(
-                f"relay {i} offers no usable lookahead for source {i} "
-                f"(lead {lead} samples, pipeline "
-                f"{pipeline_samples:.1f})"
-            )
-        reference = np.zeros(T)
-        reference[lead:] = capture[: T - lead]
+        lead = lookahead_samples(
+            source.distance_to(scenario.client), source.distance_to(relay),
+            fs, speed=scenario.rir_settings.speed_of_sound)
+        reference, n_future = align(capture, lead, dsp.total_latency_s, fs,
+                                    max_n_future)
         references.append(reference)
-        n_futures.append(
-            min(int(np.floor(lead - pipeline_samples)), max_n_future))
+        n_futures.append(n_future)
         per_source.append((source, relay, lead))
 
     return MultiSourceScene(

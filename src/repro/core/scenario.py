@@ -12,7 +12,6 @@ geometry was built before, and computed by the image-source model
 from __future__ import annotations
 
 import dataclasses
-import math
 
 from ..acoustics.channels import AcousticChannel
 from ..acoustics.constants import DEFAULT_SAMPLE_RATE, SPEED_OF_SOUND
@@ -20,6 +19,7 @@ from ..acoustics.geometry import Point, Room
 from ..acoustics.rir import RirSettings, room_impulse_response
 from ..errors import ConfigurationError
 from ..utils.validation import check_positive
+from .lookahead import lookahead_samples
 
 __all__ = ["Scenario", "ScenarioChannels", "office_scenario"]
 
@@ -168,10 +168,9 @@ class Scenario:
         # runtime — see repro.core.relay_selection.)
         de = self.source.distance_to(self.client)
         lead = tuple(
-            int(math.floor(
-                (de - self.source.distance_to(relay))
-                / self.rir_settings.speed_of_sound * self.sample_rate
-            ))
+            lookahead_samples(de, self.source.distance_to(relay),
+                              self.sample_rate,
+                              speed=self.rir_settings.speed_of_sound)
             for relay in self.relays
         )
         return ScenarioChannels(

@@ -21,7 +21,7 @@ import dataclasses
 import numpy as np
 
 from .. import obs
-from ..errors import ConfigurationError, LookaheadError
+from ..errors import ConfigurationError
 from ..hardware.dsp_board import DspBoard, tms320c6713
 from ..hardware.transducers import TransducerResponse, cheap_transducer
 from ..utils import fastconv
@@ -29,7 +29,7 @@ from ..utils.spectral import cancellation_spectrum_db
 from ..utils.validation import check_positive_int, check_waveform
 from ..wireless.relay import IdealRelay
 from .adaptive.lanc import LancFilter
-from .lookahead import LookaheadBudget
+from .lookahead import LookaheadBudget, align
 from .scenario import Scenario
 from .secondary_path import estimate_secondary_path
 
@@ -60,8 +60,6 @@ class MuteConfig:
     earcup:
         Passive attenuation over the ear (``None`` = open ear —
         MUTE_Hollow; a :class:`PassiveEarcup` = MUTE+Passive).
-    injected_delay_s:
-        Figure 16's artificial reference delay.
     probe_secondary:
         Estimate ``h_se`` with a noisy probe (realistic); if false the
         filter receives the exact secondary path.
@@ -81,7 +79,6 @@ class MuteConfig:
         default_factory=cheap_transducer
     )
     earcup: object = None
-    injected_delay_s: float = 0.0
     probe_secondary: bool = True
     probe_noise_rms: float = 0.01
     seed: int = 0
@@ -94,8 +91,6 @@ class MuteConfig:
                 "need n_future >= 0 and n_past > 0, got "
                 f"({self.n_future}, {self.n_past})"
             )
-        if self.injected_delay_s < 0:
-            raise ConfigurationError("injected_delay_s must be >= 0")
 
 
 @dataclasses.dataclass
@@ -271,17 +266,21 @@ class MuteSystem:
         )
         return estimate.impulse_response
 
+    def _lag(self, relay):
+        """Samples the relay's delivered stream leads the ear by.
+
+        The Eq. 4 lead less the delay left in what ``relay.forward``
+        returns — the relay's delay is charged here, and only here.
+        """
+        return (self.channels.acoustic_lead_samples[self.relay_index]
+                - getattr(relay, "latency_samples", 0))
+
     @property
     def lookahead_budget(self):
-        """The Eq. 3 / Eq. 4 ledger for the selected relay."""
-        lead_s = (self.channels.acoustic_lead_samples[self.relay_index]
-                  / self.sample_rate)
-        relay_latency = getattr(self.config.relay, "latency_samples", 0)
+        """The Eq. 3 / Eq. 4 ledger for the selected relay, in seconds."""
         return LookaheadBudget(
-            acoustic_lead_s=lead_s,
+            acoustic_lead_s=self._lag(self.config.relay) / self.sample_rate,
             pipeline_latency_s=self.config.dsp.total_latency_s,
-            relay_latency_s=float(relay_latency) / self.sample_rate,
-            injected_delay_s=self.config.injected_delay_s,
         )
 
     # ------------------------------------------------------------------
@@ -304,23 +303,14 @@ class MuteSystem:
         Raises
         ------
         LookaheadError
-            If the configured relay offers negative usable lookahead
-            (relay selection would have rejected it).
+            If the relay's delivered stream leads the ear by less than
+            the pipeline latency (relay selection would have rejected
+            it).
         """
         noise = check_waveform("noise", noise, min_length=64)
         cfg = self.config
         forward_relay = relay if relay is not None else cfg.relay
         with obs.span("mute.prepare", samples=noise.size) as sp:
-            budget = self.lookahead_budget
-            if not budget.meets_deadline:
-                raise LookaheadError(
-                    f"usable lookahead {budget.usable_lookahead_s * 1e3:.2f} "
-                    "ms is negative — reposition the relay (or let relay "
-                    "selection reject it)"
-                )
-            n_future = min(cfg.n_future,
-                           budget.usable_future_taps(self.sample_rate))
-
             with obs.span("mute.prepare.propagate"):
                 d_open = self.channels.h_ne.apply(noise)
                 x_capture = self.channels.h_nr[self.relay_index].apply(noise)
@@ -328,10 +318,9 @@ class MuteSystem:
                 forwarded = forward_relay.forward(x_capture)
 
             with obs.span("mute.prepare.align"):
-                lead = self.channels.acoustic_lead_samples[self.relay_index]
-                reference = np.zeros_like(forwarded)
-                if lead < forwarded.size:
-                    reference[lead:] = forwarded[: forwarded.size - lead]
+                reference, n_future = align(
+                    forwarded, self._lag(forward_relay),
+                    cfg.dsp.total_latency_s, self.sample_rate, cfg.n_future)
 
                 d_ear = (cfg.earcup.apply(d_open)
                          if cfg.earcup is not None else d_open)
@@ -349,7 +338,7 @@ class MuteSystem:
             secondary_path_true=self._secondary_true,
             secondary_path_estimate=self._secondary_estimate,
             n_future=n_future,
-            budget=budget,
+            budget=self.lookahead_budget,
             sample_rate=self.sample_rate,
         )
 

@@ -78,8 +78,9 @@ class ConvergenceError(ReproError, RuntimeError):
 class LookaheadError(ReproError, ValueError):
     """The relay's lead cannot cover the pipeline: no usable lookahead.
 
-    Raised when the geometry leaves no anti-causal tap to run — a relay
-    that relay selection would have rejected.
+    Raised by :func:`repro.core.lookahead.align` when the delivered
+    reference leads the ear by less than the pipeline latency (Eq. 3) —
+    a relay that relay selection would have rejected.
     """
 
 

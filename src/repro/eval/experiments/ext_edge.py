@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import dataclasses
 
-import numpy as np
-
 from ...acoustics.geometry import Point, Room
 from ...acoustics.rir import RirSettings
 from ...core.edge import EdgeAncService, EdgeClient
+from ...core.lookahead import align
 from ...core.scenario import Scenario
 from ...core.secondary_path import estimate_secondary_path
-from ...errors import LookaheadError
 from ...hardware.dsp_board import tms320c6713
 from ...signals import MaleVoice
 from ..reporting import format_table
@@ -54,14 +52,9 @@ def _prepare_client(room, source, relay, client, name, waveform,
         sample_rate=sample_rate, rir_settings=RirSettings(max_order=1),
     )
     channels = scenario.build_channels()
-    lead = channels.acoustic_lead_samples[0]
-    pipeline = tms320c6713().total_latency_s * sample_rate
-    n_future = int(np.floor(lead - pipeline))
-    if n_future <= 0:
-        raise LookaheadError(f"client {name}: no usable lookahead")
-    capture = channels.h_nr[0].apply(waveform)
-    reference = np.zeros_like(capture)
-    reference[lead:] = capture[: capture.size - lead]
+    reference, n_future = align(
+        channels.h_nr[0].apply(waveform), channels.acoustic_lead_samples[0],
+        tms320c6713().total_latency_s, sample_rate, 48)
     s_true = channels.h_se.ir
     estimate = estimate_secondary_path(
         s_true, n_taps=min(s_true.size, 96), probe_duration_s=1.0,
@@ -72,7 +65,7 @@ def _prepare_client(room, source, relay, client, name, waveform,
         disturbance=channels.h_ne.apply(waveform),
         secondary_true=s_true,
         secondary_estimate=estimate.impulse_response,
-        n_future=min(n_future, 48),
+        n_future=n_future,
     )
 
 

@@ -24,8 +24,8 @@ import numpy as np
 from ...acoustics.geometry import Point
 from ...acoustics.timevarying import moving_client_channel
 from ...core.adaptive.lanc import LancFilter
+from ...core.lookahead import align
 from ...core.secondary_path import estimate_secondary_path
-from ...errors import LookaheadError
 from ...hardware.dsp_board import tms320c6713
 from ...signals import WhiteNoise
 from ...utils.units import cancellation_db
@@ -91,15 +91,9 @@ def run_mobility(duration_s=12.0, *, seed=5, scenario=None, sway_m=0.15,
         .generate(duration_s)
 
     channels = scenario.build_channels()
-    relay_capture = channels.h_nr[0].apply(noise)
-    lead = channels.acoustic_lead_samples[0]
-    pipeline = tms320c6713().total_latency_s * fs
-    n_future = int(np.floor(lead - pipeline))
-    if n_future <= 0:
-        raise LookaheadError("bench offers no lookahead; cannot run")
-    n_future = min(n_future, 64)
-    reference = np.zeros_like(relay_capture)
-    reference[lead:] = relay_capture[: relay_capture.size - lead]
+    reference, n_future = align(
+        channels.h_nr[0].apply(noise), channels.acoustic_lead_samples[0],
+        tms320c6713().total_latency_s, fs, 64)
 
     s_true = channels.h_se.ir
     estimate = estimate_secondary_path(

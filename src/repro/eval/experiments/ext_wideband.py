@@ -17,14 +17,12 @@ from __future__ import annotations
 
 import dataclasses
 
-import numpy as np
-
 from ...acoustics.geometry import Point, Room
 from ...acoustics.rir import RirSettings
 from ...core.adaptive.lanc import LancFilter
+from ...core.lookahead import align
 from ...core.scenario import Scenario
 from ...core.secondary_path import estimate_secondary_path
-from ...errors import LookaheadError
 from ...hardware.dsp_board import fast_dsp
 from ...signals import WhiteNoise
 from ...utils.units import cancellation_db
@@ -87,14 +85,8 @@ def run_wideband(duration_s=8.0, *, seed=7, scenario=None, n_past=1024,
 
     d = channels.h_ne.apply(noise)
     capture = channels.h_nr[0].apply(noise)
-    lead = channels.acoustic_lead_samples[0]
-    pipeline = fast_dsp().total_latency_s * fs
-    n_future = int(np.floor(lead - pipeline))
-    if n_future <= 0:
-        raise LookaheadError("wideband bench offers no lookahead")
-    n_future = min(n_future, 128)
-    reference = np.zeros_like(capture)
-    reference[lead:] = capture[: capture.size - lead]
+    reference, n_future = align(capture, channels.acoustic_lead_samples[0],
+                                fast_dsp().total_latency_s, fs, 128)
 
     s_true = channels.h_se.ir
     estimate = estimate_secondary_path(

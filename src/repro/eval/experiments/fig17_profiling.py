@@ -20,9 +20,9 @@ import numpy as np
 
 from ...acoustics.geometry import Point
 from ...core.adaptive.lanc import LancFilter, StreamingLanc
+from ...core.lookahead import align
 from ...core.profiles import PredictiveProfileSwitcher, ProfileClassifier
 from ...core.secondary_path import estimate_secondary_path
-from ...errors import LookaheadError
 from ...hardware.dsp_board import tms320c6713
 from ...signals import BandlimitedNoise, IntermittentSource, MaleVoice
 from ..metrics import additional_cancellation_db, measure_cancellation
@@ -110,14 +110,8 @@ def build_two_source_scene(duration_s=16.0, seed=31, scenario=None,
     # sources; the tap vector absorbs the per-source difference.
     lead = min(ch_bg.acoustic_lead_samples[0],
                ch_voice.acoustic_lead_samples[0])
-    pipeline = tms320c6713().total_latency_s
-    n_future = int(np.floor(lead - pipeline * fs))
-    if n_future <= 0:
-        raise LookaheadError(
-            "two-source scene offers no usable lookahead; move the relay"
-        )
-    reference = np.zeros_like(captured)
-    reference[lead:] = captured[: captured.size - lead]
+    reference, n_future = align(captured, lead,
+                                tms320c6713().total_latency_s, fs, 64)
 
     secondary_true = ch_bg.h_se.ir
     estimate = estimate_secondary_path(
@@ -130,7 +124,7 @@ def build_two_source_scene(duration_s=16.0, seed=31, scenario=None,
         disturbance=disturbance,
         secondary_true=secondary_true,
         secondary_estimate=estimate.impulse_response,
-        n_future=min(n_future, 64),
+        n_future=n_future,
         speech_mask=mask,
         sample_rate=fs,
     ), n_past

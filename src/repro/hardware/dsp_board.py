@@ -9,9 +9,11 @@ speaker, <1 cm); the sum of converter and processing delays is "easily
 3×" that, so today's headphones miss the deadline and play the
 anti-noise late.  MUTE's milliseconds of lookahead subsume all of it.
 
-:class:`DspBoard` gathers the delay terms, answers deadline questions,
-and provides the paper's TMS320C6713 preset (8 kHz sampling cap → 4 kHz
-cancellation cap).
+:class:`DspBoard` gathers the delay terms and provides the paper's
+TMS320C6713 preset (8 kHz sampling cap → 4 kHz cancellation cap).  The
+deadline itself is judged by the lookahead ledger:
+:class:`repro.core.lookahead.LookaheadBudget` (``meets_deadline``,
+``playback_lag_s``) and :func:`repro.core.lookahead.align`.
 """
 
 from __future__ import annotations
@@ -60,36 +62,6 @@ class DspBoard:
         """The right-hand side of Eq. 3."""
         return (self.adc_delay_s + self.processing_delay_s
                 + self.dac_delay_s + self.speaker_delay_s)
-
-    def total_latency_samples(self, sample_rate):
-        """Total latency in whole samples at ``sample_rate``."""
-        if sample_rate <= 0:
-            raise ConfigurationError("sample_rate must be > 0")
-        if sample_rate > self.max_sample_rate:
-            raise ConfigurationError(
-                f"{self.name} cannot sample at {sample_rate} Hz "
-                f"(max {self.max_sample_rate} Hz)"
-            )
-        return int(round(self.total_latency_s * sample_rate))
-
-    def meets_deadline(self, lookahead_s):
-        """Eq. 3: is the available lookahead enough to hide all latency?"""
-        if lookahead_s < 0:
-            return False
-        return lookahead_s >= self.total_latency_s
-
-    def deadline_margin_s(self, lookahead_s):
-        """Slack (positive) or deficit (negative) against the Eq. 3 budget."""
-        return lookahead_s - self.total_latency_s
-
-    def effective_playback_lag_s(self, lookahead_s):
-        """How late the anti-noise is played, given the lookahead.
-
-        Zero when the deadline is met (MUTE's case, Figure 5b); otherwise
-        the unhidden remainder of the pipeline latency (the red dashed
-        line of Figure 5a).
-        """
-        return max(self.total_latency_s - max(lookahead_s, 0.0), 0.0)
 
     @property
     def usable_bandwidth_hz(self):

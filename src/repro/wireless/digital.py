@@ -15,10 +15,11 @@ latency is structural::
             + radio/stack delay
             + jitter-buffer depth     (to survive retransmissions)
 
-Every one of those milliseconds is subtracted from the acoustic
-lookahead (see :class:`repro.core.LookaheadBudget`), which is exactly
-the resource LANC spends on anti-causal taps.  A Bluetooth-class 10 ms
-frame erases the entire lead of a room-scale relay.
+The forwarded stream carries that delay, so the ear-device's lookahead
+ledger (:func:`repro.core.lookahead.align`) subtracts it once from the
+acoustic lead, which is exactly the resource LANC spends on anti-causal
+taps.  A Bluetooth-class 10 ms frame erases the entire lead of a
+room-scale relay.
 
 The privacy contrast is also explicit: :attr:`stores_samples` is true —
 a digital relay necessarily holds audio in buffers, the thing §4.4's
@@ -93,7 +94,7 @@ class DigitalRelay:
 
     @property
     def latency_samples(self):
-        """Total delay in whole samples (the lookahead-budget input)."""
+        """Delay left in the forwarded stream, in whole samples."""
         return int(round(self.latency_s * self.audio_rate))
 
     def forward(self, audio):

@@ -8,10 +8,11 @@ The design constraint the paper emphasizes — *no sample is ever stored*
 on the relay (privacy §4.4) — maps here to a purely functional
 ``forward()``: audio in, audio out, with the only latency being fixed
 analog/filter group delay.  That group delay is measured once at
-construction with a calibration chirp and exposed as
-``latency_samples`` so the ear-device can account for it in its
-lookahead budget (it is microseconds–milliseconds, far below the
-acoustic lookahead).
+construction with a calibration chirp (``group_delay_samples``) and
+removed from the forwarded stream.  ``latency_samples`` is the delay
+left in what ``forward()`` returns — 0 here, the frame delay of a
+:mod:`~repro.wireless.digital` relay — and the ear-device's ledger
+(:func:`repro.core.lookahead.align`) subtracts it from the acoustic lead.
 
 The relay's own noise is drawn once, not on every forward: the mic
 self-noise (``default_rng(seed + 1)``) and the RF channel's AWGN
@@ -135,7 +136,8 @@ class AnalogRelay:
         #: Shortest block :meth:`forward` accepts: the receiver's
         #: zero-phase filter needs ``demodulator.min_samples`` RF samples.
         self.min_samples = (self.demodulator.min_samples - 1) * down // up + 1
-        self.latency_samples = self._calibrate_latency()
+        self.group_delay_samples = self._calibrate_group_delay()
+        self.latency_samples = 0    # forward() removes the group delay
 
     def _chain(self, audio):
         """Mic front-end → FM → RF channel → demodulator.
@@ -160,7 +162,7 @@ class AnalogRelay:
             return demodulated
         return self.demodulator.demodulate(impaired)
 
-    def _calibrate_latency(self):
+    def _calibrate_group_delay(self):
         """Measure the fixed chain group delay with a chirp probe.
 
         Returns a *fractional* sample count: the correlation peak is
@@ -204,7 +206,7 @@ class AnalogRelay:
                 f"{self.rf_rate:g} Hz")
         with obs.span("relay.forward", relay="analog", samples=audio.size):
             out = self._chain(audio)
-            aligned = _advance(out, self.latency_samples)
+            aligned = _advance(out, self.group_delay_samples)
             if aligned.size < audio.size:
                 aligned = np.concatenate(
                     [aligned, np.zeros(audio.size - aligned.size)]

@@ -54,6 +54,13 @@ class TestSingleSourceSession:
         assert np.all(np.isfinite(result.residual))
 
 
+class TestLedger:
+    def test_session_claims_no_tap_beyond_the_lead(self, device):
+        # Lag 76 less the 25.4-sample pipeline leaves 50.6 samples.
+        session, __ = device._build_session([np.zeros(800)], 0, 76, {})
+        assert session.filter.n_future == 50
+
+
 class TestHandoffSession:
     @pytest.fixture(scope="class")
     def result(self, device):

@@ -114,8 +114,8 @@ class TestFig16:
 
     def test_future_taps_increase_along_sweep(self, fast_bench):
         result = run_fig16(duration_s=5.0, scenario=fast_bench)
-        taps = list(result.future_taps.values())
-        assert taps == sorted(taps)
+        # +0.38/0.75/1.13 ms at 8 kHz, in whole samples.
+        assert list(result.future_taps.values()) == [0, 3, 6, 9]
 
 
 class TestFig17:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import LookaheadBudget
 from repro.errors import ConfigurationError
 from repro.hardware import (
     Adc,
@@ -11,7 +12,6 @@ from repro.hardware import (
     PassiveEarcup,
     bose_qc35_earcup,
     cheap_transducer,
-    fast_dsp,
     flat_transducer,
     headphone_dsp,
     no_earcup,
@@ -21,6 +21,11 @@ from repro.hardware import (
 from repro.hardware.dsp_board import HEADPHONE_ACOUSTIC_BUDGET_S
 from repro.signals import WhiteNoise
 from repro.utils.units import snr_db
+
+
+def _budget(lookahead_s, board):
+    """The Eq. 3 ledger for ``lookahead_s`` ahead of ``board``."""
+    return LookaheadBudget(lookahead_s, board.total_latency_s)
 
 
 class TestQuantize:
@@ -74,29 +79,22 @@ class TestDspBoard:
 
     def test_eq3_met_and_missed(self):
         board = tms320c6713()
-        assert board.meets_deadline(8.5e-3)
-        assert not board.meets_deadline(1e-3)
+        assert _budget(8.5e-3, board).meets_deadline
+        assert not _budget(1e-3, board).meets_deadline
 
     def test_headphone_misses_30us_budget(self):
         board = headphone_dsp()
-        assert not board.meets_deadline(HEADPHONE_ACOUSTIC_BUDGET_S)
+        assert not _budget(HEADPHONE_ACOUSTIC_BUDGET_S, board).meets_deadline
         # The paper's "easily 3x more than this time budget".
         assert board.total_latency_s / HEADPHONE_ACOUSTIC_BUDGET_S >= 2.5
 
     def test_playback_lag(self):
         board = headphone_dsp()
-        lag = board.effective_playback_lag_s(HEADPHONE_ACOUSTIC_BUDGET_S)
+        lag = _budget(HEADPHONE_ACOUSTIC_BUDGET_S, board).playback_lag_s
         assert lag == pytest.approx(board.total_latency_s - 30e-6)
 
     def test_lag_zero_with_lookahead(self):
-        assert tms320c6713().effective_playback_lag_s(8e-3) == 0.0
-
-    def test_sample_rate_cap(self):
-        with pytest.raises(ConfigurationError):
-            tms320c6713().total_latency_samples(48000.0)
-
-    def test_fast_dsp_runs_48k(self):
-        assert fast_dsp().total_latency_samples(48000.0) > 0
+        assert _budget(8e-3, tms320c6713()).playback_lag_s == 0.0
 
     def test_rejects_negative_delay(self):
         with pytest.raises(ConfigurationError):

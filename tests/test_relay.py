@@ -43,7 +43,8 @@ class TestAnalogRelay:
         return AnalogRelay(seed=3)
 
     def test_latency_under_one_ms(self, relay):
-        assert 0.0 <= relay.latency_samples < 8.0   # < 1 ms at 8 kHz
+        assert 0.0 <= relay.group_delay_samples < 8.0   # < 1 ms at 8 kHz
+        assert relay.latency_samples == 0   # forward() removes it
 
     def test_output_length_matches(self, relay):
         x = WhiteNoise(seed=4, level_rms=0.2).generate(0.5)

@@ -5,10 +5,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.acoustics.rir import RirSettings
 from repro.core import MuteConfig, MuteSystem
 from repro.errors import ConfigurationError, LookaheadError
+from repro.eval.experiments import bench_scenario
 from repro.hardware import bose_qc35_earcup
 from repro.signals import WhiteNoise
+from repro.wireless import IdealRelay
+from repro.wireless.digital import DigitalRelay
 
 
 NOISE = WhiteNoise(level_rms=0.1, seed=7)
@@ -29,8 +33,6 @@ class TestConstruction:
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             MuteConfig(n_future=-1)
-        with pytest.raises(ConfigurationError):
-            MuteConfig(injected_delay_s=-1.0)
 
 
 class TestPrepare:
@@ -66,6 +68,29 @@ class TestPrepare:
         with pytest.raises(LookaheadError, match="reposition"):
             system.prepare(NOISE.generate(0.5))
 
+    def test_relay_delay_is_charged_once(self):
+        """A lossless digital link delivers the ideal reference, late.
+
+        Its 28-sample frame + codec + radio delay comes out of the lead:
+        the aligned reference is the ideal relay's, bit for bit, and only
+        the future taps shrink.
+        """
+        scenario = dataclasses.replace(
+            bench_scenario(), rir_settings=RirSettings(max_order=1))
+        digital = DigitalRelay(frame_s=2e-3, codec_delay_s=1e-3,
+                               radio_delay_s=0.5e-3, bits=None)
+        noise = NOISE.generate(0.5)
+        prepared = {
+            name: MuteSystem(scenario, MuteConfig(
+                relay=relay, probe_secondary=False)).prepare(noise)
+            for name, relay in (("ideal", IdealRelay()),
+                                ("digital", digital))
+        }
+        np.testing.assert_array_equal(prepared["digital"].reference,
+                                      prepared["ideal"].reference)
+        assert prepared["ideal"].n_future == 50
+        assert prepared["digital"].n_future == 22
+
     def test_n_future_clipped_by_budget(self, fast_scenario):
         config = MuteConfig(n_future=10_000, probe_secondary=False)
         system = MuteSystem(fast_scenario, config)
@@ -98,13 +123,15 @@ class TestRun:
         assert (cup_run.mean_cancellation_db()
                 < open_run.mean_cancellation_db() - 3.0)
 
-    def test_injected_delay_reduces_future_taps(self, fast_scenario):
+    def test_smaller_n_future_caps_taps(self, fast_scenario):
+        """Fig. 16's delayed line buffer: N shrinks, alignment stays."""
         base = MuteSystem(fast_scenario, MuteConfig(probe_secondary=False))
-        injected = MuteSystem(fast_scenario, MuteConfig(
-            probe_secondary=False, injected_delay_s=3e-3))
+        capped = MuteSystem(fast_scenario, MuteConfig(
+            probe_secondary=False, n_future=3))
         noise = NOISE.generate(0.5)
-        assert (injected.prepare(noise).n_future
-                < base.prepare(noise).n_future)
+        full, short = base.prepare(noise), capped.prepare(noise)
+        assert short.n_future == 3 < full.n_future
+        np.testing.assert_array_equal(short.reference, full.reference)
 
     def test_band_mean_requires_bins(self, fast_system):
         result = fast_system.run(NOISE.generate(1.0))
