@@ -11,7 +11,9 @@ table to ``BENCH_kernels.json``; the LANC row must clear the 3x
 contract.  ``test_resample_sweep`` times the relay's two rate changes
 against ``resample_poly``, and ``test_demod_sweep`` the receivers'
 zero-phase filter and decimation against ``sosfiltfilt`` then
-``resample_poly``; each adds its rows to the same file.
+``resample_poly``, and ``test_spectral_sweep`` the NumPy Welch density
+and coherence against ``scipy.signal``'s; each adds its rows to the
+same file.
 """
 
 import contextlib
@@ -26,6 +28,7 @@ from repro.core import (ApaFilter, LancFilter, LmsFilter,
                         MultiRefLancFilter, RlsFilter, StreamingLanc,
                         gcc_phat)
 from repro.signals import WhiteNoise
+from repro.utils import spectral
 from repro.wireless import (FmDemodulator, FmModulator, ZeroPhaseDecimator,
                             resample)
 from tests import oracle
@@ -46,6 +49,11 @@ RESAMPLE_SPEEDUP_FLOOR = 2.0
 #: 4 s at 96 kHz) must beat ``sosfiltfilt`` then ``resample_poly`` by
 #: this much.
 DEMOD_SPEEDUP_FLOOR = 1.5
+
+#: And the NumPy Welch density and coherence must beat
+#: ``scipy.signal.welch`` / ``coherence`` by this much, on the fig12
+#: probe's 22,400 samples and on a 400-sample window.
+SPECTRAL_SPEEDUP_FLOOR = 1.5
 
 #: The two arithmetics a sweep row times: the oracle's reference walks
 #: (the "before" leg, labeled ``loop``) and the product (``vector``).
@@ -269,6 +277,64 @@ def test_demod_sweep(report):
         assert row["speedup"] >= DEMOD_SPEEDUP_FLOOR, \
             f"{row['seconds']} s: decimator speedup {row['speedup']:.2f}x " \
             f"< {DEMOD_SPEEDUP_FLOOR}x"
+
+
+def test_spectral_sweep(report):
+    """Welch density and coherence vs the oracle's ``scipy.signal`` forms."""
+    rng = np.random.default_rng(0)
+    rows = []
+    for n in (22400, 400):
+        x = 0.1 * rng.standard_normal(n)
+        y = 0.5 * x + 0.05 * rng.standard_normal(n)
+        for estimate, product, reference in (
+                ("welch", lambda: spectral.welch_psd(x, 8000.0, 512),
+                 lambda: oracle.welch(x, 8000.0, 512)),
+                ("coherence",
+                 lambda: spectral.coherence(x, y, 8000.0, 512),
+                 lambda: oracle.coherence(x, y, 8000.0, 512))):
+            timings = {label: time_call(f, repeats=21, warmup=2)
+                       for label, f in (("oracle", reference),
+                                        ("product", product))}
+            got = timings["product"].result[1]
+            want = timings["oracle"].result[1]
+            # Densities relative to their peak; coherence is in [0, 1].
+            scale = float(np.max(want)) if estimate == "welch" else 1.0
+            rows.append({
+                "estimate": estimate,
+                "samples": n,
+                "nperseg": min(512, n),
+                "oracle_s": timings["oracle"].best_s,
+                "product_s": timings["product"].best_s,
+                "speedup": (timings["oracle"].best_s
+                            / timings["product"].best_s),
+                "max_rel_deviation": float(np.max(np.abs(got - want)))
+                / scale,
+            })
+
+    path = _update_kernels_json({"spectral": {
+        "workload": "white noise at 8 kHz: the fig12 probe's 22,400 "
+                    "samples and a 400-sample window, nperseg 512",
+        "oracle": "tests/oracle.py welch / coherence (scipy.signal)",
+        "product": "repro.utils.spectral welch_psd / coherence",
+        "speedup_floor": SPECTRAL_SPEEDUP_FLOOR,
+        "rows": rows,
+    }})
+    lines = [f"{'estimate':<10} {'samples':>7} {'oracle':>9} {'product':>9} "
+             f"{'speedup':>8}"]
+    for row in rows:
+        lines.append(f"{row['estimate']:<10} {row['samples']:>7} "
+                     f"{row['oracle_s'] * 1e3:>7.3f}ms "
+                     f"{row['product_s'] * 1e3:>7.3f}ms "
+                     f"{row['speedup']:>7.2f}x")
+    report("\n".join(lines) + f"\n[written to {path}]")
+
+    for row in rows:
+        label = f"{row['estimate']} at {row['samples']} samples"
+        assert row["max_rel_deviation"] <= 1e-12, \
+            f"{label}: vs oracle ({row['max_rel_deviation']})"
+        assert row["speedup"] >= SPECTRAL_SPEEDUP_FLOOR, \
+            f"{label}: speedup {row['speedup']:.2f}x < " \
+            f"{SPECTRAL_SPEEDUP_FLOOR}x"
 
 
 def test_rir_build(benchmark):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ChannelError
-from ..utils import fastconv
+from ..utils import fastconv, filters
 from ..utils.validation import check_impulse_response, check_waveform
 
 __all__ = ["AcousticChannel", "cascade", "channel_delay_samples"]
@@ -116,11 +116,10 @@ class AcousticChannel:
         self._state[:] = 0.0
 
     def frequency_response(self, sample_rate, n_points=512):
-        """Return ``(freqs_hz, complex_response)`` on a linear grid."""
-        from scipy import signal as sps
-
-        w, h = sps.freqz(self.ir, worN=n_points, fs=sample_rate)
-        return w, h
+        """Return ``(freqs_hz, complex_response)`` at ``n_points``
+        frequencies from 0 Hz up to (not including) Nyquist."""
+        w = np.linspace(0.0, np.pi, n_points, endpoint=False)
+        return w * (sample_rate / (2.0 * np.pi)), filters.freqz(self.ir, w)
 
 
 def cascade(*channels, name=None):

@@ -29,6 +29,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..hardware.headphone import PassiveEarcup, bose_qc35_earcup
+from ..utils import fastconv, filters
 from ..utils.validation import check_positive, check_waveform
 
 __all__ = ["ConventionalAncModel", "BoseHeadphone"]
@@ -81,22 +82,18 @@ class ConventionalAncModel:
 
     def residual_fir(self, sample_rate, n_taps=257):
         """Linear-phase FIR whose magnitude is the residual gain."""
-        from scipy import signal as sps
-
         sample_rate = check_positive("sample_rate", sample_rate)
         if n_taps % 2 == 0 or n_taps < 9:
             raise ConfigurationError("n_taps must be odd and >= 9")
         grid = np.linspace(0.0, sample_rate / 2.0, 512)
         gains = self.residual_gain(grid)
-        return sps.firwin2(n_taps, grid, gains, fs=sample_rate)
+        return filters.firwin2(n_taps, grid, gains, fs=sample_rate)
 
     def residual_waveform(self, disturbance, sample_rate, n_taps=257):
         """What the ear hears with this active stage on (time-aligned)."""
-        from scipy import signal as sps
-
         disturbance = check_waveform("disturbance", disturbance)
         fir = self.residual_fir(sample_rate, n_taps)
-        filtered = sps.fftconvolve(disturbance, fir)
+        filtered = fastconv.fft_convolve(disturbance, fir)
         d = (n_taps - 1) // 2
         return filtered[d: d + disturbance.size]
 

@@ -218,9 +218,15 @@ class OnlineMuteDevice:
                         session, warm = self._build_session(
                             forwarded, new_assignment[0],
                             new_assignment[1], cache)
-                        # Skip the session ahead to the current time.
-                        if t > 0:
+                        # Skip the session ahead to the current time.  A
+                        # cold session's taps are zero, so walking the
+                        # prefix would only play silence: its clock
+                        # jumps, and the prefix is banked as heard.
+                        if t > 0 and warm:
                             session.process(ear[:t], adapt=False)
+                        elif t > 0:
+                            session.state.time = t
+                            session.record(ear[:t])
                         handoffs.append(HandoffEvent(
                             sample_index=t, relay=new_assignment[0],
                             lag_samples=new_assignment[1],

@@ -108,9 +108,15 @@ class LookaheadBudget:
         return self.acoustic_lead_s - self.pipeline_latency_s
 
     def usable_future_taps(self, sample_rate):
-        """``N`` — anti-causal taps LANC may use (≥ 0)."""
+        """``N`` — anti-causal taps LANC may use (≥ 0), as :func:`align`
+        counts them: ``⌊lag − pipeline · fs⌋`` with ``lag`` the lead in
+        whole samples.  A lead within rounding of a whole number of
+        samples (``lag / fs`` read back) is that number.
+        """
         sample_rate = check_positive("sample_rate", sample_rate)
-        return max(math.floor(self.usable_lookahead_s * sample_rate), 0)
+        lag = math.floor(round(self.acoustic_lead_s * sample_rate, 6))
+        return max(math.floor(lag - self.pipeline_latency_s * sample_rate),
+                   0)
 
     @property
     def meets_deadline(self):

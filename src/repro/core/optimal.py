@@ -25,6 +25,7 @@ import dataclasses
 import numpy as np
 
 from ..errors import ConfigurationError
+from ..utils.fastconv import fft_convolve
 from ..utils.validation import (
     check_impulse_response,
     check_non_negative_int,
@@ -58,16 +59,14 @@ class WienerSolution:
 
 def _correlations(v, d, n_future, n_past):
     """Autocorrelation of v and cross-correlation v↔d on the tap grid."""
-    from scipy import signal as sps
-
     T = v.size
     M = n_future + n_past
     # r_v[m] = sum_t v(t) v(t - m) for m = 0..M-1 (symmetric).
-    full = sps.fftconvolve(v, v[::-1])
+    full = fft_convolve(v, v[::-1])
     mid = T - 1
     r_v = full[mid: mid + M]
     # p[k] = sum_t d(t) v(t - k) for k = -n_future .. n_past-1.
-    cross = sps.fftconvolve(d, v[::-1])
+    cross = fft_convolve(d, v[::-1])
     p = cross[mid - n_future: mid + n_past]
     return r_v, p
 
@@ -85,7 +84,7 @@ def wiener_lanc(reference, disturbance, secondary_path, n_future, n_past,
         ``taps`` is directly loadable into a :class:`LancFilter` via
         ``set_taps`` (same future-first convention).
     """
-    from scipy import linalg, signal as sps
+    from scipy import linalg
 
     x = check_waveform("reference", reference, min_length=64)
     d = check_waveform("disturbance", disturbance, min_length=64)
@@ -99,7 +98,7 @@ def wiener_lanc(reference, disturbance, secondary_path, n_future, n_past,
             f"{M} taps need far more than {x.size} samples to estimate"
         )
 
-    v = sps.fftconvolve(x, s)[: x.size]
+    v = fft_convolve(x, s)[: x.size]
     r_v, p = _correlations(v, d, n_future, n_past)
     r_v = r_v.copy()
     r_v[0] += regularization * max(r_v[0], 1e-12)
@@ -117,7 +116,7 @@ def wiener_lanc(reference, disturbance, secondary_path, n_future, n_past,
     # w is ordered by k = -n_future .. n_past-1; future-first storage
     # wants index 0 ↔ k = -n_future — already the case.
     y = _two_sided_filter(x, w, n_future)
-    residual = d + sps.fftconvolve(y, s)[: d.size]
+    residual = d + fft_convolve(y, s)[: d.size]
     return WienerSolution(taps=w, residual=residual,
                           n_future=n_future, n_past=n_past)
 

@@ -32,12 +32,10 @@ tests, not for studying MUTE:
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
 import os
 import signal
 import time
 
-from ...chaos import run_soak
 from ...errors import InjectedCrashError
 from .registry import experiment_result
 
@@ -85,6 +83,8 @@ class ChaosResult:
 
 def _maybe_die_once(flag_path):
     """Die-once worker kill (see the module docstring's harness notes)."""
+    import multiprocessing
+
     if flag_path is None:
         return
     flag_path = str(flag_path)
@@ -119,6 +119,8 @@ def run_chaos(duration_s=0.4, *, seed=0, scenario=None, sessions=6,
     sleep_s / worker_kill_flag:
         Executor-test harness hooks — see the module docstring.
     """
+    from ...chaos import run_soak
+
     del scenario  # synthesized workloads; kept for uniform signatures
     if sleep_s:
         time.sleep(float(sleep_s))

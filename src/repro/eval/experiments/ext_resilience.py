@@ -26,7 +26,6 @@ from ...acoustics.geometry import Point, Room
 from ...acoustics.rir import RirSettings
 from ...core.scenario import Scenario
 from ...core.system import MuteConfig, MuteSystem
-from ...faults import outage_plan, packet_loss_plan
 from ...signals import WhiteNoise
 from ...wireless.relay import IdealRelay
 from ..reporting import format_table
@@ -142,6 +141,8 @@ def run_resilience(duration_s=6.0, *, seed=0, scenario=None,
     ExperimentResult
         ``results`` is a :class:`ResilienceResult`.
     """
+    from ...faults import outage_plan, packet_loss_plan
+
     scenario = scenario or resilience_scenario()
     noise = WhiteNoise(sample_rate=scenario.sample_rate, level_rms=0.1,
                        seed=seed).generate(duration_s)

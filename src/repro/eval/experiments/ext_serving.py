@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import dataclasses
 
-from ...serving import ServerConfig, SessionServer, SessionWorkload
 from .registry import experiment_result
 
 __all__ = ["ServingResult", "run_serving"]
@@ -93,6 +92,8 @@ def run_serving(duration_s=1.0, *, seed=0, scenario=None, sessions=8,
     block_size:
         Lock-step block length in samples.
     """
+    from ...serving import ServerConfig, SessionServer, SessionWorkload
+
     del scenario  # synthesized workloads; kept for uniform signatures
     sessions = int(sessions)
     config = ServerConfig(batched=bool(batched),

@@ -32,7 +32,7 @@ import numpy as np
 
 from ..acoustics.propagation import fractional_delay_filter
 from ..errors import ConfigurationError
-from ..utils import fastconv
+from ..utils import fastconv, filters
 from ..utils.validation import check_non_negative, check_positive, check_waveform
 
 __all__ = ["EarCanalCoupling"]
@@ -80,21 +80,17 @@ class EarCanalCoupling:
     # Filter design
     # ------------------------------------------------------------------
     def _design_canal(self, n_taps=65):
-        from scipy import signal as sps
-
         grid = np.linspace(0.0, self.sample_rate / 2.0, 256)
         gain = 1.0 + (10.0 ** (self.resonance_gain_db / 20.0) - 1.0) \
             * np.exp(-((grid - self.canal_resonance_hz)
                        / (0.35 * self.canal_resonance_hz)) ** 2)
-        return sps.firwin2(n_taps, grid, gain, fs=self.sample_rate)
+        return filters.firwin2(n_taps, grid, gain, fs=self.sample_rate)
 
     def _design_mismatch(self, n_taps=33):
-        from scipy import signal as sps
-
         grid = np.linspace(0.0, self.sample_rate / 2.0, 128)
         tilt = 10.0 ** (self.mismatch_tilt_db / 20.0
                         * (grid / (self.sample_rate / 2.0)))
-        tilt_fir = sps.firwin2(n_taps, grid, tilt, fs=self.sample_rate)
+        tilt_fir = filters.firwin2(n_taps, grid, tilt, fs=self.sample_rate)
         delay = self.mismatch_delay_s * self.sample_rate
         delay_fir = fractional_delay_filter(delay + n_taps // 2,
                                             n_taps=n_taps)
@@ -155,9 +151,7 @@ class EarCanalCoupling:
         ``20·log10 |1 − H_mismatch|`` — the per-frequency floor the
         mismatch imposes.
         """
-        from scipy import signal as sps
-
         freqs = np.asarray(freqs, dtype=float)
-        w = 2.0 * np.pi * freqs / self.sample_rate
-        __, h = sps.freqz(self._mismatch_fir, worN=w)
+        h = filters.freqz(self._mismatch_fir,
+                          2.0 * np.pi * freqs / self.sample_rate)
         return 20.0 * np.log10(np.maximum(np.abs(1.0 - h), 1e-9))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..utils import fastconv
+from ..utils import fastconv, filters
 from ..utils.validation import check_positive, check_waveform
 
 __all__ = ["PassiveEarcup", "bose_qc35_earcup", "no_earcup"]
@@ -61,11 +61,9 @@ class PassiveEarcup:
         return 10.0 ** (-self.insertion_loss_db(freqs) / 20.0)
 
     def _design_fir(self):
-        from scipy import signal as sps
-
         grid = np.linspace(0.0, self.sample_rate / 2.0, 256)
         gains = self.transmission_gain(grid)
-        return sps.firwin2(self.n_taps, grid, gains, fs=self.sample_rate)
+        return filters.firwin2(self.n_taps, grid, gains, fs=self.sample_rate)
 
     def apply(self, signal):
         """Attenuate a waveform as heard under the earcup (time-aligned)."""

@@ -24,6 +24,10 @@ This module centralizes all of it:
   convolution), computed per block through :func:`fir_apply`.
 * an LRU spectrum cache keyed by ``(ir bytes, nfft)`` — the "FFT plan
   per IR" the profiling harness showed the acoustics stage re-paying.
+* :func:`fft_convolve` — ``fftconvolve``'s one uncached product, for
+  two signals where neither is a reused kernel (the Wiener bound's
+  correlations): :func:`fir_apply` would cache one spectrum per signal
+  and, with equal lengths, take its direct O(n²) branch.
 
 Contract: ``fir_apply(x, h)`` matches ``np.convolve(x, h)`` to
 ≤ 1e-10 absolute, and :class:`StreamingFir` matches ``lfilter`` with
@@ -40,7 +44,8 @@ import numpy as np
 
 from ..errors import ConfigurationError
 
-__all__ = ["fir_apply", "StreamingFir", "cache_info", "clear_cache"]
+__all__ = ["fir_apply", "fft_convolve", "StreamingFir", "cache_info",
+           "clear_cache"]
 
 #: Kernels at or below this length stay on direct ``np.convolve`` —
 #: below the FFT break-even, and it keeps tiny secondary paths
@@ -158,6 +163,26 @@ def fir_apply(signal, ir, mode="same"):
         H = _spectrum(ir, block_nfft)
         full = _overlap_save(signal, H, m, block_nfft, n_out)
     return full if mode == "full" else full[:n]
+
+
+def fft_convolve(a, b):
+    """Full linear convolution of two real 1-D arrays as one FFT product.
+
+    ``scipy.signal.fftconvolve(a, b)`` bit for bit: the ``rfft`` product
+    at ``next_fast_len(len(a) + len(b) − 1, real=True)``, cut to length,
+    or a plain product when either array has one sample.
+    """
+    from scipy import fft as sp_fft
+
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    if a.ndim != 1 or b.ndim != 1 or a.size == 0 or b.size == 0:
+        raise ConfigurationError("fft_convolve needs non-empty 1-D arrays")
+    if a.size == 1 or b.size == 1:
+        return a * b
+    n_out = a.size + b.size - 1
+    nfft = sp_fft.next_fast_len(n_out, True)
+    return sp_fft.irfft(sp_fft.rfft(a, nfft) * sp_fft.rfft(b, nfft),
+                        nfft)[:n_out]
 
 
 class StreamingFir:

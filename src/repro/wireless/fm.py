@@ -22,10 +22,12 @@ reduced ``(up, down)`` pair is planned once from scipy's default
 of input windows with a ``(taps, up)`` phase matrix, and decimation by
 ``down`` a product of ``(rows, down)`` phase rows with the input's
 frames plus a sum of shifted rows — the sums ``resample_poly`` makes,
-as BLAS products, within 1e-12 of it.  Pairs with both factors above 1
-keep ``resample_poly``.  The rate pair itself is reduced with
-:class:`fractions.Fraction`, so exact rational (including non-integer)
-rate pairs work.  The receivers' zero-phase low-pass and their
+as BLAS products, within 1e-12 of it.  The rate pair itself is reduced
+with :class:`fractions.Fraction`, so exact rational (including
+non-integer) rate pairs work; a pair that reduces with both factors
+above 1 is refused: ``resample_poly``'s window for it is
+``20·max(up, down) + 1`` taps (3.84M for 8000.5 → 96000 Hz), and no
+relay runs one.  The receivers' zero-phase low-pass and their
 decimation are one step, :class:`ZeroPhaseDecimator`, which computes
 only the outputs the decimation keeps.  The modulator/demodulator
 avoid full-rate intermediate copies by running their arithmetic in
@@ -66,8 +68,8 @@ MAX_PRODUCT_SIZE = 65536 * 4
 DECIMATOR_NFFT = 1024
 
 #: Cached polyphase designs and product plans, keyed by the reduced
-#: ``(up, down)`` pair.  Only pairs with one factor 1 are planned, so
-#: only their designs are kept.
+#: ``(up, down)`` pair; :func:`resample` takes only pairs with one
+#: factor 1.
 _design_cache = {}
 _plan_cache = {}
 
@@ -91,6 +93,17 @@ def rational_ratio(rate_in, rate_out):
             f"{MAX_RATIO_DENOMINATOR})"
         )
     return ratio.numerator, ratio.denominator
+
+
+def _factors(rate_in, rate_out):
+    """:func:`rational_ratio`, refusing pairs with both factors above 1."""
+    up, down = rational_ratio(rate_in, rate_out)
+    if min(up, down) > 1:
+        raise ConfigurationError(
+            f"resampling {rate_in} Hz to {rate_out} Hz needs both an "
+            f"up factor ({up}) and a down factor ({down}); only one-factor "
+            f"rate pairs are supported")
+    return up, down
 
 
 def _polyphase_design(up, down):
@@ -190,21 +203,21 @@ def resample(signal, rate_in, rate_out):
     """Polyphase resampling between exact-rational-ratio rates.
 
     Same length, alignment and filter as ``scipy.signal.resample_poly``
-    with its default window; a 1-D real signal with one factor 1 goes
-    through chunked BLAS products (within 1e-12 of it), anything else
-    through ``resample_poly`` itself.  Rates whose exact ratio is 1
-    return a float64 copy.
+    with its default window, for a real 1-D signal and a rate pair with
+    one factor 1: chunked BLAS products, within 1e-12 of it.  Rates
+    whose exact ratio is 1 return a float64 copy.  Raises
+    :class:`~repro.errors.ConfigurationError` for a pair with both
+    factors above 1, naming it.
     """
     rate_in = check_positive("rate_in", rate_in)
     rate_out = check_positive("rate_out", rate_out)
-    up, down = rational_ratio(rate_in, rate_out)
+    up, down = _factors(rate_in, rate_out)
     if up == down:
         return np.asarray(signal, dtype=np.float64).copy()
     x = np.asarray(signal)
-    if min(up, down) > 1 or x.ndim != 1 or np.iscomplexobj(x):
-        from scipy import signal as sps
-
-        return sps.resample_poly(x, up, down)
+    if x.ndim != 1 or np.iscomplexobj(x):
+        raise SignalError(f"resample needs a real 1-D signal, got a "
+                          f"{x.dtype} array of shape {x.shape}")
     x = np.ascontiguousarray(x, dtype=np.float64)
     return _interpolate(x, up) if down == 1 else _decimate(x, down)
 
@@ -247,8 +260,9 @@ class ZeroPhaseDecimator:
       two passes run as FIRs over short edge segments, with the odd
       padding and the steady-state starts written out.
 
-    Other rate pairs run the two passes over the whole signal, then
-    :func:`resample`.
+    Other one-factor rate pairs run the two passes over the whole
+    signal, then :func:`resample`; a pair with both factors above 1 is
+    refused at construction.
     """
 
     #: Butterworth order of the receive low-pass.
@@ -257,6 +271,7 @@ class ZeroPhaseDecimator:
     def __init__(self, rate_in, rate_out):
         self.rate_in = check_positive("rate_in", rate_in)
         self.rate_out = check_positive("rate_out", rate_out)
+        up, down = _factors(self.rate_in, self.rate_out)
         self.cutoff_hz = min(self.rate_out / 2.0, self.rate_in / 2.0 * 0.9)
         self._ir = filters.butter_fir(self.order,
                                       self.cutoff_hz / (self.rate_in / 2.0))
@@ -267,7 +282,6 @@ class ZeroPhaseDecimator:
         # tail[k] = Σ_{j>k} h[j]: what a constant input before a pass's
         # start adds to its output k.
         self._tail = np.append(np.cumsum(self._ir[::-1])[::-1][1:], 0.0)
-        up, down = rational_ratio(self.rate_in, self.rate_out)
         self._down = down if up == 1 and down > 1 else None
         if self._down is not None:
             self._plan_branches()

@@ -32,7 +32,7 @@ import numpy as np
 
 from .. import obs
 from ..errors import ConfigurationError, SignalError
-from ..utils import fastconv, filters
+from ..utils import fastconv, filters, spectral
 from ..utils.validation import check_non_negative, check_positive, check_waveform
 from .fm import FmDemodulator, FmModulator, rational_ratio
 from .rf_channel import FrozenNoise, RfChannel, RfChannelConfig
@@ -227,14 +227,13 @@ class AnalogRelay:
         the two: per frequency, ``SNR(f) = C(f) / (1 - C(f))``; the
         returned figure is the output-power-weighted aggregate in dB.
         """
-        from scipy import signal as sps
-
         audio = check_waveform("audio", audio, min_length=256)
         forwarded = self.forward(audio)
         nperseg = min(1024, audio.size // 4)
-        freqs, coherence = sps.coherence(audio, forwarded,
-                                         fs=self.audio_rate, nperseg=nperseg)
-        __, pyy = sps.welch(forwarded, fs=self.audio_rate, nperseg=nperseg)
+        __, coherence = spectral.coherence(audio, forwarded, self.audio_rate,
+                                           nperseg=nperseg)
+        __, pyy = spectral.welch_psd(forwarded, self.audio_rate,
+                                     nperseg=nperseg)
         coherence = np.clip(coherence, 0.0, 1.0 - 1e-9)
         coherent_power = float(np.sum(pyy * coherence))
         incoherent_power = float(np.sum(pyy * (1.0 - coherence)))

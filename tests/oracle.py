@@ -12,7 +12,7 @@ formulations they were derived from live here, verbatim, for two jobs:
 * **honest "before" legs** — ``benchmarks/bench_kernels.py`` and
   ``benchmarks/bench_pipeline.py`` time the product against them.
 
-Five groups:
+Six groups:
 
 * the per-sample adaptive walks (:func:`fxlms_block`, :func:`lms_run`,
   :func:`rls_run`, :func:`apa_run`, :func:`multiref_run`) — one sample
@@ -36,7 +36,13 @@ Five groups:
   ``test_am_rf.py``, ``test_relay.py``);
 * the time-domain check of the closed-form Bose baseline
   (:func:`simulate_delay_limited_fxlms`, run by
-  ``tests/test_baselines.py``).
+  ``tests/test_baselines.py``);
+* the ``scipy.signal`` spectra, designs and responses the NumPy ones
+  replaced: :func:`welch`, :func:`coherence`, :func:`spectrogram`,
+  :func:`firwin2`, :func:`freqz` and :func:`fftconvolve`
+  (``tests/test_spectral.py``, ``test_filters.py``,
+  ``test_fastconv.py``: ≤ 1e-12, or bit for bit for the designs and
+  the product).
 
 :func:`reference_paths` swaps all of them in over the product
 attributes for the duration of a ``with`` block — a test double, so
@@ -411,6 +417,44 @@ def fir_apply(signal, ir, mode="same"):
         raise ConfigurationError("fir_apply needs non-empty 1-D arrays")
     full = sps.fftconvolve(signal, ir)
     return full if mode == "full" else full[:signal.size]
+
+
+def fftconvolve(a, b):
+    """``fastconv.fft_convolve`` as ``scipy.signal.fftconvolve``."""
+    return sps.fftconvolve(a, b)
+
+
+def welch(signal, sample_rate, nperseg=512):
+    """``spectral.welch_psd`` as ``scipy.signal.welch``."""
+    signal = np.asarray(signal, dtype=np.float64)
+    return sps.welch(signal, fs=sample_rate,
+                     nperseg=min(nperseg, signal.size))
+
+
+def coherence(x, y, sample_rate, nperseg=512):
+    """``spectral.coherence`` as ``scipy.signal.coherence`` (Welch
+    densities and ``csd``)."""
+    x = np.asarray(x, dtype=np.float64)
+    return sps.coherence(x, y, fs=sample_rate, nperseg=min(nperseg, x.size))
+
+
+def spectrogram(signal, sample_rate, nperseg=256, overlap=0.5):
+    """``spectral.spectrogram`` as ``scipy.signal.spectrogram``."""
+    signal = np.asarray(signal, dtype=np.float64)
+    nperseg = min(nperseg, signal.size)
+    return sps.spectrogram(signal, fs=sample_rate, nperseg=nperseg,
+                           noverlap=int(nperseg * overlap))
+
+
+def firwin2(numtaps, freq, gain, fs):
+    """``filters.firwin2`` as ``scipy.signal.firwin2``."""
+    return sps.firwin2(numtaps, freq, gain, fs=fs)
+
+
+def freqz(b, w):
+    """``filters.freqz`` as ``scipy.signal.freqz`` at angular
+    frequencies ``w``."""
+    return sps.freqz(b, worN=w, fs=2.0 * np.pi)[1]
 
 
 def streaming_fir_process(self, block):

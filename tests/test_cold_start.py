@@ -11,10 +11,15 @@ line.
 * The serving runtime (sessions, checkpoints, chaos) calls no SciPy
   function: with the finder refusing SciPy, ``serve-bench --check`` and
   ``chaos-soak`` still pass.
-* The relay paths design and run their filters in NumPy
-  (``repro.utils.filters``): with the finder refusing ``scipy.signal``
-  alone, a relay decision in the Figure 19 room and a
-  ``MuteSystem.run`` with an ``AnalogRelay`` still pass.
+* Only the three IIR noise generators load ``scipy.signal``: with the
+  finder refusing it alone, a relay decision in the Figure 19 room, a
+  ``MuteSystem.run`` with an ``AnalogRelay`` and its per-request probe
+  (``mean_cancellation_db``), the spectra, the relay's coherence SNR,
+  the earcup, ear and Bose designs, the Wiener bound and the
+  resampler's refusal of a two-factor rate pair still pass.
+* ``import repro.eval.experiments`` loads none of the serving, chaos and
+  fault layers, nor :mod:`multiprocessing`: each runner imports its
+  layer when it runs.
 """
 
 import os
@@ -104,8 +109,42 @@ relay = AnalogRelay(audio_rate=scenario.sample_rate, seed=1)
 system = MuteSystem(scenario, default_config(relay=relay, seed=1))
 noise = WhiteNoise(sample_rate=scenario.sample_rate, level_rms=0.1,
                    seed=1).generate(1.0)
-assert np.all(np.isfinite(system.run(noise).residual))
+result = system.run(noise)
+assert np.all(np.isfinite(result.residual))
+assert result.mean_cancellation_db(f_high=1000.0) < -5.0
 """
+
+#: The spectra, designs, responses and convolutions off ``scipy.signal``.
+SPECTRA_AND_DESIGNS = """
+from repro.core.baselines import BoseHeadphone
+from repro.core.optimal import wiener_lanc
+from repro.errors import ConfigurationError
+from repro.hardware.ear import EarCanalCoupling
+from repro.signals import WhiteNoise
+from repro.utils.spectral import band_energy_signature, spectrogram, welch_psd
+from repro.wireless import AnalogRelay, resample
+
+x = WhiteNoise(sample_rate=8000.0, level_rms=0.1, seed=1).generate(1.0)
+welch_psd(x, 8000.0)
+band_energy_signature(x, 8000.0)
+spectrogram(x, 8000.0)
+assert AnalogRelay(seed=1).audio_snr_db(x) > 20.0
+ear = EarCanalCoupling()
+ear.drum_pressure(x, -x)
+ear.mismatch_residual_db([100.0, 1000.0])
+BoseHeadphone().residual_waveform(x)
+wiener_lanc(x, x, [1.0, 0.5], 4, 16)
+try:
+    resample(x, 44100, 8000)
+except ConfigurationError as exc:
+    assert "(80)" in str(exc) and "(441)" in str(exc), exc
+else:
+    raise AssertionError("resample ran a two-factor rate pair")
+"""
+
+#: The extension layers ``import repro.eval.experiments`` must not load.
+EXTENSION_LAYERS = ("repro.chaos", "repro.serving", "repro.faults",
+                    "multiprocessing")
 
 
 def _importer(proc):
@@ -145,11 +184,29 @@ def test_serving_runs_without_scipy():
     assert " 0 mismatch(es)" in soak.stdout
 
 
+def _run_refusing_signal(flow, what):
+    proc = _child("refuse-signal", "exec", flow)
+    assert _importer(proc) == "none", (
+        f"{what} imported scipy.signal from {_importer(proc)}:\n"
+        f"{proc.stderr}")
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("flow", [RELAY_DECISION, HEADLINE_RUN],
                          ids=["relay-decision", "headline-run"])
 def test_relay_paths_run_without_scipy_signal(flow):
-    proc = _child("refuse-signal", "exec", flow)
-    assert _importer(proc) == "none", (
-        f"the relay path imported scipy.signal from {_importer(proc)}:\n"
-        f"{proc.stderr}")
+    _run_refusing_signal(flow, "the relay path")
+
+
+def test_spectra_and_designs_run_without_scipy_signal():
+    _run_refusing_signal(SPECTRA_AND_DESIGNS, "a spectrum or design")
+
+
+def test_experiments_package_loads_no_extension_layer():
+    proc = _child("watch", "exec",
+                  "import sys, repro.eval.experiments\n"
+                  f"print([m for m in {EXTENSION_LAYERS!r} "
+                  "if m in sys.modules])")
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]", (
+        f"import repro.eval.experiments loaded {proc.stdout.strip()}")

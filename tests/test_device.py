@@ -89,6 +89,50 @@ class TestHandoffSession:
         assert np.median(second[second >= 0]) == 1
 
 
+class TestColdHandoff:
+    """A cold session (zero taps, nothing in flight) joins at time t
+    without walking the prefix ``ear[:t]``."""
+
+    def test_jumping_a_cold_session_equals_walking_it(self, device):
+        # The device's shortcut against the frozen-tap walk it replaced:
+        # the same residual bank, the same outputs and taps after.
+        forwarded, ear, t = [_noise(7, 1.0)], _noise(8, 1.0), 3000
+        walked, warm = device._build_session(forwarded, 0, 60, {})
+        assert not warm
+        walked.process(ear[:t], adapt=False)
+        jumped, __ = device._build_session(forwarded, 0, 60, {})
+        jumped.state.time = t
+        jumped.record(ear[:t])
+        for start in range(t, ear.size, 400):
+            np.testing.assert_array_equal(
+                jumped.process(ear[start:start + 400]),
+                walked.process(ear[start:start + 400]))
+        np.testing.assert_array_equal(jumped.filter.get_taps(),
+                                      walked.filter.get_taps())
+        np.testing.assert_array_equal(jumped.residual(), walked.residual())
+
+    def test_cold_handoffs_process_one_block_at_a_time(self, device,
+                                                       monkeypatch):
+        from repro.core.adaptive.lanc import StreamingLanc
+
+        sizes = []
+        process = StreamingLanc.process
+
+        def spy(self, block, *args, **kwargs):
+            sizes.append(np.size(block))
+            return process(self, block, *args, **kwargs)
+
+        monkeypatch.setattr(StreamingLanc, "process", spy)
+        result = device.run_session([(Point(0.9, 1.0, 1.3), _noise(3, 2.0)),
+                                     (Point(5.1, 4.0, 1.3), _noise(4, 2.0))])
+        joined = [h for h in result.handoffs if h.relay is not None]
+        assert len(joined) == 2 and not any(h.warm_start for h in joined)
+        assert all(h.sample_index > 0 for h in joined)
+        assert max(sizes) == device.block
+        assert sum(sizes) == np.count_nonzero(
+            result.active_relay_timeline >= 0)
+
+
 class TestNoUsableRelay:
     def test_passthrough_when_source_at_client(self, handoff_scenario):
         device = OnlineMuteDevice(handoff_scenario, mu=0.15)

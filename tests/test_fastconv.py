@@ -106,6 +106,41 @@ class TestFirApply:
             fir_apply(np.zeros((4, 4)), _ir(0, 4))
 
 
+class TestFftConvolve:
+    """Two signals' full convolution, bit for bit ``fftconvolve``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n1=st.integers(1, 40000), n2=st.integers(1, 40000),
+           seed=st.integers(0, 2 ** 32 - 1),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]))
+    def test_matches_fftconvolve_bit_for_bit(self, n1, n2, seed, scale):
+        rng = np.random.default_rng(seed)
+        a = scale * rng.standard_normal(n1)
+        b = rng.standard_normal(n2)
+        np.testing.assert_array_equal(fastconv.fft_convolve(a, b),
+                                      oracle.fftconvolve(a, b))
+
+    # The Wiener bound's sizes: 4 s autocorrelations and cross
+    # correlations, a secondary path, the Bose stage's 257-tap FIR.
+    @pytest.mark.parametrize("n1, n2", [(32000, 32000), (32000, 200),
+                                        (48000, 257), (1000, 1000)])
+    def test_bound_sizes(self, n1, n2):
+        a, b = _signal(n1, n1), _signal(n2, n2)
+        np.testing.assert_array_equal(fastconv.fft_convolve(a, b[::-1]),
+                                      oracle.fftconvolve(a, b[::-1]))
+
+    def test_caches_nothing(self):
+        fastconv.clear_cache()
+        fastconv.fft_convolve(_signal(1, 4000), _signal(2, 4000))
+        assert fastconv.cache_info()["size"] == 0
+
+    def test_rejects_bad_inputs(self):
+        with pytest.raises(ConfigurationError):
+            fastconv.fft_convolve(np.empty(0), _ir(0, 4))
+        with pytest.raises(ConfigurationError):
+            fastconv.fft_convolve(np.zeros((4, 4)), _ir(0, 4))
+
+
 class TestSpectrumCache:
     def test_repeat_ir_hits_cache(self):
         fastconv.clear_cache()

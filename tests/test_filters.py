@@ -9,6 +9,7 @@ from scipy import signal as sps
 from repro.errors import ConfigurationError
 from repro.hardware.transducers import TransducerResponse, flat_transducer
 from repro.utils import filters
+from tests import oracle
 
 #: Each NumPy design against its SciPy counterpart.
 DESIGN_TOL = 1e-14
@@ -70,6 +71,35 @@ class TestFirwin2:
         assert np.max(np.abs(got - want)) <= DESIGN_TOL
         np.testing.assert_array_equal(response.impulse_response, got)
 
+    @settings(max_examples=80, deadline=None)
+    @given(numtaps=st.integers(1, 600).map(lambda k: 2 * k + 1),
+           n_grid=st.integers(2, 1024), seed=st.integers(0, 2 ** 32 - 1),
+           fs=st.sampled_from([8000.0, 16000.0, 44100.0]))
+    def test_matches_scipy_bit_for_bit(self, numtaps, n_grid, seed, fs):
+        grid = np.linspace(0.0, fs / 2.0, n_grid)
+        gains = 10.0 ** (np.random.default_rng(seed).uniform(-3, 1, n_grid))
+        np.testing.assert_array_equal(
+            filters.firwin2(numtaps, grid, gains, fs=fs),
+            oracle.firwin2(numtaps, grid, gains, fs=fs))
+
+    def test_product_designs_bit_for_bit(self, monkeypatch):
+        """The earcup (129 taps), the ear canal and its mismatch (65 and
+        33) and the Bose stage (257): the same bits with SciPy's design
+        swapped in."""
+        from repro.core.baselines import ConventionalAncModel
+        from repro.hardware.ear import EarCanalCoupling
+        from repro.hardware.headphone import PassiveEarcup
+
+        def designs():
+            ear = EarCanalCoupling()
+            return [PassiveEarcup()._fir, ear._canal_fir, ear._mismatch_fir,
+                    ConventionalAncModel().residual_fir(8000.0)]
+
+        product = designs()
+        monkeypatch.setattr(filters, "firwin2", oracle.firwin2)
+        for got, want in zip(product, designs(), strict=True):
+            np.testing.assert_array_equal(got, want)
+
     @pytest.mark.parametrize("numtaps, freq", [
         (8, [0.0, 4000.0]), (9, [0.0, 3000.0]), (9, [100.0, 4000.0]),
         (9, [0.0, 2000.0, 2000.0, 4000.0]),
@@ -77,6 +107,40 @@ class TestFirwin2:
     def test_rejects_what_it_does_not_design(self, numtaps, freq):
         with pytest.raises(ConfigurationError):
             filters.firwin2(numtaps, freq, np.ones(len(freq)), fs=8000.0)
+
+
+class TestFreqz:
+    """The DTFT against ``scipy.signal.freqz``, within 1e-12 of the
+    filter's ℓ1 gain (the largest ``|H|`` can be)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 5000), n_w=st.integers(1, 600),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_scipy(self, m, n_w, seed):
+        rng = np.random.default_rng(seed)
+        b = rng.standard_normal(m)
+        w = rng.uniform(0.0, np.pi, n_w)
+        got = filters.freqz(b, w)
+        assert np.max(np.abs(got - oracle.freqz(b, w))) \
+            <= 1e-12 * np.sum(np.abs(b))
+
+    @pytest.mark.parametrize("m, n_points", [(1, 512), (129, 128),
+                                             (256, 128), (257, 128),
+                                             (4000, 512)])
+    def test_channel_grid_matches_scipy(self, m, n_points):
+        # Up to 2·n_points taps SciPy takes a zero-padded rfft, past that
+        # the polynomial: the channel's grid agrees with both.
+        from repro.acoustics.channels import AcousticChannel
+
+        ir = np.random.default_rng(m).standard_normal(m)
+        freqs, h = AcousticChannel(ir).frequency_response(8000.0, n_points)
+        want_freqs, want = sps.freqz(ir, worN=n_points, fs=8000.0)
+        np.testing.assert_array_equal(freqs, want_freqs)
+        assert np.max(np.abs(h - want)) <= 1e-12 * np.sum(np.abs(ir))
+
+    def test_rejects_an_empty_filter(self):
+        with pytest.raises(ConfigurationError):
+            filters.freqz([], [0.0])
 
 
 class TestImpulseResponse:

@@ -56,6 +56,23 @@ class TestBudget:
         with pytest.raises(ConfigurationError):
             LookaheadBudget(acoustic_lead_s=1e-3, pipeline_latency_s=-1e-3)
 
+    @settings(max_examples=300, deadline=None)
+    @given(lag=st.integers(0, 4000), pipeline=st.integers(0, 400),
+           fs=st.sampled_from([8000.0, 16000.0, 44100.0, 48000.0]))
+    # (43 / fs − 4 / fs) · fs evaluates just under 39: the report must
+    # not lose the tap the run gets.
+    @example(lag=43, pipeline=4, fs=8000.0)
+    def test_reports_the_taps_align_grants(self, lag, pipeline, fs):
+        # The system's report: the lag in seconds, a pipeline of whole
+        # samples; align refusing the lag grants no taps.
+        budget = LookaheadBudget(acoustic_lead_s=lag / fs,
+                                 pipeline_latency_s=pipeline / fs)
+        try:
+            __, n_future = align(np.zeros(8), lag, pipeline / fs, fs, 10**6)
+        except LookaheadError:
+            n_future = 0
+        assert budget.usable_future_taps(fs) == n_future
+
 
 FS = 8000.0
 

@@ -2,9 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import SignalError
+from repro.errors import ConfigurationError, SignalError
 from repro.utils import spectral
+from tests import oracle
+
+#: The NumPy estimates against ``scipy.signal``'s (the oracle):
+#: densities relative to their peak, coherence (which is dimensionless,
+#: in [0, 1]) absolute.
+SPECTRAL_TOL = 1e-12
 
 
 def _tone(freq, fs=8000.0, seconds=1.0):
@@ -24,6 +32,82 @@ class TestWelchPsd:
     def test_rejects_empty(self):
         with pytest.raises(SignalError):
             spectral.welch_psd(np.zeros(2), 8000.0)
+
+
+@st.composite
+def _signals(draw):
+    """A noise signal of 8–50,000 samples at 1e-3–1e3, on a DC offset,
+    and an ``nperseg`` of 8–2,048 (odd or even, clamped to the length
+    by the estimators)."""
+    n = draw(st.integers(8, 50000), label="n")
+    nperseg = draw(st.integers(8, 2048), label="nperseg")
+    seed = draw(st.integers(0, 2 ** 32 - 1), label="seed")
+    amplitude = draw(st.sampled_from([1e-3, 1.0, 1e3]), label="amplitude")
+    offset = draw(st.sampled_from([0.0, 0.5, -1e3]), label="offset")
+    rng = np.random.default_rng(seed)
+    return offset + amplitude * rng.standard_normal(n), nperseg, rng
+
+
+def _assert_density_close(got, want):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= SPECTRAL_TOL * np.max(want)
+
+
+class TestMatchesScipy:
+    """One NumPy segment-average core against ``scipy.signal``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_signals())
+    def test_welch_psd(self, case):
+        x, nperseg, __ = case
+        freqs, psd = spectral.welch_psd(x, 8000.0, nperseg=nperseg)
+        want_freqs, want = oracle.welch(x, 8000.0, nperseg=nperseg)
+        # The probe's band masks compare these frequencies exactly.
+        np.testing.assert_array_equal(freqs, want_freqs)
+        _assert_density_close(psd, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_signals())
+    def test_coherence(self, case):
+        x, nperseg, rng = case
+        y = 0.5 * x + np.std(x) * rng.standard_normal(x.size)
+        freqs, got = spectral.coherence(x, y, 8000.0, nperseg=nperseg)
+        want_freqs, want = oracle.coherence(x, y, 8000.0, nperseg=nperseg)
+        np.testing.assert_array_equal(freqs, want_freqs)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= SPECTRAL_TOL
+
+    @settings(max_examples=60, deadline=None)
+    @given(_signals(), st.sampled_from([0.0, 0.125, 0.5, 0.9]))
+    def test_spectrogram(self, case, overlap):
+        x, nperseg, __ = case
+        freqs, times, sxx = spectral.spectrogram(x, 8000.0, nperseg=nperseg,
+                                                 overlap=overlap)
+        want_freqs, want_times, want = oracle.spectrogram(
+            x, 8000.0, nperseg=nperseg, overlap=overlap)
+        np.testing.assert_array_equal(freqs, want_freqs)
+        np.testing.assert_array_equal(times, want_times)
+        _assert_density_close(sxx, want)
+
+    @pytest.mark.parametrize("n, nperseg", [(22400, 512), (400, 512),
+                                            (513, 512), (8, 8), (9, 8)],
+                             ids=["probe", "short", "one-segment",
+                                  "shortest", "odd-tail"])
+    def test_probe_inputs(self, n, nperseg):
+        x = 3.0 + np.random.default_rng(n).standard_normal(n)
+        freqs, psd = spectral.welch_psd(x, 8000.0, nperseg=nperseg)
+        want_freqs, want = oracle.welch(x, 8000.0, nperseg=nperseg)
+        np.testing.assert_array_equal(freqs, want_freqs)
+        _assert_density_close(psd, want)
+
+    def test_coherence_rejects_unequal_lengths(self):
+        with pytest.raises(SignalError):
+            spectral.coherence(np.ones(64), np.ones(65), 8000.0)
+
+    @pytest.mark.parametrize("overlap", [1.0, 1.5, -0.5])
+    def test_spectrogram_rejects_overlap_without_a_hop(self, overlap):
+        with pytest.raises(ConfigurationError, match="overlap"):
+            spectral.spectrogram(np.ones(512), 8000.0, overlap=overlap)
 
 
 class TestBandEnergies:
