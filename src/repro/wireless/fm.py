@@ -102,7 +102,8 @@ def _factors(rate_in, rate_out):
         raise ConfigurationError(
             f"resampling {rate_in} Hz to {rate_out} Hz needs both an "
             f"up factor ({up}) and a down factor ({down}); only one-factor "
-            f"rate pairs are supported")
+            f"rate pairs are supported (scipy.signal.resample_poly takes "
+            f"any pair)")
     return up, down
 
 

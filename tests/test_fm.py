@@ -69,20 +69,25 @@ class TestResample:
         assert out.dtype == np.float64
         np.testing.assert_array_equal(out, x)
 
-    def test_two_factor_pairs_raise_naming_the_pair(self):
-        # 8000.5 -> 96000 reduces to (192000, 16001), whose window would
-        # have 3.84M taps; 44100 -> 8000 to (80, 441).  Both are refused
-        # before any design, by the resampler and by the decimator.
-        for rate_in, rate_out, up, down in ((8000.5, 96000, 192000, 16001),
-                                            (44100, 8000, 80, 441)):
-            with pytest.raises(ConfigurationError,
-                               match=rf"{rate_in:.1f} Hz to {rate_out:.1f} "
-                                     rf"Hz .*\({up}\).*\({down}\)"):
-                resample(np.zeros(16001), rate_in, rate_out)
-            assert (up, down) not in fm._design_cache
+    # Pairs that reduce with both factors above 1 used to fall back to
+    # resample_poly; they are now refused, naming the pair, before any
+    # design.
+    def test_both_factor_fallback_keeps_no_design(self):
+        # (192000, 16001) would design a 3.84M-tap window.
         with pytest.raises(ConfigurationError,
-                           match=r"96000.0 Hz to 44100.0 Hz .*\(147\)"):
-            ZeroPhaseDecimator(96000.0, 44100.0)
+                           match=r"8000.5 Hz to 96000.0 Hz "
+                                 r".*\(192000\).*\(16001\)"):
+            resample(np.zeros(16001), 8000.5, 96000)
+        assert (192000, 16001) not in fm._design_cache
+
+    def test_both_factor_fallback_is_resample_poly(self):
+        # The refusal points the caller at resample_poly for the pair.
+        x = np.random.default_rng(7).standard_normal(3000)
+        with pytest.raises(ConfigurationError,
+                           match=r"44100.0 Hz to 8000.0 Hz .*\(80\).*\(441\)"
+                                 r".*resample_poly takes any pair"):
+            resample(x, 44100, 8000)
+        assert (80, 441) not in fm._design_cache
 
     @pytest.mark.parametrize("signal", [np.zeros(10, dtype=complex),
                                         np.zeros((2, 10))],
@@ -206,9 +211,18 @@ class TestZeroPhaseDecimator:
         self._assert_matches_oracle(self.RECEIVER, x)
 
     @pytest.mark.parametrize("rate_in, rate_out", [
-        (96000.0, 16000.0), (48000.0, 8000.0), (8000.0, 16000.0),
-    ], ids=["down-6", "48k-down-6", "fallback-up-2"])
+        (96000.0, 16000.0), (48000.0, 8000.0), (96000.0, 44100.0),
+        (8000.0, 16000.0),
+    ], ids=["down-6", "48k-down-6", "fallback-147/320", "fallback-up-2"])
     def test_other_rate_pairs(self, rate_in, rate_out):
+        up, down = rational_ratio(rate_in, rate_out)
+        if min(up, down) > 1:
+            # A two-factor pair is refused at construction, naming it.
+            with pytest.raises(ConfigurationError,
+                               match=rf"{rate_in} Hz to {rate_out} Hz "
+                                     rf".*\({up}\).*\({down}\)"):
+                ZeroPhaseDecimator(rate_in, rate_out)
+            return
         decimator = ZeroPhaseDecimator(rate_in, rate_out)
         for n in (22, 999, 20000):
             x = np.random.default_rng(n).standard_normal(n)
