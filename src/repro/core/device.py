@@ -177,6 +177,21 @@ class OnlineMuteDevice:
                                 secondary_path_true=self._h_se)
         return session, warm
 
+    def _join(self, session, ear, t):
+        """Bring a new session to time ``t`` as if its frozen taps had
+        played over ``ear[:t]``.
+
+        A frozen-tap output depends only on the taps and the reference,
+        and the state keeps only the last ``len(h_se)`` outputs in
+        flight, so a walk over that tail leaves what a walk over the
+        whole prefix would: silence for a cold session, the in-flight
+        anti-noise for a warm one.
+        """
+        start = max(t - self._h_se.size, 0)
+        session.state.time = start
+        if t > start:
+            session.process(ear[start:t], adapt=False)
+
     def run_session(self, schedule):
         """Run the device over a (source, waveform) schedule.
 
@@ -218,15 +233,7 @@ class OnlineMuteDevice:
                         session, warm = self._build_session(
                             forwarded, new_assignment[0],
                             new_assignment[1], cache)
-                        # Skip the session ahead to the current time.  A
-                        # cold session's taps are zero, so walking the
-                        # prefix would only play silence: its clock
-                        # jumps, and the prefix is banked as heard.
-                        if t > 0 and warm:
-                            session.process(ear[:t], adapt=False)
-                        elif t > 0:
-                            session.state.time = t
-                            session.record(ear[:t])
+                        self._join(session, ear, t)
                         handoffs.append(HandoffEvent(
                             sample_index=t, relay=new_assignment[0],
                             lag_samples=new_assignment[1],

@@ -62,18 +62,26 @@ def align(forwarded, lag, pipeline_latency_s, sample_rate, n_future_max):
     forwarded = np.asarray(forwarded, dtype=np.float64)
     lag = int(lag)
     sample_rate = check_positive("sample_rate", sample_rate)
-    pipeline = check_non_negative("pipeline_latency_s",
-                                  pipeline_latency_s) * sample_rate
-    if lag < pipeline:
+    pipeline_latency_s = check_non_negative("pipeline_latency_s",
+                                            pipeline_latency_s)
+    n_future = _future_taps(lag, pipeline_latency_s, sample_rate)
+    if n_future < 0:
+        usable_ms = (lag / sample_rate - pipeline_latency_s) * 1e3
         raise LookaheadError(
-            f"usable lookahead {(lag - pipeline) / sample_rate * 1e3:.2f} "
-            "ms is negative — reposition the relay (or let relay "
-            "selection reject it)"
+            f"usable lookahead {usable_ms:.2f} ms is negative — reposition "
+            "the relay (or let relay selection reject it)"
         )
     reference = np.zeros_like(forwarded)
     if lag < forwarded.size:
         reference[lag:] = forwarded[: forwarded.size - lag]
-    return reference, min(int(n_future_max), math.floor(lag - pipeline))
+    return reference, min(int(n_future_max), n_future)
+
+
+def _future_taps(lag, pipeline_latency_s, sample_rate):
+    """Eq. 3 on the sample grid: ``⌊lag − pipeline · fs⌋``, the taps a
+    whole-sample ``lag`` leaves once the pipeline is paid (negative when
+    it cannot pay it)."""
+    return math.floor(lag - pipeline_latency_s * sample_rate)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -115,7 +123,7 @@ class LookaheadBudget:
         """
         sample_rate = check_positive("sample_rate", sample_rate)
         lag = math.floor(round(self.acoustic_lead_s * sample_rate, 6))
-        return max(math.floor(lag - self.pipeline_latency_s * sample_rate),
+        return max(_future_taps(lag, self.pipeline_latency_s, sample_rate),
                    0)
 
     @property

@@ -89,48 +89,91 @@ class TestHandoffSession:
         assert np.median(second[second >= 0]) == 1
 
 
-class TestColdHandoff:
-    """A cold session (zero taps, nothing in flight) joins at time t
-    without walking the prefix ``ear[:t]``."""
+def _walk_the_prefix(device, session, ear, t):
+    """The handoff as a whole-prefix walk with frozen taps."""
+    if t > 0:
+        session.process(ear[:t], adapt=False)
 
-    def test_jumping_a_cold_session_equals_walking_it(self, device):
-        # The device's shortcut against the frozen-tap walk it replaced:
-        # the same residual bank, the same outputs and taps after.
-        forwarded, ear, t = [_noise(7, 1.0)], _noise(8, 1.0), 3000
-        walked, warm = device._build_session(forwarded, 0, 60, {})
-        assert not warm
-        walked.process(ear[:t], adapt=False)
-        jumped, __ = device._build_session(forwarded, 0, 60, {})
-        jumped.state.time = t
-        jumped.record(ear[:t])
+
+class TestHandoffJoin:
+    """A new session joins at time t by walking only the last len(h_se)
+    samples of ``ear[:t]`` with frozen taps, and leaves what a walk over
+    the whole prefix would."""
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("t", [100, 3000])
+    def test_joining_equals_walking_the_prefix(self, device, warm, t):
+        forwarded, ear = [_noise(7, 1.0)], _noise(8, 1.0)
+        cache = {}
+        if warm:    # taps a session adapted earlier on this assignment
+            earlier, __ = device._build_session(forwarded, 0, 60, {})
+            earlier.process(ear[:2000])
+            cache[0, 60] = earlier.filter.get_taps()
+        walked, __ = device._build_session(forwarded, 0, 60, cache)
+        _walk_the_prefix(device, walked, ear, t)
+        joined, is_warm = device._build_session(forwarded, 0, 60, cache)
+        device._join(joined, ear, t)
+        assert is_warm == warm
+        assert joined.time == walked.time == t
+        np.testing.assert_array_equal(joined.state.y_recent,
+                                      walked.state.y_recent)
+        assert np.any(joined.state.y_recent) == warm
         for start in range(t, ear.size, 400):
             np.testing.assert_array_equal(
-                jumped.process(ear[start:start + 400]),
+                joined.process(ear[start:start + 400]),
                 walked.process(ear[start:start + 400]))
-        np.testing.assert_array_equal(jumped.filter.get_taps(),
+        np.testing.assert_array_equal(joined.filter.get_taps(),
                                       walked.filter.get_taps())
-        np.testing.assert_array_equal(jumped.residual(), walked.residual())
 
-    def test_cold_handoffs_process_one_block_at_a_time(self, device,
-                                                       monkeypatch):
+
+class TestWarmHandoff:
+    """The device leaves relay 0, then returns to its cached taps."""
+
+    SCHEDULE = ((Point(0.9, 1.0, 1.3), 3), (Point(5.1, 4.0, 1.3), 4),
+                (Point(0.9, 1.0, 1.3), 5))
+
+    @pytest.fixture(scope="class")
+    def runs(self, device):
         from repro.core.adaptive.lanc import StreamingLanc
 
-        sizes = []
+        schedule = [(src, _noise(seed, 2.0)) for src, seed in self.SCHEDULE]
+        calls = []
         process = StreamingLanc.process
 
-        def spy(self, block, *args, **kwargs):
-            sizes.append(np.size(block))
-            return process(self, block, *args, **kwargs)
+        def spy(session, block, adapt=True, **kwargs):
+            calls.append((np.size(block), adapt))
+            return process(session, block, adapt, **kwargs)
 
-        monkeypatch.setattr(StreamingLanc, "process", spy)
-        result = device.run_session([(Point(0.9, 1.0, 1.3), _noise(3, 2.0)),
-                                     (Point(5.1, 4.0, 1.3), _noise(4, 2.0))])
-        joined = [h for h in result.handoffs if h.relay is not None]
-        assert len(joined) == 2 and not any(h.warm_start for h in joined)
-        assert all(h.sample_index > 0 for h in joined)
-        assert max(sizes) == device.block
-        assert sum(sizes) == np.count_nonzero(
-            result.active_relay_timeline >= 0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(StreamingLanc, "process", spy)
+            joined = device.run_session(schedule)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(OnlineMuteDevice, "_join", _walk_the_prefix)
+            walked = device.run_session(schedule)
+        return joined, walked, calls
+
+    def test_returns_warm(self, runs):
+        joined, __, __ = runs
+        starts = [h.warm_start for h in joined.handoffs
+                  if h.relay is not None]
+        assert starts == [False, False, True]
+
+    def test_device_equals_the_prefix_walk(self, runs):
+        joined, walked, __ = runs
+        np.testing.assert_array_equal(joined.residual, walked.residual)
+        np.testing.assert_array_equal(joined.active_relay_timeline,
+                                      walked.active_relay_timeline)
+        assert joined.handoffs == walked.handoffs
+
+    def test_each_join_walks_at_most_len_h_se(self, device, runs):
+        joined, __, calls = runs
+        frozen = [size for size, adapt in calls if not adapt]
+        adapting = [size for size, adapt in calls if adapt]
+        assert len(frozen) == 3
+        assert max(frozen) <= device._h_se.size
+        assert max(adapting) <= device.block
+        assert sum(adapting) == np.count_nonzero(
+            joined.active_relay_timeline >= 0)
 
 
 class TestNoUsableRelay:
