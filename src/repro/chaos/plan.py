@@ -220,7 +220,7 @@ class SessionChaosInjector:
 
 
 def soak_plans(sessions, n_blocks, crash_prob=0.5, stall_prob=0.5,
-               max_crashes=2, stall_s=0.05, stall_blocks=4, seed=0):
+               max_crashes=2, seed=0):
     """Per-session :class:`ChaosPlan` mix for a soak run.
 
     Session ``i`` draws from ``default_rng([seed, i])`` — adding a
@@ -235,13 +235,13 @@ def soak_plans(sessions, n_blocks, crash_prob=0.5, stall_prob=0.5,
         Blocks each session will process (events land in ``[1,
         n_blocks - 1]``, past admission so checkpoints exist).
     crash_prob / stall_prob : float
-        Per-session probability of carrying crash / stall events.
+        Per-session probability of carrying crash / stall events.  A
+        stall is one :class:`StallAt` of 4 consecutive blocks, 0.05 s
+        each.
     max_crashes : int
         Crashes per crashing session are drawn from ``[1, max_crashes]``
         (exceeding the supervisor's ``max_restarts`` exercises the
         escalate-to-shed path).
-    stall_s / stall_blocks :
-        Stall geometry (see :class:`StallAt`).
     seed : int
         Root seed.
 
@@ -271,7 +271,6 @@ def soak_plans(sessions, n_blocks, crash_prob=0.5, stall_prob=0.5,
             events.extend(CrashAt(int(b)) for b in blocks)
         if rng.random() < stall_prob:
             start = int(rng.integers(1, n_blocks))
-            events.append(StallAt(start, stall_s=float(stall_s),
-                                  blocks=int(stall_blocks)))
+            events.append(StallAt(start, stall_s=0.05, blocks=4))
         plans.append(ChaosPlan(events=tuple(events), seed=int(seed) + i))
     return tuple(plans)

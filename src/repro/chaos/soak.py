@@ -40,12 +40,19 @@ from ..serving import (
     SessionWorkload,
     SupervisionConfig,
 )
+from ..serving.supervisor import MAX_BACKOFF_TICKS
 from .plan import SessionChaosInjector, soak_plans
 
 __all__ = ["SOAK_SCHEMA", "SoakReport", "run_soak"]
 
 #: Schema identifier of :meth:`SoakReport.to_dict`.
 SOAK_SCHEMA = "repro.chaos.soak/v1"
+
+#: The supervised server's crash-friendly settings: frequent snapshots,
+#: a restart budget that soak plans can exceed, and breakers that trip
+#: on a two-block stall.
+_SUPERVISION = SupervisionConfig(checkpoint_every_blocks=4, max_restarts=2)
+_DEADLINE = DeadlineConfig(miss_threshold=2, cooldown_blocks=4)
 
 
 @dataclasses.dataclass
@@ -132,8 +139,7 @@ def _build_server(block_size, batched, sessions, supervision, deadline):
 
 
 def run_soak(sessions=8, duration_s=0.5, block_size=128, *, seed=0,
-             batched=True, crash_prob=0.5, stall_prob=0.5,
-             supervision=None, deadline=None, max_ticks=None):
+             batched=True, crash_prob=0.5, stall_prob=0.5):
     """Run one chaos soak; returns its :class:`SoakReport`.
 
     Parameters
@@ -148,25 +154,16 @@ def run_soak(sessions=8, duration_s=0.5, block_size=128, *, seed=0,
     crash_prob / stall_prob:
         Per-session chaos probabilities (see
         :func:`~repro.chaos.plan.soak_plans`).
-    supervision / deadline:
-        Overrides for the supervised server's
-        :class:`~repro.serving.SupervisionConfig` /
-        :class:`~repro.serving.DeadlineConfig`; sensible chaos-friendly
-        defaults when omitted.
-    max_ticks:
-        Hard tick ceiling on the supervised run — the no-hang
-        guarantee.  Defaults to a generous bound derived from the
-        restart budget; sessions still unfinished at the ceiling are
-        reported as ``unaccounted`` (and fail :meth:`SoakReport.ok`).
+
+    The supervised run has a hard tick ceiling — the no-hang guarantee
+    — derived from the restart budget and the backoff ladder; sessions
+    still unfinished at the ceiling are reported as ``unaccounted``
+    (and fail :meth:`SoakReport.ok`).
     """
     sessions = int(sessions)
     block_size = int(block_size)
     if sessions < 1:
         raise ConfigurationError("sessions must be >= 1")
-    supervision = supervision or SupervisionConfig(
-        checkpoint_every_blocks=4, max_restarts=2)
-    deadline = deadline or DeadlineConfig(
-        miss_threshold=2, cooldown_blocks=4)
 
     def _workloads(plans=None):
         built = []
@@ -196,22 +193,21 @@ def run_soak(sessions=8, duration_s=0.5, block_size=128, *, seed=0,
     baseline_digests = baseline.run_until_drained().digests()
     plans = soak_plans(sessions, n_blocks, crash_prob=crash_prob,
                        stall_prob=stall_prob,
-                       max_crashes=supervision.max_restarts + 1,
+                       max_crashes=_SUPERVISION.max_restarts + 1,
                        seed=seed)
     injectors = []
 
     # Supervised run under chaos.
-    server = _build_server(block_size, batched, sessions, supervision,
-                           deadline)
+    server = _build_server(block_size, batched, sessions, _SUPERVISION,
+                           _DEADLINE)
     for workload in _workloads(plans):
         if workload.chaos is not None:
             injectors.append(workload.chaos)
         server.submit(workload)
-    if max_ticks is None:
-        # Worst case: every block replayed once per allowed restart,
-        # plus the full backoff ladder per session, plus slack.
-        max_ticks = (n_blocks * (supervision.max_restarts + 2)
-                     + sessions * supervision.max_backoff_ticks + 64)
+    # Worst case: every block replayed once per allowed restart, plus
+    # the full backoff ladder per session, plus slack.
+    max_ticks = (n_blocks * (_SUPERVISION.max_restarts + 2)
+                 + sessions * MAX_BACKOFF_TICKS + 64)
     chaos_report = server.run_until_drained(max_ticks=max_ticks)
     wall_s = time.perf_counter() - started
 

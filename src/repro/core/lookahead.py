@@ -80,8 +80,10 @@ def align(forwarded, lag, pipeline_latency_s, sample_rate, n_future_max):
 def _future_taps(lag, pipeline_latency_s, sample_rate):
     """Eq. 3 on the sample grid: ``⌊lag − pipeline · fs⌋``, the taps a
     whole-sample ``lag`` leaves once the pipeline is paid (negative when
-    it cannot pay it)."""
-    return math.floor(lag - pipeline_latency_s * sample_rate)
+    it cannot pay it).  The pipeline is read back to 6 decimals of a
+    sample, so a whole-sample pipeline given in seconds is that whole
+    number (``7 / 48000 · 48000`` lands one ulp above 7)."""
+    return math.floor(lag - round(pipeline_latency_s * sample_rate, 6))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -8,35 +8,12 @@ injected crashes and deadline stalls, and verify every session ends
 warm-restored **bit-identically** or deliberately shed — and records
 the verdict in the experiment envelope, so ``repro run chaos`` and the
 runtime executor both exercise the full recovery path.
-
-Harness hooks
--------------
-Two keyword-only parameters exist for the *executor's* resilience
-tests, not for studying MUTE:
-
-``sleep_s``
-    Sleep before doing anything — how ``tests/test_chaos.py`` makes a
-    job overrun the executor's per-job deadline.
-``worker_kill_flag``
-    Path to a sentinel file implementing **die-once** semantics: when
-    the file does not exist yet, create it and kill the hosting
-    *worker process* outright (``SIGKILL`` — a real worker death, not
-    an exception), so the executor's worker-loss retry path runs; on
-    the retry the file exists and the run proceeds.  In the *main*
-    process (serial execution) a typed
-    :class:`~repro.errors.InjectedCrashError` is raised instead —
-    killing the caller's interpreter is never acceptable fallback
-    behavior.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
-import signal
-import time
 
-from ...errors import InjectedCrashError
 from .registry import experiment_result
 
 __all__ = ["ChaosResult", "run_chaos"]
@@ -81,28 +58,9 @@ class ChaosResult:
         return "\n".join(lines)
 
 
-def _maybe_die_once(flag_path):
-    """Die-once worker kill (see the module docstring's harness notes)."""
-    import multiprocessing
-
-    if flag_path is None:
-        return
-    flag_path = str(flag_path)
-    if os.path.exists(flag_path):
-        return
-    with open(flag_path, "w", encoding="utf-8") as fh:
-        fh.write("died\n")
-    if multiprocessing.parent_process() is not None:
-        os.kill(os.getpid(), signal.SIGKILL)
-    raise InjectedCrashError(
-        "worker_kill_flag fired in the main process; raising instead of "
-        "killing the interpreter"
-    )
-
-
 def run_chaos(duration_s=0.4, *, seed=0, scenario=None, sessions=6,
               block_size=128, crash_prob=0.5, stall_prob=0.5,
-              batched=True, sleep_s=0.0, worker_kill_flag=None):
+              batched=True):
     """Run one chaos soak through the experiment registry.
 
     Parameters
@@ -116,15 +74,10 @@ def run_chaos(duration_s=0.4, *, seed=0, scenario=None, sessions=6,
         own per-user workloads.
     sessions / block_size / crash_prob / stall_prob / batched:
         Soak geometry, passed through to :func:`repro.chaos.run_soak`.
-    sleep_s / worker_kill_flag:
-        Executor-test harness hooks — see the module docstring.
     """
     from ...chaos import run_soak
 
     del scenario  # synthesized workloads; kept for uniform signatures
-    if sleep_s:
-        time.sleep(float(sleep_s))
-    _maybe_die_once(worker_kill_flag)
 
     soak = run_soak(sessions=int(sessions), duration_s=duration_s,
                     block_size=int(block_size), seed=int(seed),

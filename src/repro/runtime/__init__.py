@@ -11,10 +11,9 @@ makes heavy multi-scenario traffic cheap:
 * :mod:`~repro.runtime.executor` — fans independent experiment runs
   out over a process pool (serial fallback included) and merges each
   worker's :mod:`repro.obs` spans/metrics into one report; backs the
-  ``repro run-all --jobs N`` CLI.  Worker deaths and stuck jobs are
-  governed by a :class:`JobRetryPolicy` (bounded retry with jittered
-  backoff, per-job deadlines, partial :class:`SuiteReport` on abort —
-  see ``docs/RESILIENCE.md``).
+  ``repro run-all --jobs N`` CLI.  A job whose worker dies is
+  recorded as failed and the other jobs finish on a fresh pool (see
+  ``docs/RESILIENCE.md``).
 * :mod:`~repro.runtime.request` — :class:`RunRequest`, the one frozen
   context object (seed, duration, fault plan, obs switch, worker
   count) accepted by ``Experiment.run``,
@@ -45,7 +44,6 @@ from .cache import (
 from .executor import (
     SUITE_SCHEMA,
     JobOutcome,
-    JobRetryPolicy,
     SuiteReport,
     run_experiments,
 )
@@ -67,7 +65,6 @@ __all__ = [
     # executor
     "SUITE_SCHEMA",
     "JobOutcome",
-    "JobRetryPolicy",
     "SuiteReport",
     "run_experiments",
     # request

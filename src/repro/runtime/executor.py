@@ -17,24 +17,19 @@ runs exactly the same registry entry point with exactly the same
 request as a serial call, so parallel results equal serial ones —
 the property ``tests/test_runtime.py`` locks in.
 
-Worker loss and deadlines
--------------------------
+Worker loss
+-----------
 A worker process can die outright (OOM killer, segfaulting native
-code, a chaos injection) — that surfaces as ``BrokenProcessPool``, not
-as a Python exception the job could catch.  The executor treats it as
-a *retryable* event governed by a :class:`JobRetryPolicy`: the pool is
-rebuilt (bounded by ``max_pool_rebuilds``), the suspect job is retried
-after a deterministic jittered backoff (``max_retries`` attempts),
-innocent jobs that were queued behind it are resubmitted uncharged,
-and a job that keeps killing its worker is recorded as a failed
-outcome instead of sinking the suite.  A per-job completion deadline
-(``timeout_s``) bounds stuck jobs the same way — recorded as failures,
-never retried (a deterministic overrun would just hang again).  When
-the rebuild budget runs out the suite **aborts deliberately**:
-:attr:`SuiteReport.aborted` is set and every unfinished job carries an
-abort error — a partial report, never a hang, and never a serial
-re-run of a job that just killed two processes.  Retry activity is
-counted under the ``runtime.retry.*`` obs metrics.
+code) — that surfaces as ``BrokenProcessPool``, not as a Python
+exception the job could catch.  A death breaks the whole pool and
+fails every unfinished future, so the pool cannot say whose worker
+died.  The executor keeps the results that finished first and reruns
+each job the breakage took down alone, on a fresh one-worker pool: a
+job that breaks that pool too is the one that kills its worker, and it
+is recorded as a failed :class:`JobOutcome` while the others finish.
+There is no retry (experiments are deterministic, so a retry only
+reruns the same death) and no serial rerun of such a job — killing
+the caller's own interpreter is never a fallback.
 """
 
 from __future__ import annotations
@@ -42,7 +37,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import pickle
-import random
 import time
 from concurrent import futures
 
@@ -55,71 +49,12 @@ from .merge import (
 )
 from .request import RunRequest
 
-__all__ = ["JobOutcome", "JobRetryPolicy", "SuiteReport", "run_experiments"]
+__all__ = ["JobOutcome", "SuiteReport", "run_experiments"]
 
 #: Schema identifier of :meth:`SuiteReport.to_dict` — the ``report/v2``
 #: envelope family (shared with ``ExperimentResult``; documents carry
 #: ``kind: "suite"`` vs ``kind: "result"``).
 SUITE_SCHEMA = "repro.runtime.report/v2"
-
-
-@dataclasses.dataclass(frozen=True)
-class JobRetryPolicy:
-    """How the executor treats worker loss and stuck jobs.
-
-    Parameters
-    ----------
-    max_retries:
-        Attempts *beyond the first* a job gets after killing its
-        worker.  ``0`` records the first worker death as the job's
-        failure.
-    timeout_s:
-        Per-job completion deadline in seconds, or ``None`` (default)
-        for no deadline.  Measured from when the executor starts
-        waiting on the job (jobs are awaited in submission order, so
-        earlier waits give queued jobs running time).  A timed-out job
-        is recorded as failed and **not** retried; its worker is
-        abandoned to finish in the background while the remaining jobs
-        proceed.
-    backoff_s / backoff_factor / max_backoff_s:
-        Backoff slept before a crashed job's retry: ``backoff_s *
-        backoff_factor**(attempt - 1)``, capped.
-    jitter:
-        Uniform jitter fraction on the backoff, drawn from a generator
-        seeded by the request seed — reproducible, but two retrying
-        suites don't thundering-herd in lock step.
-    max_pool_rebuilds:
-        Worker deaths tolerated suite-wide before the executor stops
-        rebuilding pools and aborts with a partial report.
-    """
-
-    max_retries: int = 1
-    timeout_s: float | None = None
-    backoff_s: float = 0.05
-    backoff_factor: float = 2.0
-    max_backoff_s: float = 1.0
-    jitter: float = 0.25
-    max_pool_rebuilds: int = 3
-
-    def __post_init__(self):
-        if self.max_retries < 0:
-            raise ConfigurationError("max_retries must be >= 0")
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ConfigurationError("timeout_s must be > 0 (or None)")
-        if self.backoff_s < 0 or self.max_backoff_s < 0:
-            raise ConfigurationError("backoff windows must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ConfigurationError("backoff_factor must be >= 1")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ConfigurationError("jitter must be in [0, 1]")
-        if self.max_pool_rebuilds < 0:
-            raise ConfigurationError("max_pool_rebuilds must be >= 0")
-
-    def backoff_for(self, attempt, rng):
-        """Seconds to sleep before retry number ``attempt`` (1-based)."""
-        base = min(self.backoff_s * self.backoff_factor ** (attempt - 1),
-                   self.max_backoff_s)
-        return base * (1.0 + self.jitter * rng.random())
 
 
 @dataclasses.dataclass
@@ -190,7 +125,6 @@ class SuiteReport:
     request: object = None    # the RunRequest (or its dict after from_json)
     metrics_doc: dict | None = None   # merged-doc overrides installed by
     trace_doc: dict | None = None     # from_json (no live obs to re-merge)
-    aborted: bool = False     # pool rebuild budget exhausted mid-suite
 
     def results(self):
         """``name -> ExperimentResult`` for the successful runs."""
@@ -249,7 +183,6 @@ class SuiteReport:
             "kind": "suite",
             "jobs": self.jobs,
             "parallel": self.parallel,
-            "aborted": self.aborted,
             "wall_s": self.wall_s,
             "request": self._request_doc(),
             "runs": runs,
@@ -306,7 +239,6 @@ class SuiteReport:
             jobs=int(document.get("jobs", 1)),
             wall_s=float(document.get("wall_s", 0.0)),
             parallel=bool(document.get("parallel", False)),
-            aborted=bool(document.get("aborted", False)),
             request=document.get("request"),
             metrics_doc=document.get("metrics"),
             trace_doc=document.get("trace"),
@@ -322,8 +254,7 @@ class SuiteReport:
         lines = [
             f"== runtime suite: {len(self.outcomes)} experiment(s), "
             f"jobs={self.jobs}"
-            f"{' (parallel)' if self.parallel else ' (serial)'}"
-            f"{' ABORTED' if self.aborted else ''}, "
+            f"{' (parallel)' if self.parallel else ' (serial)'}, "
             f"total {self.wall_s:.1f}s =="
         ]
         for o in self.outcomes:
@@ -335,147 +266,45 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-def _run_serial(jobs_list, request):
-    return [_execute_job(name, request) for name in jobs_list]
+def _run_pool(jobs_list, request, n_workers):
+    """Run ``jobs_list`` on one pool of ``n_workers`` processes.
 
-
-def _count_retry(event):
-    if obs.enabled():
-        obs.get_registry().counter(f"runtime.retry.{event}").inc()
-
-
-def _failed_outcome(name, error):
-    """A synthesized failure record (worker death / deadline / abort)."""
-    return JobOutcome(name=name, result=None, trace={}, metrics={},
-                      wall_s=0.0, error=error)
-
-
-class _PoolAborted(Exception):
-    """Internal: the rebuild budget ran out; carries partial outcomes."""
-
-    def __init__(self, outcomes):
-        super().__init__("process pool rebuild budget exhausted")
-        self.outcomes = outcomes
-
-
-def _run_pool(jobs_list, request, policy, n_workers):
-    """Run ``jobs_list`` on a process pool under ``policy``.
-
-    Returns ``(outcomes, aborted)`` with one outcome per job in input
-    order.  Worker deaths are retried per :class:`JobRetryPolicy`;
-    the first pool *construction* failure is not handled here — the
-    caller's serial fallback owns that case.
+    Returns one outcome per job in input order, ``None`` for each job
+    a worker death took down (its future, or its submission, broke with
+    the pool).  Pool *creation* failures propagate to the caller's
+    serial fallback.
     """
-    total = len(jobs_list)
-    outcomes = [None] * total
-    attempts = [0] * total
-    rebuilds = 0
-    rng = random.Random(0 if request.seed is None else int(request.seed))
-    queue = list(range(total))
-    timed_out = False
-    pool = futures.ProcessPoolExecutor(max_workers=n_workers)
-
-    def rebuild():
-        nonlocal pool, rebuilds
-        rebuilds += 1
-        if rebuilds > policy.max_pool_rebuilds:
-            for idx in range(total):
-                if outcomes[idx] is None:
-                    outcomes[idx] = _failed_outcome(
-                        jobs_list[idx],
-                        f"suite aborted: {rebuilds} worker death(s) "
-                        f"exceeded max_pool_rebuilds="
-                        f"{policy.max_pool_rebuilds}")
-            _count_retry("aborts")
-            raise _PoolAborted(outcomes)
-        pool.shutdown(wait=False, cancel_futures=True)
-        pool = futures.ProcessPoolExecutor(max_workers=n_workers)
-
-    def harvest(fut_by_idx, pending):
-        """After a breakage: keep finished results, requeue the rest.
-
-        Jobs that completed before the pool broke keep their outcomes;
-        undone jobs go back on the queue *uncharged* — only the job
-        whose wait surfaced the breakage is a suspect.
-        """
-        for idx in pending:
-            fut = fut_by_idx[idx]
-            if fut.done() and not fut.cancelled() \
-                    and fut.exception() is None:
-                outcomes[idx] = fut.result()
-            else:
-                attempts[idx] -= 1
-                queue.append(idx)
-
-    try:
-        while queue:
-            pending = list(queue)
-            queue = []
-            fut_by_idx = {}
-            charged = []
+    outcomes = [None] * len(jobs_list)
+    submitted = []
+    with futures.ProcessPoolExecutor(max_workers=n_workers) as pool:
+        try:
+            for name in jobs_list:
+                submitted.append(pool.submit(_execute_job, name, request))
+        except futures.BrokenExecutor:
+            pass
+        for idx, fut in enumerate(submitted):
             try:
-                for idx in pending:
-                    attempts[idx] += 1
-                    charged.append(idx)
-                    fut_by_idx[idx] = pool.submit(
-                        _execute_job, jobs_list[idx], request)
+                outcomes[idx] = fut.result()
             except futures.BrokenExecutor:
-                # The pool died before this wave even started; nobody
-                # is a suspect — requeue everything uncharged, rebuild.
-                for idx in charged:
-                    attempts[idx] -= 1
-                queue.extend(pending)
-                rebuild()
-                continue
-
-            wave = list(pending)
-            while wave:
-                idx = wave.pop(0)
-                name = jobs_list[idx]
-                fut = fut_by_idx[idx]
-                try:
-                    outcomes[idx] = fut.result(timeout=policy.timeout_s)
-                except futures.TimeoutError:
-                    # Stuck job: record the deadline miss and move on.
-                    # Its worker finishes (or dies) in the background;
-                    # no retry — a deterministic overrun would only
-                    # hang again.
-                    fut.cancel()
-                    timed_out = True
-                    _count_retry("timeouts")
-                    outcomes[idx] = _failed_outcome(
-                        name,
-                        f"deadline exceeded: job still running after "
-                        f"{policy.timeout_s}s (JobRetryPolicy.timeout_s)")
-                except futures.BrokenExecutor:
-                    # The worker running (or about to run) this job
-                    # died.  Charge this job, requeue the innocent
-                    # bystanders, rebuild the pool.
-                    _count_retry("worker_deaths")
-                    if attempts[idx] <= policy.max_retries:
-                        queue.append(idx)
-                        delay = policy.backoff_for(attempts[idx], rng)
-                        if delay > 0:
-                            time.sleep(delay)
-                        _count_retry("retries")
-                    else:
-                        _count_retry("exhausted")
-                        outcomes[idx] = _failed_outcome(
-                            name,
-                            f"worker died running {name!r} "
-                            f"({attempts[idx]} attempt(s); "
-                            f"max_retries={policy.max_retries})")
-                    harvest(fut_by_idx, wave)
-                    wave = []
-                    rebuild()
-    except _PoolAborted:
-        return outcomes, True
-    finally:
-        pool.shutdown(wait=not timed_out, cancel_futures=True)
-    return outcomes, False
+                pass
+    return outcomes
 
 
-def run_experiments(names, request=None, retry=None):
+def _run_alone(name, request):
+    """Rerun one job a worker death took down, on a fresh one-worker pool.
+
+    A job that breaks this pool too is the one that kills its worker.
+    """
+    with futures.ProcessPoolExecutor(max_workers=1) as pool:
+        try:
+            return pool.submit(_execute_job, name, request).result()
+        except futures.BrokenExecutor:
+            return JobOutcome(name=name, result=None, trace={}, metrics={},
+                              wall_s=0.0,
+                              error=f"worker died running {name!r}")
+
+
+def run_experiments(names, request=None):
     """Run several experiments, optionally in parallel processes.
 
     Parameters
@@ -488,23 +317,15 @@ def run_experiments(names, request=None, retry=None):
         in-process), seed/duration/fault plan/extra params broadcast
         to every run (applied where each runner accepts them), and the
         obs switch.  ``None`` means the default request.
-    retry:
-        A :class:`JobRetryPolicy` governing worker-death retries,
-        per-job deadlines, and the abort budget (defaults apply when
-        ``None``).  Only meaningful on the parallel path — the serial
-        path runs in-process, where a worker cannot die separately
-        and a deadline cannot be enforced.
 
     Returns a :class:`SuiteReport`.  If the process pool cannot be
     *created* (pickling limits, a sandboxed platform), the work falls
     back to the serial path — results are identical either way, only
-    the wall clock differs.  Worker deaths *during* the run are
-    handled by the retry policy instead (see the module docstring) —
-    re-running a worker-killing job in the caller's own process is
-    never a safe fallback.
+    the wall clock differs.  A worker death *during* the run fails only
+    the job that killed its worker (see the module docstring); such a
+    job is never rerun in the caller's own process.
     """
     request = request if request is not None else RunRequest()
-    retry = retry or JobRetryPolicy()
     jobs_list = list(names)
 
     # Validate every name up front — a typo should fail fast here, not
@@ -514,22 +335,20 @@ def run_experiments(names, request=None, retry=None):
         experiments.get(name)
 
     started = time.perf_counter()
-    n_workers = min(request.jobs, max(len(jobs_list), 1))
-    # A pool is used whenever the request asks for workers — even for a
-    # single job, so the retry policy (deadlines, worker-death
-    # isolation) applies to it.
     parallel = request.jobs > 1 and bool(jobs_list)
-    aborted = False
-    if not parallel:
-        outcomes = _run_serial(jobs_list, request)
-    else:
+    if parallel:
         try:
-            outcomes, aborted = _run_pool(jobs_list, request, retry,
-                                          n_workers)
+            outcomes = _run_pool(jobs_list, request,
+                                 min(request.jobs, len(jobs_list)))
         except (pickle.PicklingError, OSError, ImportError):
             # No usable pool on this platform — same work, one process.
             parallel = False
-            outcomes = _run_serial(jobs_list, request)
+        else:
+            outcomes = [_run_alone(name, request) if outcome is None
+                        else outcome
+                        for name, outcome in zip(jobs_list, outcomes)]
+    if not parallel:
+        outcomes = [_execute_job(name, request) for name in jobs_list]
 
     return SuiteReport(
         outcomes=outcomes,
@@ -537,5 +356,4 @@ def run_experiments(names, request=None, retry=None):
         wall_s=time.perf_counter() - started,
         parallel=parallel,
         request=request,
-        aborted=aborted,
     )

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from ..errors import ConfigurationError
+from ..utils.validation import check_positive_int
 
 __all__ = ["RunRequest"]
 
@@ -71,10 +71,8 @@ class RunRequest:
 
     def __post_init__(self):
         object.__setattr__(self, "params", _frozen_params(self.params))
-        if self.jobs < 1:
-            raise ConfigurationError(
-                f"RunRequest.jobs must be >= 1, got {self.jobs}"
-            )
+        object.__setattr__(self, "jobs",
+                           check_positive_int("RunRequest.jobs", self.jobs))
 
     def replace(self, **changes):
         """A copy with some fields changed (dataclasses.replace)."""

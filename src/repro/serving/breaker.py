@@ -19,19 +19,23 @@ that ladder:
 ``open``
     The session is clamped to a degradation floor — ``feedback``
     (taps frozen, last converged solution keeps playing) on the first
-    trip, ``passive`` once ``escalate_trips`` trips accumulate — for a
-    cooldown that doubles on every re-trip.
+    trip, ``passive`` from the :data:`ESCALATE_TRIPS`-th trip on — for
+    a cooldown that doubles on every re-trip, up to
+    :data:`MAX_COOLDOWN_BLOCKS`.
 ``half-open``
     Cooldown expired: the next block runs at full capability as a
     **recovery probe**.  Meeting the deadline closes the breaker
     (adaptation resumes from the frozen taps — warm, no cold-start
     transient); missing re-opens it with an escalated cooldown.
 
-Determinism: by default the breaker observes only *simulated* latency
-(chaos-injected stalls), so zero-chaos serving output is bit-identical
-with breakers enabled — wall-clock jitter on a loaded machine cannot
-flip a run's bits.  Set ``measure_wall=True`` to feed it real kernel
-wall times (a production setting, not a reproduction one).
+The server derives each breaker's deadline at admission from the
+session geometry, as Eq. 3's lookahead window ``n_future /
+sample_rate`` — a property of the device, not a setting.
+
+Determinism: the breaker observes only *simulated* latency
+(chaos-injected stalls), never wall time, so zero-chaos serving output
+is bit-identical with breakers enabled — wall-clock jitter on a loaded
+machine cannot flip a run's bits.
 """
 
 from __future__ import annotations
@@ -46,6 +50,8 @@ __all__ = [
     "BREAKER_CLOSED",
     "BREAKER_OPEN",
     "BREAKER_HALF_OPEN",
+    "ESCALATE_TRIPS",
+    "MAX_COOLDOWN_BLOCKS",
     "DeadlineConfig",
     "DeadlineCircuitBreaker",
 ]
@@ -56,64 +62,33 @@ BREAKER_OPEN = "open"
 BREAKER_HALF_OPEN = "half-open"
 
 
+#: Trip count from which an open breaker clamps to ``passive``.
+ESCALATE_TRIPS = 2
+#: Ceiling of the cooldown, which doubles on every re-trip.
+MAX_COOLDOWN_BLOCKS = 64
+
+
 @dataclasses.dataclass(frozen=True)
 class DeadlineConfig:
-    """Per-session block-latency budget and breaker thresholds.
+    """Breaker thresholds of one server's sessions.
 
     Parameters
     ----------
-    budget_s:
-        Block deadline in seconds, or ``None`` to derive it from the
-        session geometry as the paper's Eq. 3 lookahead window:
-        ``budget_factor * n_future / sample_rate`` (the RF lead the
-        relay buys — a block computed inside it plays on time).
-    budget_factor:
-        Safety factor on the derived budget (ignored when ``budget_s``
-        is explicit).
     miss_threshold:
         Consecutive misses that trip a closed breaker.
     cooldown_blocks:
         Blocks a freshly tripped breaker stays open before probing;
-        doubles (``cooldown_factor``) per re-trip up to
-        ``max_cooldown_blocks``.
-    escalate_trips:
-        Trip count at which the open-state floor worsens from
-        ``feedback`` to ``passive``.
-    measure_wall:
-        Feed real kernel wall time into the breaker in addition to
-        injected stalls.  Off by default — see the module docstring's
-        determinism note.
+        doubles per re-trip up to :data:`MAX_COOLDOWN_BLOCKS`.
     """
 
-    budget_s: float | None = None
-    budget_factor: float = 1.0
     miss_threshold: int = 3
     cooldown_blocks: int = 8
-    cooldown_factor: float = 2.0
-    max_cooldown_blocks: int = 64
-    escalate_trips: int = 2
-    measure_wall: bool = False
 
     def __post_init__(self):
-        if self.budget_s is not None and self.budget_s <= 0:
-            raise ConfigurationError("budget_s must be > 0 (or None)")
-        if self.budget_factor <= 0:
-            raise ConfigurationError("budget_factor must be > 0")
         if self.miss_threshold < 1:
             raise ConfigurationError("miss_threshold must be >= 1")
-        if self.cooldown_blocks < 1 or self.max_cooldown_blocks < 1:
-            raise ConfigurationError("cooldown windows must be >= 1")
-        if self.cooldown_factor < 1.0:
-            raise ConfigurationError("cooldown_factor must be >= 1")
-        if self.escalate_trips < 1:
-            raise ConfigurationError("escalate_trips must be >= 1")
-
-    def resolved_budget_s(self, session_config):
-        """The budget for one session geometry (Eq. 3 when implicit)."""
-        if self.budget_s is not None:
-            return float(self.budget_s)
-        return (self.budget_factor * session_config.n_future
-                / session_config.sample_rate)
+        if self.cooldown_blocks < 1:
+            raise ConfigurationError("cooldown_blocks must be >= 1")
 
 
 class DeadlineCircuitBreaker:
@@ -145,11 +120,11 @@ class DeadlineCircuitBreaker:
 
         ``mute`` (no clamp) when closed or probing half-open;
         ``feedback`` when open; ``passive`` when open after
-        ``escalate_trips`` trips.
+        :data:`ESCALATE_TRIPS` trips.
         """
         if self.state != BREAKER_OPEN:
             return MODE_MUTE
-        if self.trips >= self.config.escalate_trips:
+        if self.trips >= ESCALATE_TRIPS:
             return MODE_PASSIVE
         return MODE_FEEDBACK
 
@@ -191,10 +166,9 @@ class DeadlineCircuitBreaker:
     def _trip(self):
         self.trips += 1
         self.consecutive_misses = 0
-        cooldown = self.config.cooldown_blocks * (
-            self.config.cooldown_factor ** (self.trips - 1))
-        self.cooldown_remaining = int(min(cooldown,
-                                          self.config.max_cooldown_blocks))
+        self.cooldown_remaining = int(min(
+            self.config.cooldown_blocks * 2 ** (self.trips - 1),
+            MAX_COOLDOWN_BLOCKS))
         self.state = BREAKER_OPEN
         if obs.enabled():
             obs.get_registry().counter("serving.breaker.trips").inc()

@@ -28,9 +28,11 @@ turns on checkpointing and supervised restart of sessions that raise
 mid-tick, and ``deadline`` (a
 :class:`~repro.serving.breaker.DeadlineConfig`) attaches a
 :class:`~repro.serving.breaker.DeadlineCircuitBreaker` to every
-admitted session.  Both default to ``None``, and with them off — or on
-but with no chaos injected — the server's output is bit-identical to
-the unsupervised baseline (property-tested in ``tests/test_chaos.py``).
+admitted session, with the session's Eq. 3 lookahead window
+``n_future / sample_rate`` as its block deadline.  Both default to
+``None``, and with them off — or on but with no chaos injected — the
+server's output is bit-identical to the unsupervised baseline
+(property-tested in ``tests/test_chaos.py``).
 """
 
 from __future__ import annotations
@@ -211,9 +213,6 @@ class SessionServer:
         self._workspace = kernels.BatchWorkspace(
             self.config.max_sessions, self.config.block_size,
             sess.n_future, sess.n_past, len(sess.secondary_path))
-        self._budget_s = (
-            self.config.deadline.resolved_budget_s(self.config.session)
-            if self.config.deadline is not None else None)
 
     def submit(self, workload, request=None):
         """Queue one workload (see :meth:`SessionManager.submit`)."""
@@ -223,8 +222,10 @@ class SessionServer:
         for session in self.manager.admit(len(self.active)):
             session.status = ACTIVE
             if self.config.deadline is not None:
+                geometry = session.config
                 session.breaker = DeadlineCircuitBreaker(
-                    self._budget_s, self.config.deadline)
+                    geometry.n_future / geometry.sample_rate,
+                    self.config.deadline)
             if self.supervisor is not None:
                 self.supervisor.on_admit(session)
             self.active.append(session)
@@ -296,8 +297,6 @@ class SessionServer:
             registry.histogram("serving.block_latency_s").observe(elapsed)
             registry.counter("serving.blocks_total").inc(S)
 
-        measure_wall = (self.config.deadline is not None
-                        and self.config.deadline.measure_wall)
         for i, session in enumerate(batch):
             session.filter.taps[:] = taps[i]
             if diverged[i]:
@@ -308,11 +307,9 @@ class SessionServer:
                 if self.supervisor is not None:
                     self.supervisor.after_block(session)
             if session.breaker is not None:
-                # The breaker sees injected stalls always; real kernel
-                # wall time only when measure_wall opts in (see the
+                # Injected stalls only, never wall time (see the
                 # determinism note in repro.serving.breaker).
-                latency_s = stalls[i] + (elapsed if measure_wall else 0.0)
-                session.breaker.observe(latency_s)
+                session.breaker.observe(stalls[i])
         self.session_blocks += S
 
     def tick(self):

@@ -12,8 +12,9 @@ inside :class:`~repro.serving.server.SessionServer` (enabled via
    and workload cursor intact, so cancellation resumes converged
    instead of re-paying the cold-start transient — or cold-rebuilt if
    no intact snapshot exists;
-3. the replacement sits out an **escalating backoff** (ticks, doubling
-   per consecutive crash) before rejoining the batch, so a
+3. the replacement sits out an **escalating backoff** before rejoining
+   the batch — one tick after its first crash, doubling per
+   consecutive crash up to :data:`MAX_BACKOFF_TICKS` — so a
    crash-looping session cannot monopolize the server;
 4. after ``max_restarts`` crashes the session is **escalated to
    shedding**: marked :data:`~repro.serving.session.SHED` with the
@@ -36,7 +37,11 @@ from ..errors import ConfigurationError
 from .checkpoint import CheckpointStore
 from .session import SHED
 
-__all__ = ["SupervisionConfig", "SessionSupervisor"]
+__all__ = ["MAX_BACKOFF_TICKS", "SupervisionConfig", "SessionSupervisor"]
+
+#: Ceiling of the post-crash backoff (ticks), which starts at one tick
+#: and doubles per consecutive crash.
+MAX_BACKOFF_TICKS = 16
 
 
 @dataclasses.dataclass(frozen=True)
@@ -51,26 +56,16 @@ class SupervisionConfig:
         point).
     max_restarts:
         Crashes tolerated per session before escalating to shed.
-    backoff_ticks:
-        Ticks a restored session sits out after its first crash;
-        doubles (``backoff_factor``) per consecutive crash up to
-        ``max_backoff_ticks``.
     checkpoint_dir:
         Directory for on-disk snapshots, or ``None`` (default) for the
         in-memory store — injected crashes do not kill the process, so
         in-process payloads are exactly as durable as the test needs;
         point this at real storage to survive process death.
-    keep_checkpoints:
-        Snapshots retained per session (see :class:`CheckpointStore`).
     """
 
     checkpoint_every_blocks: int = 8
     max_restarts: int = 3
-    backoff_ticks: int = 1
-    backoff_factor: float = 2.0
-    max_backoff_ticks: int = 16
     checkpoint_dir: str | None = None
-    keep_checkpoints: int = 4
 
     def __post_init__(self):
         if self.checkpoint_every_blocks < 1:
@@ -78,10 +73,6 @@ class SupervisionConfig:
                 "checkpoint_every_blocks must be >= 1")
         if self.max_restarts < 0:
             raise ConfigurationError("max_restarts must be >= 0")
-        if self.backoff_ticks < 0 or self.max_backoff_ticks < 0:
-            raise ConfigurationError("backoff windows must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ConfigurationError("backoff_factor must be >= 1")
 
 
 class SessionSupervisor:
@@ -94,8 +85,7 @@ class SessionSupervisor:
 
     def __init__(self, config=None, store=None):
         self.config = config or SupervisionConfig()
-        self.store = store or CheckpointStore(
-            self.config.checkpoint_dir, keep=self.config.keep_checkpoints)
+        self.store = store or CheckpointStore(self.config.checkpoint_dir)
         self.failures = {}          #: session_id -> crash count
         self._not_before = {}       #: session_id -> earliest rejoin tick
         self.restores = 0
@@ -157,9 +147,7 @@ class SessionSupervisor:
             self.restores += 1
         else:
             self.cold_starts += 1
-        backoff = self.config.backoff_ticks * (
-            self.config.backoff_factor ** (count - 1))
-        backoff = int(min(backoff, self.config.max_backoff_ticks))
+        backoff = min(2 ** (count - 1), MAX_BACKOFF_TICKS)
         self._not_before[sid] = tick + 1 + backoff
         if obs.enabled():
             registry = obs.get_registry()

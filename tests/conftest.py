@@ -14,6 +14,7 @@ not the library, so it only runs with ``--docs-lint`` or
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
 import os
 
 import numpy as np
@@ -62,6 +63,13 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "docs_lint" in item.keywords:
             item.add_marker(skip)
+
+
+@pytest.fixture(autouse=True)
+def no_stray_workers():
+    """Every test joins the worker processes it started."""
+    yield
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture()

@@ -6,9 +6,7 @@ Covers the crash-safety acceptance contract end to end:
   to the plain server (the layer is free when nothing goes wrong);
 * an injected crash + warm restore is **invisible in the output bits**;
 * repeated crashes escalate to a deliberate shed, never a hang;
-* the deadline breaker walks its closed/open/half-open ladder;
-* the executor survives worker deaths and enforces per-job deadlines
-  (via the registered ``chaos`` experiment's harness hooks).
+* the deadline breaker walks its closed/open/half-open ladder.
 """
 
 import io
@@ -19,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import chaos, obs, runtime, serving
+from repro import chaos, obs, serving
 from repro.chaos import (
     SOAK_SCHEMA,
     ChaosPlan,
@@ -32,7 +30,6 @@ from repro.chaos import (
 from repro.cli import main
 from repro.errors import ConfigurationError, InjectedCrashError
 from repro.eval import experiments
-from repro.runtime import JobRetryPolicy, RunRequest, SuiteReport
 from repro.serving import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
@@ -192,8 +189,9 @@ class TestCrashRecovery:
             _drain(_workloads(1, plans=plans))
 
     def test_backoff_sits_out_ticks(self):
+        """One tick after the first crash, two after the second."""
         supervisor = serving.SessionSupervisor(
-            SupervisionConfig(backoff_ticks=2, max_restarts=3))
+            SupervisionConfig(max_restarts=3))
         session = serving.DeviceSession(
             0, serving.SessionWorkload.synthetic("u", duration_s=DURATION_S),
             serving.SessionConfig(), BLOCK)
@@ -202,18 +200,25 @@ class TestCrashRecovery:
                                           tick=10)
         assert replacement is not None
         assert not supervisor.ready(replacement, 11)
-        assert not supervisor.ready(replacement, 12)
-        assert supervisor.ready(replacement, 13)
+        assert supervisor.ready(replacement, 12)
+        replacement = supervisor.on_crash(replacement, RuntimeError("boom"),
+                                          tick=20)
+        assert not supervisor.ready(replacement, 21)
+        assert not supervisor.ready(replacement, 22)
+        assert supervisor.ready(replacement, 23)
 
 
 class TestDeadlineBreaker:
     def test_eq3_budget(self):
-        config = serving.SessionConfig(n_future=32, sample_rate=8000.0)
-        assert DeadlineConfig().resolved_budget_s(config) == \
-            pytest.approx(32 / 8000.0)
-        assert DeadlineConfig(budget_factor=2.0).resolved_budget_s(config) \
-            == pytest.approx(64 / 8000.0)
-        assert DeadlineConfig(budget_s=0.5).resolved_budget_s(config) == 0.5
+        """An admitted session's deadline is its lookahead window."""
+        server = serving.SessionServer(serving.ServerConfig(
+            block_size=BLOCK, deadline=DeadlineConfig(),
+            session=serving.SessionConfig(n_future=24,
+                                          sample_rate=16000.0)))
+        server.submit(serving.SessionWorkload.synthetic(
+            "u", duration_s=DURATION_S, sample_rate=16000.0))
+        server.tick()
+        assert server.active[0].breaker.deadline_s == 24 / 16000.0
 
     def test_state_machine_walk(self):
         breaker = DeadlineCircuitBreaker(
@@ -236,8 +241,7 @@ class TestDeadlineBreaker:
 
     def test_failed_probe_escalates_cooldown_and_floor(self):
         breaker = DeadlineCircuitBreaker(
-            0.01, DeadlineConfig(miss_threshold=1, cooldown_blocks=2,
-                                 escalate_trips=2))
+            0.01, DeadlineConfig(miss_threshold=1, cooldown_blocks=2))
         breaker.observe(0.02)                         # trip 1
         first_cooldown = breaker.cooldown_remaining
         breaker.observe(0.001)
@@ -247,15 +251,13 @@ class TestDeadlineBreaker:
         assert breaker.state == BREAKER_OPEN
         assert breaker.trips == 2
         assert breaker.cooldown_remaining == 2 * first_cooldown
-        assert breaker.mode_floor() == "passive"      # escalate_trips hit
+        assert breaker.mode_floor() == "passive"      # ESCALATE_TRIPS hit
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             DeadlineCircuitBreaker(0.0)
         with pytest.raises(ConfigurationError):
             DeadlineConfig(miss_threshold=0)
-        with pytest.raises(ConfigurationError):
-            DeadlineConfig(budget_s=-1.0)
 
     def test_stall_trips_breaker_in_server(self):
         """Injected stalls (simulated latency) drive the breaker."""
@@ -356,59 +358,3 @@ class TestChaosSoakCli:
         assert main(["chaos-soak", "--sessions", "0"], out=out) == 2
         assert main(["chaos-soak", "--duration", "-1"], out=out) == 2
         assert main(["chaos-soak", "--crash-prob", "2.0"], out=out) == 2
-
-
-class TestExecutorResilience:
-    """Worker deaths and deadlines, driven through the chaos experiment."""
-
-    PARAMS = {"duration_s": 0.25, "sessions": 2, "crash_prob": 0.25}
-
-    def test_worker_death_retried_to_success(self, tmp_path):
-        flag = tmp_path / "died-once"
-        suite = runtime.run_experiments(
-            ["chaos"],
-            request=RunRequest(jobs=2, with_obs=False, params={
-                **self.PARAMS, "worker_kill_flag": str(flag)}),
-            retry=JobRetryPolicy(max_retries=1, backoff_s=0.01),
-        )
-        assert flag.exists()
-        assert not suite.aborted
-        assert suite.outcomes[0].ok
-        assert suite.outcomes[0].result.results.ok
-
-    def test_retry_budget_exhausted_aborts_with_partial_report(
-            self, tmp_path):
-        flag = tmp_path / "always-dead"
-        suite = runtime.run_experiments(
-            ["chaos"],
-            request=RunRequest(jobs=2, with_obs=False, params={
-                **self.PARAMS, "worker_kill_flag": str(flag)}),
-            retry=JobRetryPolicy(max_retries=0, max_pool_rebuilds=0),
-        )
-        assert suite.aborted
-        assert not suite.outcomes[0].ok
-        assert "worker died" in suite.outcomes[0].error
-        # The partial report still serializes and round-trips.
-        restored = SuiteReport.from_dict(suite.to_dict())
-        assert restored.aborted
-        assert "ABORTED" in restored.report()
-
-    def test_per_job_deadline_enforced(self):
-        suite = runtime.run_experiments(
-            ["chaos"],
-            request=RunRequest(jobs=2, with_obs=False, params={
-                **self.PARAMS, "sleep_s": 30.0}),
-            retry=JobRetryPolicy(timeout_s=1.0),
-        )
-        assert not suite.outcomes[0].ok
-        assert "deadline exceeded" in suite.outcomes[0].error
-        assert not suite.aborted          # a timeout is not an abort
-
-    def test_main_process_kill_flag_raises_instead(self, tmp_path):
-        """Serial execution must never SIGKILL the caller's interpreter."""
-        flag = tmp_path / "serial-flag"
-        entry = experiments.get("chaos")
-        with pytest.raises(InjectedCrashError):
-            entry.run(duration_s=0.25, sessions=2,
-                      worker_kill_flag=str(flag))
-        assert flag.exists()

@@ -74,16 +74,14 @@ class TestBudget:
         assert budget.usable_future_taps(fs) == n_future
 
 
-FS = 8000.0
-
-
 @st.composite
 def _ledger_case(draw):
-    """A delivered stream, an integer lag, a pipeline and a tap cap.
+    """A delivered stream, an integer lag, a pipeline, a tap cap and a
+    sample rate.
 
     The pipeline is drawn in thousandths of a sample: the ledger takes
-    it in seconds, and a pipeline within one ulp of a whole sample could
-    land on either side of it in that conversion.
+    it in seconds, and its sample-domain value must survive the round
+    trip through ``pipeline / fs · fs``.
     """
     size = draw(st.integers(1, 500))
     stream = np.random.default_rng(draw(st.integers(0, 2**16))) \
@@ -91,7 +89,8 @@ def _ledger_case(draw):
     lag = draw(st.integers(-5, 600))
     pipeline = draw(st.integers(0, 60_000)) / 1000.0
     cap = draw(st.integers(0, 128))
-    return stream, lag, pipeline, cap
+    fs = draw(st.sampled_from([8000.0, 16000.0, 44100.0, 48000.0]))
+    return stream, lag, pipeline, cap, fs
 
 
 class TestAlign:
@@ -99,15 +98,19 @@ class TestAlign:
     @given(_ledger_case())
     # (43 / fs − 4 / fs) · fs evaluates just under 39: a whole-sample
     # pipeline must not cost a tap.
-    @example((np.ones(100), 43, 4.0, 64))
-    @example((np.ones(100), 25, 25.0, 64))   # lag = pipeline: N = 0 runs
+    @example((np.ones(100), 43, 4.0, 64, 8000.0))
+    @example((np.ones(100), 25, 25.0, 64, 8000.0))  # lag = pipeline: N = 0
+    # 7 / 48000 · 48000 lands one ulp above 7: lag = pipeline must still
+    # run, and one sample more must buy its tap.
+    @example((np.ones(100), 7, 7.0, 8, 48000.0))
+    @example((np.ones(100), 8, 7.0, 8, 48000.0))
     def test_shift_taps_and_eq3(self, case):
-        stream, lag, pipeline, cap = case
+        stream, lag, pipeline, cap, fs = case
         if lag < pipeline:
             with pytest.raises(LookaheadError):
-                align(stream, lag, pipeline / FS, FS, cap)
+                align(stream, lag, pipeline / fs, fs, cap)
             return
-        reference, n_future = align(stream, lag, pipeline / FS, FS, cap)
+        reference, n_future = align(stream, lag, pipeline / fs, fs, cap)
         expected = np.zeros_like(stream)
         expected[lag:] = stream[: max(stream.size - lag, 0)]
         np.testing.assert_array_equal(reference, expected)

@@ -2,10 +2,13 @@
 
 import dataclasses
 import json
+import multiprocessing
 import os
 import pickle
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from repro.acoustics.geometry import Point
 from repro.core.scenario import office_scenario
 from repro.errors import ConfigurationError
 from repro.eval import experiments
+from repro.eval.experiments import registry
 from repro.runtime.cache import ChannelCache, scenario_cache_key
 from repro.utils.store import Store
 
@@ -311,6 +315,33 @@ class TestRegistry:
         assert clone.report() == result.report()
 
 
+def _die():
+    """Test-only experiment: kill the hosting worker outright."""
+    if multiprocessing.parent_process() is None:
+        raise RuntimeError("'die' runs only in a pool worker")
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _nap():
+    """Test-only experiment: a job still running when a neighbour dies."""
+    time.sleep(0.5)
+    return "rested"
+
+
+@pytest.fixture()
+def dying_experiments(monkeypatch):
+    """Register ``die`` and ``nap`` for one test.
+
+    Pool workers fork, so they inherit the entries; ``monkeypatch``
+    takes them out of the registry again afterwards.
+    """
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("workers must inherit test-only registry entries")
+    for name, runner in (("die", _die), ("nap", _nap)):
+        monkeypatch.setitem(registry._REGISTRY, name, None)
+        registry.register(name, runner, "test only")
+
+
 class TestExecutor:
     def test_serial_equals_parallel(self):
         """Acceptance criterion: parallel results equal serial (same seeds)."""
@@ -360,6 +391,29 @@ class TestExecutor:
             runtime.run_experiments(
                 ["timing"], request=runtime.RunRequest(jobs=0))
 
+    def test_dead_worker_fails_only_its_job(self, dying_experiments):
+        names = ["timing", "die", "fig13"]
+        request = runtime.RunRequest(duration_s=1.0, seed=0)
+        suite = runtime.run_experiments(names,
+                                        request=request.replace(jobs=2))
+        assert suite.parallel
+        assert list(suite.failures()) == ["die"]
+        assert "worker died" in suite.failures()["die"]
+        serial = runtime.run_experiments(["timing", "fig13"],
+                                         request=request)
+        for name in ("timing", "fig13"):
+            assert (suite.results()[name].report()
+                    == serial.results()[name].report()), name
+        restored = runtime.SuiteReport.from_dict(suite.to_dict())
+        assert restored.to_dict() == suite.to_dict()
+        assert restored.failures() == suite.failures()
+
+    def test_job_beside_a_dying_worker_finishes(self, dying_experiments):
+        suite = runtime.run_experiments(
+            ["nap", "die"], request=runtime.RunRequest(jobs=2))
+        assert list(suite.failures()) == ["die"]
+        assert suite.results()["nap"].results == "rested"
+
 
 class TestRunRequest:
     def test_unknown_parameter_error_lists_names(self):
@@ -374,8 +428,10 @@ class TestRunRequest:
         assert isinstance(err, ConfigurationError)
 
     def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            runtime.RunRequest(jobs=0)
+        for jobs in (0, 2.5, True, "2"):
+            with pytest.raises(ConfigurationError):
+                runtime.RunRequest(jobs=jobs)
+        assert type(runtime.RunRequest(jobs=np.int64(2)).jobs) is int
 
     def test_request_propagates_to_parallel_workers(self):
         """Acceptance: params + fault_plan reach jobs=2 workers,
@@ -440,4 +496,8 @@ class TestReportV2:
         assert clone.to_dict() == suite.to_dict()
         assert clone.results()["timing"].report() == \
             suite.results()["timing"].report()
+        # An older document's ``aborted`` flag is ignored.
+        older = dict(suite.to_dict(), aborted=False)
+        assert runtime.SuiteReport.from_dict(older).to_dict() == \
+            suite.to_dict()
 
