@@ -11,9 +11,10 @@ table to ``BENCH_kernels.json``; the LANC row must clear the 3x
 contract.  ``test_resample_sweep`` times the relay's two rate changes
 against ``resample_poly``, and ``test_demod_sweep`` the receivers'
 zero-phase filter and decimation against ``sosfiltfilt`` then
-``resample_poly``, and ``test_spectral_sweep`` the NumPy Welch density
-and coherence against ``scipy.signal``'s; each adds its rows to the
-same file.
+``resample_poly``, ``test_spectral_sweep`` the NumPy Welch density
+and coherence against ``scipy.signal``'s, and ``test_fft_sweep`` the
+``np.fft`` FIR engine and decimator against the ``scipy.fft`` forms
+they replaced; each adds its rows to the same file.
 """
 
 import contextlib
@@ -28,7 +29,7 @@ from repro.core import (ApaFilter, LancFilter, LmsFilter,
                         MultiRefLancFilter, RlsFilter, StreamingLanc,
                         gcc_phat)
 from repro.signals import WhiteNoise
-from repro.utils import spectral
+from repro.utils import fastconv, filters, spectral
 from repro.wireless import (FmDemodulator, FmModulator, ZeroPhaseDecimator,
                             resample)
 from tests import oracle
@@ -54,6 +55,12 @@ DEMOD_SPEEDUP_FLOOR = 1.5
 #: ``scipy.signal.welch`` / ``coherence`` by this much, on the fig12
 #: probe's 22,400 samples and on a 400-sample window.
 SPECTRAL_SPEEDUP_FLOOR = 1.5
+
+#: And the ``np.fft`` FIR engine and decimator must run at no less
+#: than this share of the speed of the ``scipy.fft`` forms they
+#: replaced (the same pocketfft; the decimator pays a C-order copy of
+#: each block's spectra).
+FFT_SPEED_RATIO_FLOOR = 0.8
 
 #: The two arithmetics a sweep row times: the oracle's reference walks
 #: (the "before" leg, labeled ``loop``) and the product (``vector``).
@@ -335,6 +342,60 @@ def test_spectral_sweep(report):
         assert row["speedup"] >= SPECTRAL_SPEEDUP_FLOOR, \
             f"{label}: speedup {row['speedup']:.2f}x < " \
             f"{SPECTRAL_SPEEDUP_FLOOR}x"
+
+
+@pytest.mark.skipif(not oracle.NUMPY_POCKETFFT,
+                    reason="np.fft is SciPy's pocketfft only from NumPy 2.0 on")
+def test_fft_sweep(report):
+    """The ``np.fft`` relay paths vs the oracle's ``scipy.fft`` forms."""
+    audio = WhiteNoise(seed=0, level_rms=0.2).generate(4.0)
+    rf = np.random.default_rng(0).standard_normal(384000)
+    # AnalogRelay's front end: order 4 at 0.95 of the audio Nyquist.
+    front = filters.butter_fir(4, 0.95)
+    decimator = ZeroPhaseDecimator(96000.0, 8000.0)
+    reference = oracle.ScipyFftDecimator(96000.0, 8000.0)
+    rows = []
+    for path, product, scipy_fft in (
+            ("fir_apply, 684 taps, 4 s at 8 kHz",
+             lambda: fastconv.fir_apply(audio, front),
+             lambda: oracle.scipy_fft_fir_apply(audio, front)),
+            ("ZeroPhaseDecimator, 4 s at 96 kHz",
+             lambda: decimator(rf), lambda: reference(rf))):
+        timings = {label: time_call(f, repeats=21, warmup=2)
+                   for label, f in (("scipy_fft", scipy_fft),
+                                    ("product", product))}
+        rows.append({
+            "path": path,
+            "scipy_fft_s": timings["scipy_fft"].best_s,
+            "product_s": timings["product"].best_s,
+            "speed_ratio": (timings["scipy_fft"].best_s
+                            / timings["product"].best_s),
+            "bit_identical": bool(np.array_equal(
+                timings["product"].result, timings["scipy_fft"].result)),
+        })
+
+    path = _update_kernels_json({"fft": {
+        "workload": "the relay front end's fir_apply on 4 s of audio, and "
+                    "the receiver's zero-phase decimation of 4 s of RF",
+        "oracle": "tests/oracle.py scipy_fft_fir_apply / ScipyFftDecimator "
+                  "(scipy.fft)",
+        "product": "repro.utils.fastconv.fir_apply / "
+                   "repro.wireless.fm.ZeroPhaseDecimator (np.fft)",
+        "speed_ratio_floor": FFT_SPEED_RATIO_FLOOR,
+        "rows": rows,
+    }})
+    lines = [f"{'path':<36} {'scipy.fft':>9} {'np.fft':>9} {'ratio':>6}"]
+    for row in rows:
+        lines.append(f"{row['path']:<36} {row['scipy_fft_s'] * 1e3:>7.3f}ms "
+                     f"{row['product_s'] * 1e3:>7.3f}ms "
+                     f"{row['speed_ratio']:>5.2f}x")
+    report("\n".join(lines) + f"\n[written to {path}]")
+
+    for row in rows:
+        assert row["bit_identical"], f"{row['path']}: np.fft != scipy.fft"
+        assert row["speed_ratio"] >= FFT_SPEED_RATIO_FLOOR, \
+            f"{row['path']}: {row['speed_ratio']:.2f}x the scipy.fft " \
+            f"form's speed < {FFT_SPEED_RATIO_FLOOR}x"
 
 
 def test_rir_build(benchmark):

@@ -45,6 +45,7 @@ import dataclasses
 from .. import obs
 from ..errors import ConfigurationError
 from ..faults.monitor import MODE_FEEDBACK, MODE_MUTE, MODE_PASSIVE
+from ..utils.validation import check_positive_int
 
 __all__ = [
     "BREAKER_CLOSED",
@@ -85,10 +86,9 @@ class DeadlineConfig:
     cooldown_blocks: int = 8
 
     def __post_init__(self):
-        if self.miss_threshold < 1:
-            raise ConfigurationError("miss_threshold must be >= 1")
-        if self.cooldown_blocks < 1:
-            raise ConfigurationError("cooldown_blocks must be >= 1")
+        for name in ("miss_threshold", "cooldown_blocks"):
+            object.__setattr__(self, name,
+                               check_positive_int(name, getattr(self, name)))
 
 
 class DeadlineCircuitBreaker:

@@ -44,6 +44,7 @@ import numpy as np
 
 from .. import obs
 from ..core.adaptive import kernels
+from ..errors import ConfigurationError
 from .breaker import DeadlineCircuitBreaker
 from .manager import SessionManager
 from .session import ACTIVE, DONE, FAILED, SessionConfig
@@ -188,6 +189,13 @@ class SessionServer:
 
     def __init__(self, config=None):
         self.config = config or ServerConfig()
+        n_future = self.config.session.n_future
+        if self.config.deadline is not None and n_future <= 0:
+            # Known now: each admitted session's breaker would refuse it.
+            raise ConfigurationError(
+                f"deadline breakers need n_future > 0 (a session's block "
+                f"deadline is n_future / sample_rate), got n_future = "
+                f"{n_future}")
         self.manager = SessionManager(
             max_sessions=self.config.max_sessions,
             queue_depth=self.config.queue_depth,

@@ -33,7 +33,7 @@ from __future__ import annotations
 import dataclasses
 
 from .. import obs
-from ..errors import ConfigurationError
+from ..utils.validation import check_non_negative_int, check_positive_int
 from .checkpoint import CheckpointStore
 from .session import SHED
 
@@ -68,11 +68,13 @@ class SupervisionConfig:
     checkpoint_dir: str | None = None
 
     def __post_init__(self):
-        if self.checkpoint_every_blocks < 1:
-            raise ConfigurationError(
-                "checkpoint_every_blocks must be >= 1")
-        if self.max_restarts < 0:
-            raise ConfigurationError("max_restarts must be >= 0")
+        object.__setattr__(
+            self, "checkpoint_every_blocks",
+            check_positive_int("checkpoint_every_blocks",
+                               self.checkpoint_every_blocks))
+        object.__setattr__(
+            self, "max_restarts",
+            check_non_negative_int("max_restarts", self.max_restarts))
 
 
 class SessionSupervisor:

@@ -16,8 +16,10 @@ This module centralizes all of it:
   pipeline); long signals switch to **overlap-save** with a fixed
   per-IR block size, so one cached spectrum serves every signal length.
   Tiny kernels fall back to direct ``np.convolve`` (faster below the
-  FFT break-even, and bit-identical to the historical path); only the
-  FFT branches import :mod:`scipy.fft`, so tiny kernels never load
+  FFT break-even, and bit-identical to the historical path).  The
+  transforms are :mod:`numpy.fft`: from NumPy 2.0 it is the same
+  pocketfft as :mod:`scipy.fft`, so the products equal the ``scipy.fft``
+  forms kept in the test oracle bit for bit, and no path here loads
   SciPy.
 * :class:`StreamingFir` — stateful block convolution whose carry state
   is numerically the ``lfilter`` ``zi`` vector (the pending tail of the
@@ -38,11 +40,12 @@ oracle).
 
 from __future__ import annotations
 
+import functools
 from collections import OrderedDict
 
 import numpy as np
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, SignalError
 
 __all__ = ["fir_apply", "fft_convolve", "StreamingFir", "cache_info",
            "clear_cache"]
@@ -74,11 +77,29 @@ def cache_info():
             "hits": _hits, "misses": _misses}
 
 
+@functools.lru_cache(maxsize=128)
+def _next_fast_len(n):
+    """The smallest 5-smooth integer ≥ ``n``: pocketfft's fast real
+    transform size, ``scipy.fft.next_fast_len(n, real=True)``.
+
+    Cached: a search costs about 10 µs in Python, and the engine asks
+    for a handful of sizes over and over.
+    """
+    best = 2 * n
+    f5 = 1
+    while f5 < best:
+        f35 = f5
+        while f35 < best:
+            # f35 · 2^k for the least k that reaches n.
+            best = min(best, f35 << (-(-n // f35) - 1).bit_length())
+            f35 *= 3
+        f5 *= 5
+    return best
+
+
 def _spectrum(ir, nfft):
     """The cached ``rfft(ir, nfft)`` for this exact impulse response."""
     global _hits, _misses
-    from scipy import fft as sp_fft
-
     key = (ir.tobytes(), nfft)
     found = _cache.get(key)
     if found is not None:
@@ -86,7 +107,7 @@ def _spectrum(ir, nfft):
         _cache.move_to_end(key)
         return found
     _misses += 1
-    spectrum = sp_fft.rfft(ir, nfft)
+    spectrum = np.fft.rfft(ir, nfft)
     _cache[key] = spectrum
     if len(_cache) > _CACHE_CAPACITY:
         _cache.popitem(last=False)
@@ -99,15 +120,11 @@ def _block_nfft(m):
     ~8x the kernel keeps the per-output cost near the optimum while one
     cached spectrum serves every signal length the IR ever meets.
     """
-    from scipy import fft as sp_fft
-
-    return sp_fft.next_fast_len(max(8 * m, 4096), True)
+    return _next_fast_len(max(8 * m, 4096))
 
 
 def _overlap_save(x, H, m, nfft, n_out):
     """Linear convolution via overlap-save against a cached spectrum."""
-    from scipy import fft as sp_fft
-
     L = nfft - m + 1
     # Leading m-1 zeros stand in for the pre-signal history; slices past
     # the end are implicitly zero-padded by rfft(..., nfft).
@@ -117,7 +134,7 @@ def _overlap_save(x, H, m, nfft, n_out):
     pos = 0
     while pos < n_out:
         seg = xpad[pos: pos + nfft]
-        y = sp_fft.irfft(sp_fft.rfft(seg, nfft) * H, nfft)
+        y = np.fft.irfft(np.fft.rfft(seg, nfft) * H, nfft)
         take = min(L, n_out - pos)
         out[pos: pos + take] = y[m - 1: m - 1 + take]
         pos += take
@@ -150,15 +167,13 @@ def fir_apply(signal, ir, mode="same"):
         full = np.convolve(signal, ir)
         return full if mode == "full" else full[:n]
 
-    from scipy import fft as sp_fft
-
     block_nfft = _block_nfft(m)
     if n_out <= block_nfft:
         # Single transform at fftconvolve's own size: bit-identical to
         # the historical fftconvolve output, spectrum cached.
-        nfft = sp_fft.next_fast_len(n_out, True)
+        nfft = _next_fast_len(n_out)
         H = _spectrum(ir, nfft)
-        full = sp_fft.irfft(sp_fft.rfft(signal, nfft) * H, nfft)[:n_out]
+        full = np.fft.irfft(np.fft.rfft(signal, nfft) * H, nfft)[:n_out]
     else:
         H = _spectrum(ir, block_nfft)
         full = _overlap_save(signal, H, m, block_nfft, n_out)
@@ -170,18 +185,22 @@ def fft_convolve(a, b):
 
     ``scipy.signal.fftconvolve(a, b)`` bit for bit: the ``rfft`` product
     at ``next_fast_len(len(a) + len(b) − 1, real=True)``, cut to length,
-    or a plain product when either array has one sample.
+    or a plain product when either array has one sample.  Complex input
+    raises :class:`~repro.errors.SignalError`.
     """
-    from scipy import fft as sp_fft
-
-    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    a, b = np.asarray(a), np.asarray(b)
+    for name, x in (("a", a), ("b", b)):
+        if np.iscomplexobj(x):
+            raise SignalError(f"fft_convolve needs real arrays, got {name} "
+                              f"of dtype {x.dtype}")
+    a, b = a.astype(np.float64, copy=False), b.astype(np.float64, copy=False)
     if a.ndim != 1 or b.ndim != 1 or a.size == 0 or b.size == 0:
         raise ConfigurationError("fft_convolve needs non-empty 1-D arrays")
     if a.size == 1 or b.size == 1:
         return a * b
     n_out = a.size + b.size - 1
-    nfft = sp_fft.next_fast_len(n_out, True)
-    return sp_fft.irfft(sp_fft.rfft(a, nfft) * sp_fft.rfft(b, nfft),
+    nfft = _next_fast_len(n_out)
+    return np.fft.irfft(np.fft.rfft(a, nfft) * np.fft.rfft(b, nfft),
                         nfft)[:n_out]
 
 

@@ -263,7 +263,14 @@ class ZeroPhaseDecimator:
 
     Other one-factor rate pairs run the two passes over the whole
     signal, then :func:`resample`; a pair with both factors above 1 is
-    refused at construction.
+    refused at construction, and a complex signal when called
+    (:class:`~repro.errors.SignalError`).
+
+    The transforms are :mod:`numpy.fft`, with each block's spectra
+    copied to C order so the branch sum adds rows in the order
+    ``scipy.fft``'s C-ordered spectra gave: on NumPy ≥ 2.0 (SciPy's
+    pocketfft) the output equals the ``scipy.fft`` form kept in the
+    test oracle bit for bit.
     """
 
     #: Butterworth order of the receive low-pass.
@@ -289,8 +296,6 @@ class ZeroPhaseDecimator:
 
     def _plan_branches(self):
         """Split the composite window into its polyphase branches."""
-        from scipy import fft as sp_fft
-
         down = self._down
         kaiser = _polyphase_design(1, down)
         self._half = kaiser.size // 2
@@ -310,11 +315,18 @@ class ZeroPhaseDecimator:
                  - np.arange(down))
         inside = (index >= 0) & (index < composite.size)
         branches = np.where(inside, composite[np.where(inside, index, 0)], 0.0)
-        self._spectra = sp_fft.rfft(branches.T, DECIMATOR_NFFT)
+        # C order, as the block spectra in _interior, so their product
+        # there runs over one layout (about 0.1 ms per 4 s of RF).
+        self._spectra = np.ascontiguousarray(
+            np.fft.rfft(branches.T, DECIMATOR_NFFT))
 
     def __call__(self, x):
         """Filter ``x`` forward and back, then change its rate."""
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x)
+        if np.iscomplexobj(x):
+            raise SignalError(f"the zero-phase filter needs a real signal, "
+                              f"got dtype {x.dtype}")
+        x = x.astype(np.float64, copy=False)
         if x.ndim != 1 or x.size < self.min_samples:
             raise SignalError(
                 f"the zero-phase filter needs a 1-D signal of at least "
@@ -369,8 +381,6 @@ class ZeroPhaseDecimator:
         first output lands ``taps − 1`` samples into the inverse
         transform.
         """
-        from scipy import fft as sp_fft
-
         down, nfft, taps = self._down, DECIMATOR_NFFT, self._taps
         step = nfft - taps + 1
         block = np.empty(nfft * down)
@@ -382,9 +392,13 @@ class ZeroPhaseDecimator:
                 block[segment.size:] = 0.0
                 segment = block
             # One transform per branch: row r holds sample r of each frame.
-            spectrum = sp_fft.rfft(segment.reshape(nfft, down).T)
+            # np.fft returns the transposed view's spectra in column
+            # order; summing that layout adds the branches in another
+            # order, so copy it to C order first.
+            spectrum = np.ascontiguousarray(
+                np.fft.rfft(segment.reshape(nfft, down).T))
             spectrum *= self._spectra
-            y = sp_fft.irfft(spectrum.sum(axis=0), nfft)
+            y = np.fft.irfft(spectrum.sum(axis=0), nfft)
             out[j:stop] = y[taps - 1: taps - 1 + stop - j]
 
 

@@ -12,7 +12,7 @@ formulations they were derived from live here, verbatim, for two jobs:
 * **honest "before" legs** — ``benchmarks/bench_kernels.py`` and
   ``benchmarks/bench_pipeline.py`` time the product against them.
 
-Six groups:
+Seven groups:
 
 * the per-sample adaptive walks (:func:`fxlms_block`, :func:`lms_run`,
   :func:`rls_run`, :func:`apa_run`, :func:`multiref_run`) — one sample
@@ -42,7 +42,14 @@ Six groups:
   :func:`firwin2`, :func:`freqz` and :func:`fftconvolve`
   (``tests/test_spectral.py``, ``test_filters.py``,
   ``test_fastconv.py``: ≤ 1e-12, or bit for bit for the designs and
-  the product).
+  the product);
+* the ``scipy.fft`` forms the ``np.fft`` ones replaced:
+  :func:`scipy_fft_fir_apply` (``fir_apply``'s single-transform and
+  overlap-save branches), :func:`scipy_fft_convolve` and
+  :class:`ScipyFftDecimator` (the branch spectra and interior of
+  ``ZeroPhaseDecimator``) — bit for bit on NumPy ≥ 2.0, whose
+  ``np.fft`` is the same pocketfft (``tests/test_fastconv.py``,
+  ``test_fm.py``, ``benchmarks/bench_kernels.py``).
 
 :func:`reference_paths` swaps all of them in over the product
 attributes for the duration of a ``with`` block — a test double, so
@@ -55,9 +62,11 @@ exactly like the product kernels.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 
 import numpy as np
+from scipy import fft as sp_fft
 from scipy import linalg
 from scipy import signal as sps
 
@@ -76,7 +85,12 @@ from repro.utils.validation import (
     check_positive,
     check_waveform,
 )
-from repro.wireless.fm import rational_ratio
+from repro.wireless.fm import (
+    DECIMATOR_NFFT,
+    ZeroPhaseDecimator,
+    _polyphase_design,
+    rational_ratio,
+)
 from repro.wireless.rf_channel import pa_nonlinearity
 
 __all__ = [
@@ -88,6 +102,8 @@ __all__ = [
     "room_impulse_response", "rf_channel_apply", "analog_relay_chain",
     "reference_paths",
     "simulate_delay_limited_fxlms",
+    "NUMPY_POCKETFFT", "scipy_fft_fir_apply", "scipy_fft_convolve",
+    "ScipyFftDecimator",
 ]
 
 
@@ -682,6 +698,102 @@ def analog_relay_chain(self, audio):
     baseband = self.modulator.modulate(shaped)
     impaired = self.channel.apply(baseband)
     return self.demodulator.demodulate(impaired)
+
+
+# ----------------------------------------------------------------------
+# The scipy.fft forms
+# ----------------------------------------------------------------------
+#: ``np.fft`` is SciPy's pocketfft from NumPy 2.0 on, so the product
+#: equals these forms bit for bit only there.
+NUMPY_POCKETFFT = np.lib.NumpyVersion(np.__version__) >= "2.0.0"
+
+
+@functools.lru_cache(maxsize=32)
+def _scipy_fft_spectrum(ir_bytes, nfft):
+    return sp_fft.rfft(np.frombuffer(ir_bytes), nfft)
+
+
+def scipy_fft_fir_apply(signal, ir, mode="same"):
+    """``fastconv.fir_apply`` on ``scipy.fft``, spectra cached per
+    ``(ir, nfft)``: the direct branch, one transform at
+    ``next_fast_len(n + m − 1)``, or overlap-save at the per-IR block
+    size."""
+    signal = np.asarray(signal)
+    ir = np.asarray(ir, dtype=np.float64)
+    n, m = signal.size, ir.size
+    n_out = n + m - 1
+    if m <= fastconv.DIRECT_TAP_LIMIT or n < 2 * m or np.iscomplexobj(signal):
+        full = np.convolve(signal, ir)
+        return full if mode == "full" else full[:n]
+    block_nfft = sp_fft.next_fast_len(max(8 * m, 4096), True)
+    if n_out <= block_nfft:
+        nfft = sp_fft.next_fast_len(n_out, True)
+        H = _scipy_fft_spectrum(ir.tobytes(), nfft)
+        full = sp_fft.irfft(sp_fft.rfft(signal, nfft) * H, nfft)[:n_out]
+    else:
+        H = _scipy_fft_spectrum(ir.tobytes(), block_nfft)
+        L = block_nfft - m + 1
+        xpad = np.zeros(m - 1 + n)
+        xpad[m - 1:] = signal
+        full = np.empty(n_out)
+        pos = 0
+        while pos < n_out:
+            seg = xpad[pos: pos + block_nfft]
+            y = sp_fft.irfft(sp_fft.rfft(seg, block_nfft) * H, block_nfft)
+            take = min(L, n_out - pos)
+            full[pos: pos + take] = y[m - 1: m - 1 + take]
+            pos += take
+    return full if mode == "full" else full[:n]
+
+
+def scipy_fft_convolve(a, b):
+    """``fastconv.fft_convolve`` on ``scipy.fft``."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    if a.size == 1 or b.size == 1:
+        return a * b
+    n_out = a.size + b.size - 1
+    nfft = sp_fft.next_fast_len(n_out, True)
+    return sp_fft.irfft(sp_fft.rfft(a, nfft) * sp_fft.rfft(b, nfft),
+                        nfft)[:n_out]
+
+
+class ScipyFftDecimator(ZeroPhaseDecimator):
+    """``ZeroPhaseDecimator`` with its branch spectra and interior
+    overlap-save on ``scipy.fft``, which returns the spectra of a
+    transposed view in C order, so the branch sum adds rows in C order
+    without a copy."""
+
+    def _plan_branches(self):
+        down = self._down
+        kaiser = _polyphase_design(1, down)
+        self._half = kaiser.size // 2
+        composite = np.convolve(np.correlate(self._ir, self._ir, "full"),
+                                kaiser)
+        span = self._span = composite.size // 2
+        before, after = -(-span // down), span // down
+        self._before = before
+        self._taps = before + after + 1
+        index = (span + down * (np.arange(self._taps)[:, None] - after)
+                 - np.arange(down))
+        inside = (index >= 0) & (index < composite.size)
+        branches = np.where(inside, composite[np.where(inside, index, 0)], 0.0)
+        self._spectra = sp_fft.rfft(branches.T, DECIMATOR_NFFT)
+
+    def _interior(self, x, first, last, out):
+        down, nfft, taps = self._down, DECIMATOR_NFFT, self._taps
+        step = nfft - taps + 1
+        block = np.empty(nfft * down)
+        for j in range(first, last, step):
+            stop = min(j + step, last)
+            segment = x[(j - self._before) * down:][: block.size]
+            if segment.size < block.size:
+                block[: segment.size] = segment
+                block[segment.size:] = 0.0
+                segment = block
+            spectrum = sp_fft.rfft(segment.reshape(nfft, down).T)
+            spectrum *= self._spectra
+            y = sp_fft.irfft(spectrum.sum(axis=0), nfft)
+            out[j:stop] = y[taps - 1: taps - 1 + stop - j]
 
 
 # ----------------------------------------------------------------------

@@ -65,6 +65,17 @@ def _drain(workloads, batched=True, **config_kwargs):
     return server.run_until_drained()
 
 
+def _assert_integer_fields(config, fields):
+    """Each field refuses a float, a bool and a string, and keeps a
+    NumPy integer as the int it is."""
+    for field in fields:
+        for bad in (2.5, True, "3"):
+            with pytest.raises(ConfigurationError, match=field):
+                config(**{field: bad})
+        value = getattr(config(**{field: np.int64(3)}), field)
+        assert type(value) is int and value == 3
+
+
 class TestChaosPlan:
     def test_events_sorted_and_key_deterministic(self):
         plan = ChaosPlan(events=(StallAt(9), CrashAt(2), CrashAt(7)))
@@ -183,6 +194,14 @@ class TestCrashRecovery:
         assert by_name["user1"].status == serving.DONE
         assert report.recovery["escalations"] == 1
 
+    def test_validation(self):
+        with pytest.raises(ConfigurationError):
+            SupervisionConfig(checkpoint_every_blocks=0)
+        with pytest.raises(ConfigurationError):
+            SupervisionConfig(max_restarts=-1)
+        _assert_integer_fields(SupervisionConfig,
+                               ("checkpoint_every_blocks", "max_restarts"))
+
     def test_unsupervised_crash_raises(self):
         plans = {0: ChaosPlan(events=(CrashAt(1),))}
         with pytest.raises(InjectedCrashError):
@@ -258,6 +277,18 @@ class TestDeadlineBreaker:
             DeadlineCircuitBreaker(0.0)
         with pytest.raises(ConfigurationError):
             DeadlineConfig(miss_threshold=0)
+        _assert_integer_fields(DeadlineConfig,
+                               ("miss_threshold", "cooldown_blocks"))
+
+    def test_zero_lookahead_refused_when_the_server_is_built(self):
+        """N = 0 leaves a breaker no deadline: the server refuses it at
+        construction, before admission takes a session off the queue."""
+        session = serving.SessionConfig(n_future=0)
+        with pytest.raises(ConfigurationError, match="n_future"):
+            serving.SessionServer(serving.ServerConfig(
+                deadline=DeadlineConfig(), session=session))
+        report = _drain(_workloads(1), session=session)
+        assert report.statuses() == {serving.DONE: 1}
 
     def test_stall_trips_breaker_in_server(self):
         """Injected stalls (simulated latency) drive the breaker."""

@@ -10,7 +10,11 @@ line.
 * ``import repro``, ``repro list`` and ``repro --help`` load no SciPy.
 * The serving runtime (sessions, checkpoints, chaos) calls no SciPy
   function: with the finder refusing SciPy, ``serve-bench --check`` and
-  ``chaos-soak`` still pass.
+  ``chaos-soak`` still pass.  Nor does a relay decision in the Figure
+  19 room: the relay chain's FFTs are ``np.fft``.
+* ``MuteSystem.run`` with an ``AnalogRelay`` loads only
+  ``scipy.linalg``, first for the kernels' BLAS walks: no
+  ``scipy.fft`` and no ``scipy.special``.
 * Only the three IIR noise generators load ``scipy.signal``: with the
   finder refusing it alone, a relay decision in the Figure 19 room, a
   ``MuteSystem.run`` with an ``AnalogRelay`` and its per-request probe
@@ -182,6 +186,27 @@ def test_serving_runs_without_scipy():
                   "--duration", "0.3", "--crash-prob", "1.0")
     assert soak.returncode == 0, soak.stderr
     assert " 0 mismatch(es)" in soak.stdout
+
+
+def test_relay_decision_runs_without_scipy():
+    proc = _child("refuse", "exec", RELAY_DECISION)
+    assert _importer(proc) == "none", (
+        f"a relay decision imported SciPy from {_importer(proc)}:\n"
+        f"{proc.stderr}")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_headline_run_loads_only_scipy_linalg():
+    proc = _child("watch", "exec",
+                  HEADLINE_RUN + "import sys\n"
+                  "print(sorted(m for m in sys.modules "
+                  "if m.startswith(('scipy.fft', 'scipy.special'))))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]", (
+        f"MuteSystem.run loaded {proc.stdout.strip()}")
+    assert f"kernels{os.sep}vector.py:" in _importer(proc), (
+        f"the first SciPy import came from {_importer(proc)}, not the "
+        f"kernels")
 
 
 def _run_refusing_signal(flow, what):

@@ -4,21 +4,30 @@ Property-based bit-identity suite for the conv fast paths: every
 regime of :func:`fir_apply` (direct, single-block FFT, overlap-save)
 against the ``np.convolve`` reference, and :class:`StreamingFir`
 against the oracle's ``lfilter``-with-state — the contract every call
-site in acoustics/hardware/core leans on (docs/PERFORMANCE.md).
+site in acoustics/hardware/core leans on (docs/PERFORMANCE.md).  The
+``np.fft`` products equal the oracle's ``scipy.fft`` forms bit for bit
+on NumPy ≥ 2.0, and the private size search equals
+``scipy.fft.next_fast_len``.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import fft as sp_fft
 from scipy import signal as sps
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SignalError
 from repro.utils import fastconv
 from repro.utils.fastconv import DIRECT_TAP_LIMIT, StreamingFir, fir_apply
+from repro.wireless import ZeroPhaseDecimator
 from tests import oracle
 
 TOL = 1e-10
+
+pocketfft = pytest.mark.skipif(
+    not oracle.NUMPY_POCKETFFT,
+    reason="np.fft is SciPy's pocketfft only from NumPy 2.0 on")
 
 
 def _signal(seed, n):
@@ -104,6 +113,62 @@ class TestFirApply:
             fir_apply(np.empty(0), _ir(0, 4))
         with pytest.raises(ConfigurationError):
             fir_apply(np.zeros((4, 4)), _ir(0, 4))
+
+
+@pocketfft
+class TestScipyFftForms:
+    """``np.fft`` products bit for bit the ``scipy.fft`` forms they
+    replaced (the test oracle's)."""
+
+    # One transform; two overlap-save blocks; the relay front end's
+    # 684 taps on 4 s.
+    @example(n=3000, m=600, seed=0)
+    @example(n=5000, m=600, seed=0)
+    @example(n=32000, m=684, seed=0)
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 100000), m=st.integers(DIRECT_TAP_LIMIT + 1, 2000),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_fir_apply(self, n, m, seed):
+        rng = np.random.default_rng(seed)
+        x, h = rng.standard_normal(n), rng.standard_normal(m) / m
+        np.testing.assert_array_equal(
+            fir_apply(x, h, mode="full"),
+            oracle.scipy_fft_fir_apply(x, h, mode="full"))
+
+    @settings(max_examples=30, deadline=None)
+    @given(n1=st.integers(1, 40000), n2=st.integers(1, 40000),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_fft_convolve(self, n1, n2, seed):
+        rng = np.random.default_rng(seed)
+        a, b = rng.standard_normal(n1), rng.standard_normal(n2)
+        np.testing.assert_array_equal(fastconv.fft_convolve(a, b),
+                                      oracle.scipy_fft_convolve(a, b))
+
+
+class TestNextFastLen:
+    """The private size search is ``scipy.fft``'s real one."""
+
+    def test_every_size_to_2_16(self):
+        sizes = range(1, 2 ** 16 + 1)
+        assert [fastconv._next_fast_len(n) for n in sizes] == \
+            [sp_fft.next_fast_len(n, True) for n in sizes]
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 2 ** 24))
+    def test_large_sizes(self, n):
+        assert fastconv._next_fast_len(n) == sp_fft.next_fast_len(n, True)
+
+
+@pytest.mark.parametrize("transform", [
+    lambda x: fastconv.fft_convolve(np.ones(8), x),
+    ZeroPhaseDecimator(96000.0, 8000.0),
+], ids=["fft_convolve", "zero_phase_decimator"])
+def test_fft_products_refuse_complex_input(transform):
+    """Complex input raises, naming its dtype, instead of losing its
+    imaginary part to a cast."""
+    x = np.exp(0.01j * np.arange(2400))
+    with pytest.raises(SignalError, match="complex128"):
+        transform(x)
 
 
 class TestFftConvolve:

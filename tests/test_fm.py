@@ -228,6 +228,22 @@ class TestZeroPhaseDecimator:
             x = np.random.default_rng(n).standard_normal(n)
             self._assert_matches_oracle(decimator, x)
 
+    SCIPY_FFT = oracle.ScipyFftDecimator(96000.0, 8000.0)
+
+    @pytest.mark.skipif(
+        not oracle.NUMPY_POCKETFFT,
+        reason="np.fft is SciPy's pocketfft only from NumPy 2.0 on")
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(22, 480000), seed=st.integers(0, 2 ** 32 - 1),
+           scale=st.floats(1e-3, 1e3))
+    def test_bit_identical_to_scipy_fft_form(self, n, seed, scale):
+        """``np.fft`` with C-ordered spectra equals the ``scipy.fft``
+        form it replaced (the oracle's), branch spectra included."""
+        x = scale * np.random.default_rng(seed).standard_normal(n)
+        np.testing.assert_array_equal(self.RECEIVER(x), self.SCIPY_FFT(x))
+        np.testing.assert_array_equal(self.RECEIVER._spectra,
+                                      self.SCIPY_FFT._spectra)
+
     def test_relay_receiver_has_a_22_sample_minimum(self):
         assert self.RECEIVER.padlen == 21
         assert self.RECEIVER.min_samples == 22
