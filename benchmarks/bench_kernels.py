@@ -12,13 +12,20 @@ contract.  ``test_resample_sweep`` times the relay's two rate changes
 against ``resample_poly``, and ``test_demod_sweep`` the receivers'
 zero-phase filter and decimation against ``sosfiltfilt`` then
 ``resample_poly``, ``test_spectral_sweep`` the NumPy Welch density
-and coherence against ``scipy.signal``'s, and ``test_fft_sweep`` the
+and coherence against ``scipy.signal``'s, ``test_fft_sweep`` the
 ``np.fft`` FIR engine and decimator against the ``scipy.fft`` forms
-they replaced; each adds its rows to the same file.
+they replaced, and ``test_blas_load_sweep`` what loading the walks'
+BLAS routines costs a fresh interpreter against the ``scipy.linalg``
+package import; each adds its rows to the same file.
 """
 
 import contextlib
 import json
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,6 +68,59 @@ SPECTRAL_SPEEDUP_FLOOR = 1.5
 #: replaced (the same pocketfft; the decimator pays a C-order copy of
 #: each block's spectra).
 FFT_SPEED_RATIO_FLOOR = 0.8
+
+#: And loading the walks' BLAS from SciPy's ``_fblas`` extension alone
+#: must add at most this share of the peak RSS that importing it from
+#: ``scipy.linalg.blas`` adds.
+BLAS_LOAD_RSS_RATIO_CEILING = 0.25
+
+#: Fresh interpreters per side in the BLAS load sweep, alternating.
+BLAS_LOAD_PAIRS = 5
+
+#: One side of the BLAS load sweep, in a fresh interpreter: after
+#: ``import numpy`` and the kernels module, load the routines as
+#: ``argv[1]`` says, then print the load's wall time and ``ru_maxrss``
+#: increment, the SciPy modules loaded, and the bits of ``ddot``,
+#: ``daxpy``, ``dsymv`` and ``dsyr`` on positional calls with offsets,
+#: as the walks make them.
+BLAS_LOAD_CHILD = """
+import json, resource, sys, time
+
+import numpy as np
+
+from repro.core.adaptive.kernels import vector
+
+
+def peak_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+rss, start = peak_mb(), time.perf_counter()
+if sys.argv[1] == "loader":
+    blas = vector._fblas()
+else:
+    from scipy.linalg.blas import daxpy, ddot
+    import scipy.linalg.blas as blas
+load_s, load_mb = time.perf_counter() - start, peak_mb() - rss
+modules = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+
+rng = np.random.default_rng(0)
+seg = rng.standard_normal(64)
+taps = rng.standard_normal(16)
+g = rng.standard_normal((16, 16))
+P = np.asfortranarray(g @ g.T)
+Pu = np.zeros(16)
+bits = [blas.ddot(seg, taps, 16, 5).hex(),
+        blas.ddot(taps, seg, 16, 0, 1, 9).hex()]
+blas.daxpy(seg, taps, 16, -0.37, 11)
+blas.dsymv(1.0, P, seg, 0.0, Pu, 7, 1, 0, 1, 1, 1)
+blas.dsyr(-0.5, Pu, 1, 1, 0, 16, P, 1)
+bits += [taps.tobytes().hex(), Pu.tobytes().hex(), P.tobytes().hex()]
+print(json.dumps({"load_s": load_s, "load_mb": load_mb,
+                  "scipy_modules": len(modules),
+                  "only_fblas": modules == ["scipy.linalg._fblas"],
+                  "bits": bits}))
+"""
 
 #: The two arithmetics a sweep row times: the oracle's reference walks
 #: (the "before" leg, labeled ``loop``) and the product (``vector``).
@@ -396,6 +456,68 @@ def test_fft_sweep(report):
         assert row["speed_ratio"] >= FFT_SPEED_RATIO_FLOOR, \
             f"{row['path']}: {row['speed_ratio']:.2f}x the scipy.fft " \
             f"form's speed < {FFT_SPEED_RATIO_FLOOR}x"
+
+
+def _blas_load(side):
+    """Run one :data:`BLAS_LOAD_CHILD` interpreter; its result document.
+
+    A bare interpreter starts it: a process's ``ru_maxrss`` starts at
+    the peak of the process that spawned it, and this one's, with the
+    whole suite loaded, is above anything the child reaches.
+    """
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    spawn = "import subprocess, sys; subprocess.run(sys.argv[1:], check=True)"
+    proc = subprocess.run([sys.executable, "-c", spawn, sys.executable,
+                           "-c", BLAS_LOAD_CHILD, side],
+                          capture_output=True, text=True, env=env,
+                          cwd=root, timeout=120, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_blas_load_sweep(report):
+    """The walks' ``_fblas`` loader vs ``from scipy.linalg.blas import``."""
+    runs = {"loader": [], "package": []}
+    for pair in range(BLAS_LOAD_PAIRS):
+        sides = ("loader", "package") if pair % 2 == 0 else \
+            ("package", "loader")
+        for side in sides:
+            runs[side].append(_blas_load(side))
+
+    rows = [{
+        "side": side,
+        "load_s": statistics.median(r["load_s"] for r in docs),
+        "load_mb": statistics.median(r["load_mb"] for r in docs),
+        "scipy_modules": docs[0]["scipy_modules"],
+    } for side, docs in runs.items()]
+    loader, package = rows
+    rss_ratio = loader["load_mb"] / package["load_mb"]
+    bits = {tuple(r["bits"]) for docs in runs.values() for r in docs}
+    path = _update_kernels_json({"blas_load": {
+        "workload": "a fresh interpreter after import numpy and the "
+                    "kernels module; medians of alternating runs",
+        "loader": "repro.core.adaptive.kernels.vector._fblas "
+                  "(SciPy's _fblas extension alone)",
+        "package": "from scipy.linalg.blas import daxpy, ddot",
+        "runs_per_side": BLAS_LOAD_PAIRS,
+        "rss_ratio_ceiling": BLAS_LOAD_RSS_RATIO_CEILING,
+        "rss_ratio": rss_ratio,
+        "bit_identical": len(bits) == 1,
+        "rows": rows,
+    }})
+    lines = [f"{'side':<8} {'load':>9} {'peak RSS':>10} {'SciPy modules':>14}"]
+    for row in rows:
+        lines.append(f"{row['side']:<8} {row['load_s'] * 1e3:>7.1f}ms "
+                     f"{row['load_mb']:>7.2f} MB {row['scipy_modules']:>14}")
+    report("\n".join(lines) + f"\nRSS ratio {rss_ratio:.3f}"
+           f"\n[written to {path}]")
+
+    assert all(r["only_fblas"] for r in runs["loader"]), \
+        "the loader loaded more of SciPy than its _fblas extension"
+    assert len(bits) == 1, "loader and package BLAS calls differ in bits"
+    assert rss_ratio <= BLAS_LOAD_RSS_RATIO_CEILING, \
+        f"the loader adds {rss_ratio:.2f}x the package import's peak " \
+        f"RSS > {BLAS_LOAD_RSS_RATIO_CEILING}x"
 
 
 def test_rir_build(benchmark):

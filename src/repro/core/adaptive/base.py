@@ -23,7 +23,7 @@ import dataclasses
 import numpy as np
 
 from ... import obs
-from ...errors import ConvergenceError
+from ...errors import ConfigurationError, ConvergenceError
 from ...utils.validation import (
     check_non_negative,
     check_non_negative_int,
@@ -120,6 +120,14 @@ def guard_divergence(error_sample, context):
             f"{context}: error sample {error_sample!r} exceeds divergence "
             "limit — reduce the step size mu"
         )
+
+
+def check_leak(leak):
+    """Validate a leaky-LMS decay: a real number in ``[0, 1)``."""
+    leak = check_non_negative("leak", leak)
+    if leak >= 1.0:
+        raise ConfigurationError(f"leak must be in [0, 1), got {leak}")
+    return leak
 
 
 def effective_step(mu, window, normalized, epsilon=1e-8):

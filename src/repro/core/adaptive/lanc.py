@@ -49,6 +49,7 @@ from ...utils.validation import (
 from . import kernels
 from .base import (
     AdaptationResult,
+    check_leak,
     mse_curve,
     record_block_metrics,
     record_run_metrics,
@@ -87,9 +88,7 @@ class LancFilter:
         )
         self.mu = check_positive("mu", mu)
         self.normalized = bool(normalized)
-        if not 0.0 <= leak < 1.0:
-            raise ConfigurationError(f"leak must be in [0, 1), got {leak}")
-        self.leak = float(leak)
+        self.leak = check_leak(leak)
         self.n_taps = self.n_future + self.n_past
         #: Tap values, stored future-first: ``taps[i] ↔ k = i - n_future``.
         self.taps = np.zeros(self.n_taps)

@@ -20,7 +20,7 @@ from ...utils.validation import (
     check_waveform,
 )
 from . import kernels
-from .base import AdaptationResult, mse_curve, record_run_metrics
+from .base import AdaptationResult, check_leak, mse_curve, record_run_metrics
 
 __all__ = ["LmsFilter", "identify_system"]
 
@@ -50,9 +50,7 @@ class LmsFilter:
         self.n_taps = check_positive_int("n_taps", n_taps)
         self.mu = check_positive("mu", mu)
         self.normalized = bool(normalized)
-        if not 0.0 <= leak < 1.0:
-            raise ValueError(f"leak must be in [0, 1), got {leak}")
-        self.leak = float(leak)
+        self.leak = check_leak(leak)
         self.taps = np.zeros(self.n_taps)
         self._window = np.zeros(self.n_taps)  # newest first
 

@@ -35,6 +35,7 @@ from ...utils.validation import (
 from . import kernels
 from .base import (
     AdaptationResult,
+    check_leak,
     mse_curve,
     record_run_metrics,
 )
@@ -74,9 +75,7 @@ class MultiRefLancFilter:
         )
         self.mu = check_positive("mu", mu)
         self.normalized = bool(normalized)
-        if not 0.0 <= leak < 1.0:
-            raise ConfigurationError(f"leak must be in [0, 1), got {leak}")
-        self.leak = float(leak)
+        self.leak = check_leak(leak)
         #: Per-branch tap vectors, each stored future-first.
         self.taps = [np.zeros(n + self.n_past) for n in self.n_futures]
 

@@ -85,6 +85,7 @@ def estimate_secondary_path(true_channel, n_taps, probe_duration_s=1.0,
     ambient_noise_rms = check_non_negative("ambient_noise_rms",
                                            ambient_noise_rms)
     probe_rms = check_positive("probe_rms", probe_rms)
+    n_passes = check_positive_int("n_passes", n_passes)
 
     n_samples = int(probe_duration_s * sample_rate)
     if n_samples < n_taps * 4:
@@ -102,7 +103,7 @@ def estimate_secondary_path(true_channel, n_taps, probe_duration_s=1.0,
 
     lms = LmsFilter(n_taps=n_taps, mu=mu, normalized=True)
     result = None
-    for __ in range(int(n_passes)):
+    for __ in range(n_passes):
         result = lms.run(probe, measured)
     return SecondaryPathEstimate(
         impulse_response=result.taps,

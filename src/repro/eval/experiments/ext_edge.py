@@ -18,6 +18,7 @@ from ...core.edge import EdgeAncService, EdgeClient
 from ...core.lookahead import align
 from ...core.scenario import Scenario
 from ...core.secondary_path import estimate_secondary_path
+from ...errors import ConfigurationError
 from ...hardware.dsp_board import tms320c6713
 from ...signals import MaleVoice
 from ..reporting import format_table
@@ -33,7 +34,8 @@ def edge_hall_layout(n_clients, sample_rate=8000.0):
     ceiling relay near that source (Figure 10b's relays-on-the-ceiling).
     """
     if not 1 <= n_clients <= 6:
-        raise ValueError("layout supports 1..6 clients")
+        raise ConfigurationError(
+            f"layout supports 1..6 clients, got {n_clients!r}")
     room = Room(14.0, 6.0, 3.5, absorption=0.35)
     triples = []
     for i in range(n_clients):

@@ -23,6 +23,7 @@ from ...core.adaptive.lanc import LancFilter, StreamingLanc
 from ...core.lookahead import align
 from ...core.profiles import PredictiveProfileSwitcher, ProfileClassifier
 from ...core.secondary_path import estimate_secondary_path
+from ...errors import ConfigurationError
 from ...hardware.dsp_board import tms320c6713
 from ...signals import BandlimitedNoise, IntermittentSource, MaleVoice
 from ..metrics import additional_cancellation_db, measure_cancellation
@@ -136,7 +137,8 @@ def _train_classifier(classifier, reference, mask, sample_rate):
     speech_idx = np.flatnonzero(mask)
     quiet_idx = np.flatnonzero(~mask)
     if speech_idx.size < min_len or quiet_idx.size < min_len:
-        raise ValueError("schedule leaves too little data to train profiles")
+        raise ConfigurationError(
+            "schedule leaves too little data to train profiles")
     classifier.register("speech", reference[speech_idx[: min_len * 3]])
     classifier.register("background", reference[quiet_idx[: min_len * 3]])
 

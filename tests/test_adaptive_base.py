@@ -1,8 +1,11 @@
 """Adaptive-filter shared machinery."""
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.core import LancFilter, LmsFilter, MultiRefLancFilter
 from repro.core.adaptive.base import (
     AdaptationResult,
     TapVector,
@@ -10,7 +13,7 @@ from repro.core.adaptive.base import (
     guard_divergence,
     mse_curve,
 )
-from repro.errors import ConvergenceError
+from repro.errors import ConfigurationError, ConvergenceError
 from tests.oracle import tap_window
 
 
@@ -80,6 +83,29 @@ class TestGuards:
 
     def test_normal_value_passes(self):
         guard_divergence(0.5, "test")
+
+
+#: The three engines with a leaky update, built around ``leak``.
+LEAKY_ENGINES = {
+    "lms": lambda leak: LmsFilter(n_taps=4, leak=leak),
+    "lanc": lambda leak: LancFilter(1, 4, [1.0], leak=leak),
+    "multiref": lambda leak: MultiRefLancFilter([1, 2], 4, [1.0], leak=leak),
+}
+
+
+class TestLeak:
+    @pytest.mark.parametrize("leak", [1.5, "0.1", math.nan, True],
+                             ids=["above-one", "string", "nan", "bool"])
+    @pytest.mark.parametrize("engine", sorted(LEAKY_ENGINES))
+    def test_bad_leak_is_a_configuration_error(self, engine, leak):
+        with pytest.raises(ConfigurationError, match="leak"):
+            LEAKY_ENGINES[engine](leak)
+
+    @pytest.mark.parametrize("engine", sorted(LEAKY_ENGINES))
+    def test_leak_kept_as_a_float(self, engine):
+        for leak in (0, 0.0, np.float32(0.25)):
+            kept = LEAKY_ENGINES[engine](leak).leak
+            assert type(kept) is float and kept == float(leak)
 
 
 class TestEffectiveStep:

@@ -12,9 +12,11 @@ line.
   function: with the finder refusing SciPy, ``serve-bench --check`` and
   ``chaos-soak`` still pass.  Nor does a relay decision in the Figure
   19 room: the relay chain's FFTs are ``np.fft``.
-* ``MuteSystem.run`` with an ``AnalogRelay`` loads only
-  ``scipy.linalg``, first for the kernels' BLAS walks: no
-  ``scipy.fft`` and no ``scipy.special``.
+* ``MuteSystem.run`` with an ``AnalogRelay`` loads no SciPy package:
+  the kernels' BLAS walks load SciPy's ``_fblas`` extension alone,
+  without the ``scipy`` and ``scipy.linalg`` package init.  A LANC run
+  and ``scipy.linalg.blas`` share that one module, whichever loads it
+  first.
 * Only the three IIR noise generators load ``scipy.signal``: with the
   finder refusing it alone, a relay decision in the Figure 19 room, a
   ``MuteSystem.run`` with an ``AnalogRelay`` and its per-request probe
@@ -207,6 +209,64 @@ def test_headline_run_loads_only_scipy_linalg():
     assert f"kernels{os.sep}vector.py:" in _importer(proc), (
         f"the first SciPy import came from {_importer(proc)}, not the "
         f"kernels")
+
+
+def test_headline_run_loads_no_scipy_package():
+    proc = _child("watch", "exec",
+                  HEADLINE_RUN + "import sys\n"
+                  "print(sorted(m for m in sys.modules "
+                  "if m == 'scipy' or m.startswith('scipy.')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['scipy.linalg._fblas']", (
+        f"MuteSystem.run loaded {proc.stdout.strip()}")
+
+
+#: A LANC walk, then SciPy's own BLAS module: both use one ``_fblas``,
+#: and the Wiener bound's ``scipy.linalg`` still runs.
+LANC_THEN_SCIPY = """
+import sys
+
+import numpy as np
+
+from repro.core import LancFilter
+from repro.core.adaptive.kernels import vector
+from repro.core.optimal import wiener_lanc
+
+x = np.random.default_rng(1).standard_normal(4000)
+d = np.roll(x, 3)
+LancFilter(2, 16, [0.0, 1.0], mu=0.1).run(x, d)
+assert "scipy.linalg" not in sys.modules
+fblas = sys.modules["scipy.linalg._fblas"]
+import scipy.linalg.blas
+
+assert scipy.linalg.blas.ddot is fblas.ddot
+assert vector._fblas() is fblas
+wiener_lanc(x, d, [0.0, 1.0], 2, 16)
+"""
+
+#: SciPy's BLAS module first: the walks reuse its ``_fblas``.
+SCIPY_THEN_LANC = """
+import sys
+
+import numpy as np
+import scipy.linalg.blas
+
+from repro.core import LancFilter
+from repro.core.adaptive.kernels import vector
+
+fblas = sys.modules["scipy.linalg._fblas"]
+x = np.random.default_rng(1).standard_normal(4000)
+LancFilter(2, 16, [0.0, 1.0], mu=0.1).run(x, np.roll(x, 3))
+assert vector._fblas() is fblas
+assert sys.modules["scipy.linalg._fblas"] is fblas
+"""
+
+
+@pytest.mark.parametrize("flow", [LANC_THEN_SCIPY, SCIPY_THEN_LANC],
+                         ids=["lanc-first", "scipy-first"])
+def test_walks_and_scipy_linalg_share_one_fblas(flow):
+    proc = _child("watch", "exec", flow)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _run_refusing_signal(flow, what):

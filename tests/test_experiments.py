@@ -24,6 +24,7 @@ from repro.eval.experiments import (
     run_fig19,
     run_timing,
 )
+from repro.errors import ConfigurationError
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +128,10 @@ class TestFig17:
     def test_report_renders(self, fast_bench):
         result = run_fig17(duration_s=12.0, scenario=fast_bench)
         assert "switching" in result.report()
+
+    def test_short_schedule_is_a_configuration_error(self, fast_bench):
+        with pytest.raises(ConfigurationError, match="too little data"):
+            run_fig17(duration_s=1.0, scenario=fast_bench)
 
 
 class TestFig18:

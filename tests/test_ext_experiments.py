@@ -91,6 +91,14 @@ class TestEdge:
     def test_report_renders(self, result):
         assert "edge service" in result.report()
 
+    @pytest.mark.parametrize("n_clients", [0, 7])
+    def test_layout_refuses_client_counts_it_cannot_seat(self, n_clients):
+        from repro.errors import ConfigurationError
+        from repro.eval.experiments.ext_edge import edge_hall_layout
+
+        with pytest.raises(ConfigurationError, match="1..6 clients"):
+            edge_hall_layout(n_clients)
+
 
 class TestWideband:
     @pytest.fixture(scope="class")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import LmsFilter, identify_system
-from repro.errors import ConvergenceError
+from repro.errors import ConfigurationError, ConvergenceError
 
 
 class TestLmsFilter:
@@ -60,7 +60,7 @@ class TestLmsFilter:
         np.testing.assert_array_equal(lms.taps, np.zeros(3))
 
     def test_rejects_bad_leak(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             LmsFilter(n_taps=2, leak=1.0)
 
     def test_step_returns_prediction_and_error(self):

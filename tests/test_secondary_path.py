@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import estimate_secondary_path
-from repro.errors import ChannelError
+from repro.errors import ChannelError, ConfigurationError
 
 
 TRUE_CHANNEL = np.array([0.0, 0.0, 0.8, 0.3, -0.1, 0.05])
@@ -33,6 +33,12 @@ class TestEstimation:
                                       ambient_noise_rms=0.05,
                                       probe_duration_s=2.0)
         assert np.linalg.norm(est.impulse_response[:6] - TRUE_CHANNEL) < 0.1
+
+    @pytest.mark.parametrize("n_passes", [0, -1, 2.5, "2", True])
+    def test_n_passes_must_be_a_positive_int(self, n_passes):
+        with pytest.raises(ConfigurationError, match="n_passes"):
+            estimate_secondary_path(TRUE_CHANNEL, n_taps=8,
+                                    n_passes=n_passes)
 
     def test_short_probe_rejected(self):
         with pytest.raises(ChannelError, match="too short"):
